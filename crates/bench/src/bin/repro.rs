@@ -6,20 +6,17 @@
 //! ```
 //!
 //! With `--perf-json <path>` it instead runs the offline **perf smoke**:
-//! the Table 3 workloads through the full pipeline under every
-//! verification backend (scalar, bit-parallel, wide-lane),
-//! verify-phase microbenchmarks across all three backends, and — since
-//! PR 4 — a **solver phase**: every registered ATSP backend over
-//! deterministic instances and pipeline workloads, with per-solver
-//! tour-cost and latency columns. Written as a JSON record (the
-//! benchmark trajectory, `BENCH_pr10.json`). The process exits
-//! non-zero if the bit-parallel verifier is slower than twice the
-//! scalar time on any pair-fault workload (2x noise margin over the
-//! ~10x measured advantage), if the wide-lane verifier is slower than
-//! 1.5x the bit-parallel time on any pair-fault workload (noise margin
-//! over the measured multi-batch win), if the verification backends
-//! ever disagree on a coverage report, or if the local-search solver
-//! misses the exact optimum on an exact-range instance.
+//! the Table 3 workloads through the full pipeline under both
+//! verification backends (scalar and the packed `auto`), verify-phase
+//! microbenchmarks of both, and a **solver phase**: every registered
+//! ATSP backend over deterministic instances and pipeline workloads,
+//! with per-solver tour-cost and latency columns. Written as a JSON
+//! record (the benchmark trajectory, `BENCH_pr10.json`). The process
+//! exits non-zero if the packed verifier is slower than twice the scalar
+//! time on any pair-fault workload (2x noise margin over the ~10x
+//! measured advantage), if the two backends ever disagree on a coverage
+//! report, or if the local-search solver misses the exact optimum on an
+//! exact-range instance.
 //!
 //! ```sh
 //! cargo run --release -p marchgen-bench --bin repro -- --perf-json BENCH_pr10.json
@@ -36,8 +33,9 @@ use marchgen_model::{Bit, TwoCellMachine};
 use marchgen_sim::coverage::covers_all;
 use marchgen_sim::matrix::CoverageMatrix;
 use marchgen_sim::verify::Verifier;
-use marchgen_sim::{BitSimVerifier, SimVerifier, WideSimVerifier};
+use marchgen_sim::{SimVerifier, WideSimVerifier};
 use marchgen_tpg::{plan_tour, StartPolicy, Tpg};
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -54,10 +52,11 @@ fn main() -> ExitCode {
     table3();
     baseline_comparison();
     ablations();
+    machinery_costs();
     ExitCode::SUCCESS
 }
 
-// ---- perf smoke (scalar vs bit-parallel verification) ------------------
+// ---- perf smoke (scalar vs packed verification) ------------------------
 
 /// Best-of-`reps` wall-clock of `f`, in µs.
 fn best_micros(reps: usize, mut f: impl FnMut()) -> u64 {
@@ -72,42 +71,28 @@ fn best_micros(reps: usize, mut f: impl FnMut()) -> u64 {
 }
 
 /// One verify-phase microbenchmark: full coverage sweep of `test` over
-/// `faults` on `cells` memory cells, scalar vs bit-parallel vs
-/// wide-lane.
+/// `faults` on `cells` memory cells, scalar vs packed.
 fn verify_case(label: &str, faults: &str, cells: usize, test: &MarchTest) -> (Json, bool) {
     let models = parse_fault_list(faults).expect("perf workloads parse");
     let pair_fault = models.iter().any(FaultModel::is_pair_fault);
     let scalar = SimVerifier::new(cells);
-    let packed = BitSimVerifier::new(cells);
     let wide = WideSimVerifier::new(cells);
-    let scalar_report = scalar.verify(test, &models);
-    let packed_report = packed.verify(test, &models);
-    let wide_report = wide.verify(test, &models);
-    let agree = scalar_report == packed_report && scalar_report == wide_report;
+    let agree = scalar.verify(test, &models) == wide.verify(test, &models);
     let reps = 5;
     let scalar_micros = best_micros(reps, || {
         let _ = scalar.verify(test, &models);
     });
-    let bitsim_micros = best_micros(reps, || {
-        let _ = packed.verify(test, &models);
-    });
     let wide_micros = best_micros(reps, || {
         let _ = wide.verify(test, &models);
     });
-    let speedup = scalar_micros as f64 / bitsim_micros.max(1) as f64;
     let wide_speedup = scalar_micros as f64 / wide_micros.max(1) as f64;
-    let wide_vs_bitsim = bitsim_micros as f64 / wide_micros.max(1) as f64;
-    // The regression gates leave a safety factor over the raw
-    // wall-clock comparison: bitsim-vs-scalar runs ~10x, so a 2x
-    // margin still trips on a real regression while scheduler noise on
-    // a shared CI runner does not; wide-vs-bitsim runs ~2-4x on the
-    // multi-batch pair-fault rows, so it gets a tighter 1.5x margin.
-    let ok = agree
-        && (!pair_fault
-            || (bitsim_micros <= scalar_micros.saturating_mul(2)
-                && wide_micros.saturating_mul(2) <= bitsim_micros.saturating_mul(3)));
+    // The regression gate leaves a safety factor over the raw
+    // wall-clock comparison: packed-vs-scalar runs ~10x on pair-fault
+    // rows, so a 2x margin still trips on a real regression while
+    // scheduler noise on a shared CI runner does not.
+    let ok = agree && (!pair_fault || wide_micros <= scalar_micros.saturating_mul(2));
     println!(
-        "  {label:<34} scalar {scalar_micros:>9} µs | bitsim {bitsim_micros:>8} µs ({speedup:>5.1}x) | wide {wide_micros:>8} µs ({wide_speedup:>5.1}x, {wide_vs_bitsim:>4.1}x vs bitsim)  agree={agree}"
+        "  {label:<34} scalar {scalar_micros:>9} µs | wide {wide_micros:>8} µs ({wide_speedup:>5.1}x)  agree={agree}"
     );
     let entry = Json::object([
         ("label", Json::from(label)),
@@ -116,11 +101,8 @@ fn verify_case(label: &str, faults: &str, cells: usize, test: &MarchTest) -> (Js
         ("test", Json::Str(test.to_string())),
         ("pair_fault", Json::Bool(pair_fault)),
         ("scalar_verify_micros", Json::from(scalar_micros)),
-        ("bitsim_verify_micros", Json::from(bitsim_micros)),
         ("wide_verify_micros", Json::from(wide_micros)),
-        ("speedup", Json::Str(format!("{speedup:.2}"))),
         ("wide_speedup", Json::Str(format!("{wide_speedup:.2}"))),
-        ("wide_vs_bitsim", Json::Str(format!("{wide_vs_bitsim:.2}"))),
         ("reports_agree", Json::Bool(agree)),
     ]);
     (entry, ok)
@@ -267,12 +249,11 @@ fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
 }
 
 /// The offline perf smoke: per-phase pipeline timings on the Table 3
-/// workloads under all three verification backends, verify-phase
+/// workloads under both verification backends, verify-phase
 /// microbenchmarks (including the pair-fault CFin+CFid+CFst sweep at 8
 /// cells), and the per-solver cost/latency sweeps. Writes the record to
-/// `path`; non-zero exit when bit-parallel exceeds twice the scalar
-/// time on a pair-fault workload (2x noise margin), wide-lane exceeds
-/// 1.5x the bit-parallel time on a pair-fault workload, the
+/// `path`; non-zero exit when the packed backend exceeds twice the
+/// scalar time on a pair-fault workload (2x noise margin), the
 /// verification backends disagree, or a solver misses its cost gate.
 fn perf_smoke(path: &str) -> ExitCode {
     let mut ok = true;
@@ -284,8 +265,7 @@ fn perf_smoke(path: &str) -> ExitCode {
         let pair_fault = models.iter().any(FaultModel::is_pair_fault);
         for (backend, choice) in [
             ("scalar", VerifierChoice::Scalar),
-            ("bitsim", VerifierChoice::BitParallel),
-            ("wide", VerifierChoice::Wide),
+            ("auto", VerifierChoice::Auto),
         ] {
             let request = GenerateRequest::new(models.clone()).with_verifier(choice);
             let started = Instant::now();
@@ -324,7 +304,7 @@ fn perf_smoke(path: &str) -> ExitCode {
         }
     }
 
-    println!("== perf smoke: verify-phase sweeps, scalar vs bitsim vs wide =");
+    println!("== perf smoke: verify-phase sweeps, scalar vs wide ==========");
     let mut verify_rows = Vec::new();
     let march_c = known::march_c_minus();
     let march_ss = known::march_ss();
@@ -372,7 +352,7 @@ fn perf_smoke(path: &str) -> ExitCode {
     ok &= solver_pipeline_sweep(&mut solver_pipeline_rows);
 
     let doc = Json::object([
-        ("schema", Json::from("marchgen-bench/4")),
+        ("schema", Json::from("marchgen-bench/5")),
         ("pipeline_rows", Json::array(pipeline_rows)),
         ("verify_phase", Json::array(verify_rows)),
         ("solver_phase", Json::array(solver_rows)),
@@ -388,9 +368,8 @@ fn perf_smoke(path: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "error: a perf gate failed — bit-parallel verify over 2x scalar or wide verify \
-             over 1.5x bit-parallel on a pair-fault workload, verifier reports disagreed, \
-             or a solver missed its cost gate"
+            "error: a perf gate failed — packed verify over 2x scalar on a pair-fault \
+             workload, verifier reports disagreed, or a solver missed its cost gate"
         );
         ExitCode::FAILURE
     }
@@ -521,6 +500,13 @@ fn baseline_comparison() {
             baseline_time,
         );
     }
+    // The exponential curve itself: tree size per complexity bound.
+    let saf = parse_fault_list("SAF").expect("parses");
+    let nodes: Vec<u64> = [2usize, 3, 4]
+        .iter()
+        .map(|&bound| baseline::search(&saf, bound, 3, u64::MAX).stats.nodes)
+        .collect();
+    println!("  SAF exhaustive tree nodes at bounds 2n/3n/4n: {nodes:?}");
 }
 
 fn ablations() {
@@ -552,6 +538,57 @@ fn ablations() {
             out.test.complexity(),
             out.verified,
             t.elapsed()
+        );
+    }
+}
+
+/// What the tables rest on, timed: the §6 simulator across memory sizes
+/// and test lengths, the coverage matrix with its exact set cover, and
+/// the ATSP assignment bound and all-optimal-tour enumeration.
+fn machinery_costs() {
+    println!("\n== §6 simulator and ATSP machinery (best of 3) ===============");
+    let models = parse_fault_list("SAF, TF, CFin, CFid").expect("parses");
+    let march_c = known::march_c_minus();
+    for n in [4usize, 6, 8] {
+        let micros = best_micros(3, || {
+            black_box(covers_all(&march_c, &models, n));
+        });
+        println!("  covers_all March C- over SAF+TF+CFin+CFid @{n}: {micros:>8} µs");
+    }
+    let cfid = parse_fault_list("CFid").expect("parses");
+    for name in ["MATS", "March C-", "March SS"] {
+        let test = known::by_name(name).expect("known");
+        let micros = best_micros(3, || {
+            black_box(covers_all(&test, &cfid, 4));
+        });
+        println!("  covers_all {name:<8} over CFid @4: {micros:>8} µs");
+    }
+    let matrix_micros = best_micros(3, || {
+        black_box(CoverageMatrix::build(&march_c, &models, 4));
+    });
+    let matrix = CoverageMatrix::build(&march_c, &models, 4);
+    let cover_micros = best_micros(3, || {
+        black_box(matrix.non_redundancy());
+    });
+    println!("  coverage matrix (March C- @4): {matrix_micros} µs, set cover: {cover_micros} µs");
+    for n in [8usize, 16, 24] {
+        let inst = solver_bench_instance(n, 7 + n as u64);
+        let micros = best_micros(3, || {
+            black_box(marchgen_atsp::hungarian::lower_bound(&inst));
+        });
+        println!(
+            "  n={n:<3} assignment bound {:>5} in {micros:>6} µs",
+            marchgen_atsp::hungarian::lower_bound(&inst)
+        );
+    }
+    for n in [8usize, 10, 12] {
+        let inst = solver_bench_instance(n, 1000 + n as u64);
+        let micros = best_micros(3, || {
+            black_box(marchgen_atsp::held_karp::solve_all(&inst, 64));
+        });
+        println!(
+            "  n={n:<3} all optimal tours (cap 64): {:>2} in {micros:>6} µs",
+            marchgen_atsp::held_karp::solve_all(&inst, 64).len()
         );
     }
 }

@@ -1,12 +1,11 @@
 //! # marchgen-bench
 //!
-//! Shared workloads for the benchmark harness that regenerates every
-//! table and figure of the paper (see `benches/` and the `repro` binary).
+//! Shared workloads for the `repro` binary, which regenerates every table
+//! and figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use marchgen_atsp::AtspInstance;
 use marchgen_faults::{parse_fault_list, requirements_for, FaultModel, TestPattern};
 
 /// One row of the paper's Table 3.
@@ -90,19 +89,6 @@ pub fn section4_tps() -> Vec<TestPattern> {
     tps
 }
 
-/// A deterministic pseudo-random ATSP instance (xorshift-based) for the
-/// solver benchmarks.
-#[must_use]
-pub fn random_atsp(n: usize, seed: u64) -> AtspInstance {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    AtspInstance::from_fn(n, |_, _| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state % 100
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,10 +104,5 @@ mod tests {
     #[test]
     fn section4_tps_count() {
         assert_eq!(section4_tps().len(), 4);
-    }
-
-    #[test]
-    fn random_atsp_is_deterministic() {
-        assert_eq!(random_atsp(6, 7), random_atsp(6, 7));
     }
 }

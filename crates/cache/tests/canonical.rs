@@ -6,7 +6,7 @@
 use marchgen_cache::{canonical_key_text, request_key};
 use marchgen_faults::FaultModel;
 use marchgen_generator::{GenerateRequest, VerifierChoice};
-use marchgen_json::FromJson;
+use marchgen_json::{FromJson, ToJson};
 use marchgen_testkit::{run_cases, Rng};
 use marchgen_tpg::StartPolicy;
 
@@ -110,9 +110,15 @@ fn semantic_fields_move_the_key_execution_knobs_do_not() {
             );
         }
 
+        // The retired backend name `"bitsim"` still decodes (as `auto`)
+        // and keys like any other verifier choice.
+        let retired = base
+            .to_json_string()
+            .replace(r#""verifier":"auto""#, r#""verifier":"bitsim""#);
+        assert!(retired.contains("bitsim"));
         let execution: Vec<GenerateRequest> = vec![
             base.clone().with_verifier(VerifierChoice::Scalar),
-            base.clone().with_verifier(VerifierChoice::BitParallel),
+            GenerateRequest::from_json_str(&retired).expect("the retired verifier name decodes"),
             base.clone().with_search_threads(rng.range(1, 16)),
         ];
         for variant in &execution {
@@ -129,7 +135,6 @@ fn semantic_fields_move_the_key_execution_knobs_do_not() {
 /// and the key survives a JSON round-trip of the request.
 #[test]
 fn key_is_stable_under_roundtrip_and_renormalization() {
-    use marchgen_json::ToJson;
     run_cases("cache_key_roundtrip_stability", 64, |rng| {
         let request = GenerateRequest::new(random_faults(rng));
         let normalized = request.clone().normalize();

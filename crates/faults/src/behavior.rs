@@ -6,7 +6,7 @@
 //! site cell a rule applies to, what trigger condition arms it, and what
 //! effect it has on the stored value, the read output, or the coupled
 //! victim cell. The scalar simulator (`marchgen-sim`'s `FaultyMemory`)
-//! and the bit-parallel verifier (`bitsim::LaneBatch`) are *generic
+//! and the packed verifier (`widesim::WideBatch`) are *generic
 //! interpreters* over this table — neither contains a single
 //! `FaultModel`-variant match. The only place rules are authored is
 //! [`crate::lowering::behavior`].

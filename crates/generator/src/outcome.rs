@@ -75,7 +75,8 @@ pub struct Diagnostics {
     pub shard_micros: Vec<u64>,
     /// The verification backend the run resolved its
     /// [`VerifierChoice`](crate::VerifierChoice) to (the trait name:
-    /// `"simulator"`, `"bitsim"`, `"widesim"`). Empty when verification
+    /// `"simulator"` or `"widesim"`; documents written before the 64-lane
+    /// backend was retired may carry `"bitsim"`). Empty when verification
     /// was disabled (`verify_cells == 0`) or on documents predating the
     /// verifier diagnostics.
     pub verifier: String,

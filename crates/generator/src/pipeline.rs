@@ -19,13 +19,12 @@ use marchgen_faults::{
 };
 use marchgen_march::MarchTest;
 use marchgen_sim::coverage::CoverageReport;
-use marchgen_sim::{widesim, BitSimVerifier, SimVerifier, Verifier, WideSimVerifier};
+use marchgen_sim::pool::run_indexed;
+use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
 use marchgen_tpg::{plan_tour_with_stats, StartPolicy, Tpg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Why generation failed outright (verification shortfalls are reported
@@ -89,31 +88,18 @@ pub fn generate_with_registry(
 }
 
 /// Resolves the request's [`VerifierChoice`] into a concrete backend
-/// (`None` when `verify_cells == 0` disables verification).
-///
-/// `Auto` picks by scenario lane count: the wide-lane simulator when
-/// any model of the fault list sweeps more than 64 scenario lanes (one
-/// full bitsim batch) — pair faults on realistic memories, but also
-/// wide single-cell sweeps — and the 64-lane bit-parallel simulator
-/// otherwise. Every model of the extended taxonomy, dynamic and linked
-/// classes included, is supported by the packed rule-table
-/// interpreters, so `Auto` never selects the scalar backend.
+/// (`None` when `verify_cells == 0` disables verification): the packed
+/// simulator for `Auto` — it supports every model of the extended
+/// taxonomy, dynamic and linked classes included — and the scalar one
+/// for `Scalar`.
 #[must_use]
 pub fn verifier_for(request: &GenerateRequest) -> Option<Box<dyn Verifier>> {
     if request.verify_cells == 0 {
         return None;
     }
     Some(match request.verifier {
+        VerifierChoice::Auto => Box::new(WideSimVerifier::new(request.verify_cells)),
         VerifierChoice::Scalar => Box::new(SimVerifier::new(request.verify_cells)),
-        VerifierChoice::BitParallel => Box::new(BitSimVerifier::new(request.verify_cells)),
-        VerifierChoice::Wide => Box::new(WideSimVerifier::new(request.verify_cells)),
-        VerifierChoice::Auto => {
-            if widesim::max_model_lanes(&request.faults, request.verify_cells) > 64 {
-                Box::new(WideSimVerifier::new(request.verify_cells))
-            } else {
-                Box::new(BitSimVerifier::new(request.verify_cells))
-            }
-        }
     })
 }
 
@@ -318,38 +304,6 @@ fn combination_shards(limit: usize, workers: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Runs `f(0..jobs)` across up to `workers` scoped threads pulling from
-/// a shared queue (the same machinery as the batch service layer),
-/// collecting results **by index** — so the output is identical to the
-/// inline `workers <= 1` path regardless of scheduling.
-fn run_indexed<T: Send>(jobs: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if workers <= 1 || jobs <= 1 {
-        return (0..jobs).map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(jobs, || None);
-    let slots = Mutex::new(slots);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(jobs) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= jobs {
-                    break;
-                }
-                let out = f(k);
-                slots.lock().expect("shard slots lock")[k] = Some(out);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("shard slots lock")
-        .into_iter()
-        .map(|slot| slot.expect("every shard ran"))
-        .collect()
-}
-
 /// The result of a [`Generator`] run (compatibility shape; new code
 /// should prefer [`GenerateOutcome`]).
 #[derive(Debug, Clone)]
@@ -476,7 +430,7 @@ impl Generator {
         self
     }
 
-    /// Selects the verification backend (scalar / bit-parallel / auto).
+    /// Selects the verification backend (packed `Auto` or `Scalar`).
     #[must_use]
     pub fn verifier(mut self, verifier: VerifierChoice) -> Generator {
         self.request.verifier = verifier;
@@ -623,6 +577,7 @@ impl ExactSizeIterator for ClassCombinations<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marchgen_sim::widesim;
 
     #[test]
     fn combination_count_is_product_of_cardinalities() {
@@ -693,50 +648,11 @@ mod tests {
         }
     }
 
-    /// `Auto` resolves by scenario lane count — the 64-lane backend for
-    /// sweeps that fit one bitsim batch, the wide backend beyond — and
-    /// explicit choices are honored.
+    /// `Auto` resolves to the packed backend for every list the
+    /// extended taxonomy can express — single-cell, pair, dynamic and
+    /// linked, at any memory size — and `Scalar` to the scalar one.
     #[test]
     fn verifier_resolution_rules() {
-        // SAF+TF at the default 4 cells: ≤ 64 scenario lanes → bitsim.
-        let single = GenerateRequest::from_fault_list("SAF, TF").unwrap();
-        // Any pair-fault list at 4 cells: 12 sites × 8 patterns = 96
-        // lanes → wide.
-        let pair = GenerateRequest::from_fault_list("SAF, CFin").unwrap();
-        assert_eq!(verifier_for(&single).unwrap().name(), "bitsim");
-        assert_eq!(verifier_for(&pair).unwrap().name(), "widesim");
-        assert_eq!(
-            verifier_for(&single.clone().with_verifier(VerifierChoice::Scalar))
-                .unwrap()
-                .name(),
-            "simulator"
-        );
-        assert_eq!(
-            verifier_for(&single.clone().with_verifier(VerifierChoice::Wide))
-                .unwrap()
-                .name(),
-            "widesim"
-        );
-        assert_eq!(
-            verifier_for(&pair.clone().with_verifier(VerifierChoice::BitParallel))
-                .unwrap()
-                .name(),
-            "bitsim"
-        );
-        assert_eq!(
-            verifier_for(&pair.clone().with_verifier(VerifierChoice::Scalar))
-                .unwrap()
-                .name(),
-            "simulator"
-        );
-        assert!(verifier_for(&pair.with_verify_cells(0)).is_none());
-    }
-
-    /// Regression (PR 9 routed only pair-fault lists to bitsim): `auto`
-    /// never selects the scalar backend — dynamic and linked lists
-    /// included, at any memory size the packed interpreters support.
-    #[test]
-    fn auto_never_selects_scalar_when_packed_backend_supports_the_list() {
         for faults in [
             "SAF",
             "SAF, TF",
@@ -753,20 +669,20 @@ mod tests {
                 let request = GenerateRequest::from_fault_list(faults)
                     .unwrap()
                     .with_verify_cells(cells);
-                let name = verifier_for(&request).unwrap().name().to_owned();
-                assert_ne!(name, "simulator", "{faults} at {cells} cells");
-                let expected = if widesim::max_model_lanes(&request.faults, cells) > 64 {
-                    "widesim"
-                } else {
-                    "bitsim"
-                };
-                assert_eq!(name, expected, "{faults} at {cells} cells");
+                let ctx = format!("{faults} at {cells} cells");
+                assert_eq!(verifier_for(&request).unwrap().name(), "widesim", "{ctx}");
+                let scalar = request.with_verifier(VerifierChoice::Scalar);
+                assert_eq!(verifier_for(&scalar).unwrap().name(), "simulator", "{ctx}");
             }
         }
+        let off = GenerateRequest::from_fault_list("SAF, CFin")
+            .unwrap()
+            .with_verify_cells(0);
+        assert!(verifier_for(&off).is_none());
     }
 
-    /// All three verification backends produce the same outcome on the
-    /// paper workloads (end-to-end pipeline agreement).
+    /// Both verification backends produce the same outcome on the paper
+    /// workloads (end-to-end pipeline agreement).
     #[test]
     fn verifier_backends_agree_end_to_end() {
         for faults in ["SAF, TF", "CFid<u,0>, CFid<u,1>", "SAF, TF, ADF, CFin"] {
@@ -774,16 +690,11 @@ mod tests {
                 .unwrap()
                 .with_check_redundancy(true);
             let scalar = generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap();
-            for choice in [VerifierChoice::BitParallel, VerifierChoice::Wide] {
-                let packed = generate(&base.clone().with_verifier(choice)).unwrap();
-                assert_eq!(scalar.test, packed.test, "{faults} via {choice}");
-                assert_eq!(scalar.report, packed.report, "{faults} via {choice}");
-                assert_eq!(
-                    scalar.non_redundant, packed.non_redundant,
-                    "{faults} via {choice}"
-                );
-                assert_eq!(scalar.verified, packed.verified, "{faults} via {choice}");
-            }
+            let packed = generate(&base).unwrap();
+            assert_eq!(scalar.test, packed.test, "{faults}");
+            assert_eq!(scalar.report, packed.report, "{faults}");
+            assert_eq!(scalar.non_redundant, packed.non_redundant, "{faults}");
+            assert_eq!(scalar.verified, packed.verified, "{faults}");
         }
     }
 
@@ -892,18 +803,16 @@ mod tests {
     }
 
     /// Mixed classical + dynamic + linked workloads verify identically on
-    /// the scalar, bit-parallel and wide backends.
+    /// the scalar and packed backends.
     #[test]
     fn extended_workload_backends_agree() {
         for faults in ["SAF, dRDF, dIRF", "TF, LCF<1>", "SAF, TF, dDRDF, LCF"] {
             let base = GenerateRequest::from_fault_list(faults).unwrap();
             let scalar = generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap();
-            for choice in [VerifierChoice::BitParallel, VerifierChoice::Wide] {
-                let packed = generate(&base.clone().with_verifier(choice)).unwrap();
-                assert_eq!(scalar.test, packed.test, "{faults} via {choice}");
-                assert_eq!(scalar.report, packed.report, "{faults} via {choice}");
-                assert!(scalar.verified, "{faults}: {:?}", scalar.report);
-            }
+            let packed = generate(&base).unwrap();
+            assert_eq!(scalar.test, packed.test, "{faults}");
+            assert_eq!(scalar.report, packed.report, "{faults}");
+            assert!(scalar.verified, "{faults}: {:?}", scalar.report);
         }
     }
 

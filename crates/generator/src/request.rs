@@ -15,54 +15,40 @@ use std::fmt;
 /// redundancy checks of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifierChoice {
-    /// Pick per request by scenario lane count: the wide-lane simulator
-    /// when any fault model sweeps more than 64 lanes (one full bitsim
-    /// batch), the 64-lane bit-parallel simulator otherwise. Every
-    /// model of the extended taxonomy — including dynamic (`dRDF` /
-    /// `dDRDF` / `dIRF`) and linked (`LCF`) classes — routes to a
-    /// packed backend; the scalar simulator is never auto-selected.
-    /// The default.
+    /// The packed simulator
+    /// ([`WideSimVerifier`](marchgen_sim::WideSimVerifier)): `[u64; W]`
+    /// lane blocks with W ∈ {2, 4, 8} picked by scenario count, sharding
+    /// the verify phase across `search_threads` workers. It supports
+    /// every model of the extended taxonomy, dynamic (`dRDF` / `dDRDF` /
+    /// `dIRF`) and linked (`LCF`) classes included. Exact agreement with
+    /// the scalar backend at every width is enforced by the differential
+    /// suite. The default.
     #[default]
     Auto,
     /// The scalar behavioural simulator
     /// ([`SimVerifier`](marchgen_sim::SimVerifier)), one scenario at a
-    /// time.
+    /// time — the oracle the packed backend is held to.
     Scalar,
-    /// The bit-parallel simulator
-    /// ([`BitSimVerifier`](marchgen_sim::BitSimVerifier)), 64 scenario
-    /// lanes per `u64` word. Exact agreement with the scalar backend is
-    /// enforced by the differential test suite.
-    BitParallel,
-    /// The wide-lane simulator
-    /// ([`WideSimVerifier`](marchgen_sim::WideSimVerifier)), `[u64; W]`
-    /// lane blocks with W ∈ {2, 4, 8} picked by scenario count
-    /// (128–512 lanes per word), sharding the verify phase across
-    /// `search_threads` workers. Exact agreement with the scalar
-    /// backend at every width is enforced by the differential suite.
-    Wide,
 }
 
 impl VerifierChoice {
-    /// The stable serialization key (`"auto"` / `"scalar"` / `"bitsim"`
-    /// / `"wide"`).
+    /// The stable serialization key (`"auto"` / `"scalar"`).
     #[must_use]
     pub fn key(self) -> &'static str {
         match self {
             VerifierChoice::Auto => "auto",
             VerifierChoice::Scalar => "scalar",
-            VerifierChoice::BitParallel => "bitsim",
-            VerifierChoice::Wide => "wide",
         }
     }
 
-    /// Parses a serialization key; `None` for unknown names.
+    /// Parses a serialization key; `None` for unknown names. The retired
+    /// backend names `"bitsim"` and `"wide"` decode as [`Auto`](Self::Auto),
+    /// so requests written for them keep working.
     #[must_use]
     pub fn from_key(key: &str) -> Option<VerifierChoice> {
         match key {
-            "auto" => Some(VerifierChoice::Auto),
+            "auto" | "bitsim" | "wide" => Some(VerifierChoice::Auto),
             "scalar" => Some(VerifierChoice::Scalar),
-            "bitsim" => Some(VerifierChoice::BitParallel),
-            "wide" => Some(VerifierChoice::Wide),
             _ => None,
         }
     }
@@ -100,7 +86,7 @@ pub struct GenerateRequest {
     /// Cap on optimal tours tried per class combination.
     pub tour_cap: usize,
     /// Memory size for simulator verification; `0` disables verification
-    /// (and compaction).
+    /// (and compaction). JSON decoding rejects values above 64.
     pub verify_cells: usize,
     /// Run the simulator-guided minimization pass (Table 2's role).
     pub compact: bool,
@@ -265,17 +251,16 @@ mod tests {
 
     #[test]
     fn verifier_choice_keys_roundtrip() {
-        for choice in [
-            VerifierChoice::Auto,
-            VerifierChoice::Scalar,
-            VerifierChoice::BitParallel,
-            VerifierChoice::Wide,
-        ] {
+        for choice in [VerifierChoice::Auto, VerifierChoice::Scalar] {
             assert_eq!(VerifierChoice::from_key(choice.key()), Some(choice));
         }
+        // The retired backend names decode as `auto`.
+        for alias in ["bitsim", "wide"] {
+            assert_eq!(VerifierChoice::from_key(alias), Some(VerifierChoice::Auto));
+        }
         assert_eq!(VerifierChoice::from_key("bogus"), None);
-        assert_eq!(VerifierChoice::BitParallel.to_string(), "bitsim");
-        assert_eq!(VerifierChoice::Wide.to_string(), "wide");
+        assert_eq!(VerifierChoice::Auto.to_string(), "auto");
+        assert_eq!(VerifierChoice::Scalar.to_string(), "scalar");
     }
 
     #[test]
@@ -315,10 +300,10 @@ mod tests {
             .with_compact(false)
             .with_check_redundancy(true)
             .with_max_combinations(0)
-            .with_verifier(VerifierChoice::BitParallel)
+            .with_verifier(VerifierChoice::Scalar)
             .with_search_threads(4);
         assert_eq!(req.solver, SolverChoice::HeldKarp);
-        assert_eq!(req.verifier, VerifierChoice::BitParallel);
+        assert_eq!(req.verifier, VerifierChoice::Scalar);
         assert_eq!(req.search_threads, 4);
         assert_eq!(req.start_policy, StartPolicy::Free);
         assert_eq!(req.tour_cap, 1, "tour cap clamps to 1");

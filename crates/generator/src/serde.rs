@@ -25,6 +25,12 @@ use marchgen_tpg::StartPolicy;
 /// Schema identifier stamped into every serialized request/outcome.
 const SCHEMA_VERSION: i64 = 1;
 
+/// The largest `verify_cells` a decoded [`GenerateRequest`] may carry.
+/// Verification cost grows about as the cube of the memory size, so the
+/// wire bound keeps one request from buying seconds of sweep time; it is
+/// 16× the default of 4 cells.
+const MAX_VERIFY_CELLS: usize = 64;
+
 fn check_schema(json: &Json) -> Result<(), JsonError> {
     // Tolerate an absent version (hand-written documents); reject a
     // mismatched one.
@@ -371,17 +377,16 @@ impl FromJson for GenerateRequest {
             ),
         };
         // `verifier` is optional and backward compatible: schema v1
-        // documents written before the bit-parallel backend existed
-        // simply omit it and get the auto choice.
+        // documents written before the packed backend existed omit it,
+        // and those naming a retired backend (`"bitsim"`, `"wide"`) decode
+        // as the auto choice.
         let verifier = match json.get("verifier") {
             None => defaults.verifier,
             Some(v) => v
                 .as_str()
                 .and_then(VerifierChoice::from_key)
                 .ok_or_else(|| {
-                    JsonError::decode(
-                        "field \"verifier\" must be \"auto\", \"scalar\", \"bitsim\" or \"wide\"",
-                    )
+                    JsonError::decode("field \"verifier\" must be \"auto\" or \"scalar\"")
                 })?,
         };
         let opt_usize = |key: &str, fallback: usize| -> Result<usize, JsonError> {
@@ -396,6 +401,12 @@ impl FromJson for GenerateRequest {
                 Some(_) => bool_field(json, key),
             }
         };
+        let verify_cells = opt_usize("verify_cells", defaults.verify_cells)?;
+        if verify_cells > MAX_VERIFY_CELLS {
+            return Err(JsonError::decode(format!(
+                "field \"verify_cells\" must be at most {MAX_VERIFY_CELLS}, got {verify_cells}"
+            )));
+        }
         // Route the caps through the builder so decoded requests share
         // its clamp invariants (a hand-written `"tour_cap": 0` behaves
         // like the builder path, not a zero-work run).
@@ -404,7 +415,7 @@ impl FromJson for GenerateRequest {
             start_policy,
             solver,
             verifier,
-            verify_cells: opt_usize("verify_cells", defaults.verify_cells)?,
+            verify_cells,
             compact: opt_bool("compact", defaults.compact)?,
             check_redundancy: opt_bool("check_redundancy", defaults.check_redundancy)?,
             search_threads: opt_usize("search_threads", defaults.search_threads)?,
@@ -637,15 +648,16 @@ mod tests {
             .with_compact(false)
             .with_check_redundancy(true)
             .with_max_combinations(99)
-            .with_verifier(VerifierChoice::BitParallel)
+            .with_verifier(VerifierChoice::Scalar)
             .with_search_threads(3);
         let text = request.to_json_string();
         let back = GenerateRequest::from_json_str(&text).unwrap();
         assert_eq!(back, request);
     }
 
-    /// The `verifier` key is optional (pre-bitsim schema v1 documents
-    /// omit it) and validated when present.
+    /// The `verifier` key is optional (schema v1 documents predating the
+    /// packed backend omit it) and validated when present; the retired
+    /// backend names decode as `auto`.
     #[test]
     fn verifier_key_is_optional_and_checked() {
         let back = GenerateRequest::from_json_str(r#"{"faults": ["SAF"]}"#).unwrap();
@@ -654,13 +666,28 @@ mod tests {
         let back =
             GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "scalar"}"#).unwrap();
         assert_eq!(back.verifier, VerifierChoice::Scalar);
-        let back =
-            GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "wide"}"#).unwrap();
-        assert_eq!(back.verifier, VerifierChoice::Wide);
+        for alias in ["bitsim", "wide"] {
+            let doc = format!(r#"{{"faults": ["SAF"], "verifier": "{alias}"}}"#);
+            let back = GenerateRequest::from_json_str(&doc).unwrap();
+            assert_eq!(back.verifier, VerifierChoice::Auto, "{alias}");
+            assert!(back.to_json_string().contains(r#""verifier":"auto""#));
+        }
         assert!(
             GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "quantum"}"#)
                 .is_err()
         );
+    }
+
+    /// `verify_cells` is bounded at the wire: the maximum decodes, one
+    /// more is a decode error naming the field.
+    #[test]
+    fn verify_cells_is_bounded_at_decode() {
+        let doc = |cells: usize| format!(r#"{{"faults": ["CFin"], "verify_cells": {cells}}}"#);
+        let back = GenerateRequest::from_json_str(&doc(MAX_VERIFY_CELLS)).unwrap();
+        assert_eq!(back.verify_cells, MAX_VERIFY_CELLS);
+        let err = GenerateRequest::from_json_str(&doc(MAX_VERIFY_CELLS + 1)).unwrap_err();
+        assert!(err.message.contains("\"verify_cells\""), "{}", err.message);
+        assert!(err.message.contains("64"), "{}", err.message);
     }
 
     /// Outcomes predating the sharded search decode with empty shard

@@ -269,11 +269,11 @@ pub fn detects(test: &MarchTest, site: &FaultSite, n: usize) -> bool {
     true
 }
 
-/// Scalar reference for the packed backends' lane-level differential
+/// Scalar reference for the packed backend's lane-level differential
 /// tests: `out[r][l]` is `true` when scenario lane `l` produced at least
 /// one mismatching read under `⇕` resolution vector `r`. Lanes are
 /// enumerated site-major, then power-up pattern, then latch value — the
-/// exact order [`crate::bitsim`] and [`crate::widesim`] pack them in.
+/// exact order [`crate::widesim`] packs them in.
 #[must_use]
 pub fn lane_mismatches(test: &MarchTest, model: FaultModel, n: usize) -> Vec<Vec<bool>> {
     let resolutions = resolution_vectors(test);

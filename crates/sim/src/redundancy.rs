@@ -10,8 +10,8 @@
 //!
 //! Every analysis also comes in a `_with` variant taking the coverage
 //! oracle as a closure, so alternative verification backends (notably the
-//! bit-parallel [`bitsim`](crate::bitsim) sweep) reuse the deletion
-//! machinery unchanged.
+//! packed [`widesim`](crate::widesim) sweep) reuse the deletion machinery
+//! unchanged.
 
 use crate::engine::{detects, FaultSite};
 use marchgen_faults::FaultModel;

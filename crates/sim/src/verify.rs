@@ -8,25 +8,21 @@
 //! simulator by implementing this trait. Two backends ship in-tree:
 //!
 //! * [`SimVerifier`] — the scalar behavioural simulator (one scenario at
-//!   a time),
-//! * [`BitSimVerifier`] — the bit-parallel sweep of [`crate::bitsim`]
-//!   (64 scenario lanes per `u64` word), exact-agreement verified
-//!   against the scalar backend and roughly an order of magnitude
-//!   faster on coupling-fault lists, and
-//! * [`WideSimVerifier`] — the wide-lane sweep of [`crate::widesim`]
-//!   (`[u64; W]` lane blocks, 128–512 lanes per word), which also
-//!   implements real sharded verification: [`Verifier::verify_sharded`]
-//!   fans the deterministic [`crate::widesim::shard_plan`] across scoped
-//!   worker threads and reports per-shard timings.
+//!   a time), the oracle every fast path is held to, and
+//! * [`WideSimVerifier`] — the packed sweep of [`crate::widesim`]
+//!   (`[u64; W]` lane blocks, 128–512 lanes per word), exact-agreement
+//!   verified against the scalar backend, which also implements real
+//!   sharded verification: [`Verifier::verify_sharded`] fans the
+//!   deterministic [`crate::widesim::shard_plan`] across scoped worker
+//!   threads and reports per-shard timings.
 
 use crate::coverage::{coverage_report, CoverageReport};
 use crate::engine::FaultSite;
-use crate::{bitsim, redundancy, widesim};
+use crate::pool::run_indexed;
+use crate::{redundancy, widesim};
 use marchgen_faults::FaultModel;
 use marchgen_march::MarchTest;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The result of a (possibly sharded) verification sweep: the coverage
@@ -138,67 +134,15 @@ impl Verifier for SimVerifier {
     }
 }
 
-/// The bit-parallel fault simulator of [`crate::bitsim`]: up to 64
-/// scenario lanes per `u64` memory word, one March execution advancing
-/// all of them at once.
-///
-/// Produces bit-identical [`CoverageReport`]s, compactions and
-/// non-redundancy verdicts to [`SimVerifier`] (enforced by the
-/// differential test suite) at a fraction of the cost on pair-fault
-/// lists, where the scenario count grows as `n·(n−1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitSimVerifier {
-    /// Memory size the sweeps run on.
-    pub cells: usize,
-}
-
-impl BitSimVerifier {
-    /// A bit-parallel verifier on `cells` memory cells.
-    #[must_use]
-    pub fn new(cells: usize) -> BitSimVerifier {
-        BitSimVerifier { cells }
-    }
-}
-
-impl Default for BitSimVerifier {
-    /// The pipeline's default: a 4-cell memory.
-    fn default() -> BitSimVerifier {
-        BitSimVerifier { cells: 4 }
-    }
-}
-
-impl Verifier for BitSimVerifier {
-    fn name(&self) -> &str {
-        "bitsim"
-    }
-
-    fn verify(&self, test: &MarchTest, models: &[FaultModel]) -> CoverageReport {
-        bitsim::coverage_report(test, models, self.cells)
-    }
-
-    fn compact<'a>(&self, test: &'a MarchTest, models: &[FaultModel]) -> Cow<'a, MarchTest> {
-        let site_lists = bitsim::enumerate_sites(models, self.cells);
-        redundancy::compact_with(test, &|cand| {
-            bitsim::covers_all_sites(cand, &site_lists, self.cells)
-        })
-    }
-
-    fn is_non_redundant(&self, test: &MarchTest, models: &[FaultModel]) -> bool {
-        let site_lists = bitsim::enumerate_sites(models, self.cells);
-        redundancy::is_non_redundant_with(test, &|cand| {
-            bitsim::covers_all_sites(cand, &site_lists, self.cells)
-        })
-    }
-}
-
 /// The wide-lane fault simulator of [`crate::widesim`]: `[u64; W]` lane
 /// blocks (W ∈ {2, 4, 8} picked by scenario count) carrying 128–512
 /// scenario lanes per memory word.
 ///
 /// Produces bit-identical [`CoverageReport`]s, compactions and
-/// non-redundancy verdicts to [`SimVerifier`] and [`BitSimVerifier`]
-/// (enforced by the three-way differential suite). Unlike the other
-/// backends it implements *real* sharded verification:
+/// non-redundancy verdicts to [`SimVerifier`] (enforced by the
+/// differential suite) at a fraction of the cost on pair-fault lists,
+/// where the scenario count grows as `n·(n−1)`. Unlike the scalar
+/// backend it implements *real* sharded verification:
 /// [`Verifier::verify_sharded`] fans the deterministic
 /// [`widesim::shard_plan`] across scoped worker threads, merging shard
 /// verdicts in plan order so the report is byte-identical at any worker
@@ -234,14 +178,14 @@ impl Verifier for WideSimVerifier {
     }
 
     fn compact<'a>(&self, test: &'a MarchTest, models: &[FaultModel]) -> Cow<'a, MarchTest> {
-        let site_lists = bitsim::enumerate_sites(models, self.cells);
+        let site_lists = widesim::enumerate_sites(models, self.cells);
         redundancy::compact_with(test, &|cand| {
             widesim::covers_all_sites(cand, &site_lists, self.cells)
         })
     }
 
     fn is_non_redundant(&self, test: &MarchTest, models: &[FaultModel]) -> bool {
-        let site_lists = bitsim::enumerate_sites(models, self.cells);
+        let site_lists = widesim::enumerate_sites(models, self.cells);
         redundancy::is_non_redundant_with(test, &|cand| {
             widesim::covers_all_sites(cand, &site_lists, self.cells)
         })
@@ -287,39 +231,6 @@ impl Verifier for WideSimVerifier {
     }
 }
 
-/// Runs `f(0..jobs)` across up to `workers` scoped threads pulling from
-/// a shared queue, collecting results **by index** — the same machinery
-/// the generator uses for its search shards, so the merged output is
-/// identical to the inline `workers <= 1` path regardless of
-/// scheduling.
-fn run_indexed<T: Send>(jobs: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if workers <= 1 || jobs <= 1 {
-        return (0..jobs).map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(jobs, || None);
-    let slots = Mutex::new(slots);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(jobs) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= jobs {
-                    break;
-                }
-                let out = f(k);
-                slots.lock().expect("verify shard slots lock")[k] = Some(out);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("verify shard slots lock")
-        .into_iter()
-        .map(|slot| slot.expect("every verify shard ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,24 +245,6 @@ mod tests {
         let direct = coverage_report(&test, &models, 4);
         assert_eq!(verifier.verify(&test, &models), direct);
         assert!(verifier.is_non_redundant(&verifier.compact(&test, &models), &models));
-    }
-
-    #[test]
-    fn bitsim_verifier_matches_scalar_backend() {
-        let models = parse_fault_list("SAF, TF, CFin, CFid").unwrap();
-        let test = known::march_c_minus();
-        let scalar = SimVerifier::new(4);
-        let packed = BitSimVerifier::new(4);
-        assert_eq!(packed.verify(&test, &models), scalar.verify(&test, &models));
-        assert_eq!(
-            *packed.compact(&test, &models),
-            *scalar.compact(&test, &models)
-        );
-        assert_eq!(
-            packed.is_non_redundant(&test, &models),
-            scalar.is_non_redundant(&test, &models)
-        );
-        assert_eq!(packed.name(), "bitsim");
     }
 
     #[test]
@@ -385,14 +278,10 @@ mod tests {
     fn default_verify_sharded_is_one_timed_shard() {
         let models = parse_fault_list("SAF, TF").unwrap();
         let test = known::march_c_minus();
-        for verifier in [
-            Box::new(SimVerifier::new(4)) as Box<dyn Verifier>,
-            Box::new(BitSimVerifier::new(4)),
-        ] {
-            let run = verifier.verify_sharded(&test, &models, 4);
-            assert_eq!(run.report, verifier.verify(&test, &models));
-            assert_eq!(run.shard_micros.len(), 1);
-        }
+        let verifier = SimVerifier::new(4);
+        let run = verifier.verify_sharded(&test, &models, 4);
+        assert_eq!(run.report, verifier.verify(&test, &models));
+        assert_eq!(run.shard_micros.len(), 1);
     }
 
     #[test]

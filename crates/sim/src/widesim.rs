@@ -1,32 +1,36 @@
-//! Wide-lane fault simulation: **W × 64 scenario lanes per memory
-//! word**, with W ∈ {2, 4, 8} picked at runtime from the scenario count.
+//! Packed fault simulation: **W × 64 scenario lanes per memory word**,
+//! with W ∈ {2, 4, 8} picked at runtime from the scenario count.
 //!
-//! # Why wider than [`crate::bitsim`]
+//! # Lane-packing layout
 //!
-//! The 64-lane engine already transposes the scalar scenario sweep into
-//! bitwise formulas, but a pair-fault model on an 8-cell memory is
-//! 56 sites × 8 power-up patterns = 448 scenario lanes — seven separate
-//! 64-lane batches, each re-running the full March control flow and the
-//! per-rule interpreter loop. This module generalizes the same
-//! per-address mask layout to `[u64; W]` **lane words**: one March
-//! execution advances up to 512 scenarios, and the rule-table overhead
-//! (shared control flow, rule dispatch, address iteration) is amortized
-//! over W machine words at a time. All lane-word operations are written
-//! as straight-line per-word loops over fixed-size arrays, which the
-//! compiler auto-vectorizes to SSE2/AVX2 — std only, no nightly
-//! `portable_simd`.
+//! The scalar engine ([`crate::engine`]) simulates one *scenario* at a
+//! time: a concrete fault site × power-up pattern × sense-latch value,
+//! re-executed for every `⇕` resolution vector. For a pair-fault model on
+//! an 8-cell memory that is 56 sites × 8 patterns = 448 full March
+//! executions per resolution, each touching one bit of state per cell.
 //!
-//! # Layout and semantics
+//! This module transposes that sweep. The memory is a vector of `[u64; W]`
+//! **lane words**, one per cell address; lane `l` of word `a` (bit
+//! `l % 64` of its `l / 64`-th `u64`) is the value cell `a` holds in
+//! scenario lane `l`. All lanes share the same fault *model* but each
+//! carries its own site placement, power-up pattern and sense-amplifier
+//! latch value, so one March execution advances up to 512 scalar
+//! scenarios at once. Site placement is precompiled into per-address
+//! masks (single-cell lanes, aggressor lanes, and victim groups keyed by
+//! aggressor address), so every faulty read/write is a handful of lane-
+//! word AND/OR/XOR operations. Address order is shared control flow, not
+//! per-lane data, so `⇕` resolution vectors stay an outer loop.
 //!
-//! Identical to [`crate::bitsim`], word-for-word: lane `l` of a block is
-//! bit `l % 64` of word `l / 64`; lanes are enumerated site-major, then
-//! power-up pattern, then latch value (the scalar engine's scenario
-//! order, shared via [`crate::bitsim`]'s lane enumeration); fault
-//! semantics are a generic interpretation of the model's
-//! [`FaultBehavior`] rule table with **no per-variant matches** (the
-//! `fault-layer-lint` CI job keeps it that way); a site is **detected**
-//! only when every one of its lanes mismatches under every `⇕`
-//! resolution vector.
+//! Lanes are enumerated site-major, then power-up pattern, then latch
+//! value — the scalar engine's scenario order. Fault semantics are a
+//! generic interpretation of the model's [`FaultBehavior`] rule table
+//! with **no per-variant matches** (the `fault-layer-lint` CI job keeps
+//! it that way). A site is **detected** only when every one of its lanes
+//! mismatches under every resolution vector — the guaranteed-detection
+//! rule of [`crate::engine::detects`], held bit-for-bit by the
+//! differential suite. All lane-word operations are straight-line
+//! per-word loops over fixed-size arrays, which the compiler
+//! auto-vectorizes — std only, no nightly `portable_simd`.
 //!
 //! The width is chosen per sweep by [`width_for`]: ≤ 128 lanes run at
 //! W = 2, ≤ 256 at W = 4, everything larger at W = 8 — so small
@@ -43,7 +47,6 @@
 //! `Diagnostics` has a reproducible length and the merged report is
 //! byte-identical at any parallelism.
 
-use crate::bitsim::{lanes_for, Lane};
 use crate::coverage::{CoverageReport, ModelCoverage};
 use crate::engine::{latch_values, power_up_patterns, resolution_vectors, FaultSite};
 use crate::memory::SiteCells;
@@ -56,6 +59,38 @@ use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, N
 
 /// Target scenario lanes per verification shard: one full-width block.
 const SHARD_LANES: usize = 64 * 8;
+
+/// One scenario lane: which site it simulates and its power-up state.
+#[derive(Debug, Clone)]
+pub(crate) struct Lane {
+    /// Index into the site list the sweep runs over.
+    pub(crate) site_index: usize,
+    /// Site placement (drives the address masks).
+    pub(crate) cells: SiteCells,
+    /// Power-up pattern of the whole array.
+    pub(crate) pattern: Vec<Bit>,
+    /// Sense-amplifier latch power-up value.
+    pub(crate) latch: Bit,
+}
+
+/// Every scenario lane of a site sweep, in the scalar engine's
+/// enumeration order (site-major, then pattern, then latch).
+pub(crate) fn lanes_for(sites: &[FaultSite], n: usize) -> Vec<Lane> {
+    let mut lanes = Vec::new();
+    for (site_index, site) in sites.iter().enumerate() {
+        for pattern in power_up_patterns(site, n) {
+            for &latch in latch_values(site) {
+                lanes.push(Lane {
+                    site_index,
+                    cells: site.cells,
+                    pattern: pattern.clone(),
+                    latch,
+                });
+            }
+        }
+    }
+    lanes
+}
 
 /// A `W`-word block of scenario lanes: lane `l` is bit `l % 64` of word
 /// `l / 64`. All operations are per-word loops over the fixed-size
@@ -167,10 +202,10 @@ impl<const W: usize> BitXorAssign for LaneWord<W> {
 }
 
 /// A packed batch of up to `W × 64` scenario lanes sharing one fault
-/// model — [`crate::bitsim`]'s `LaneBatch` with every `u64` widened to a
-/// [`LaneWord`]. Like it, the batch is a generic interpreter over the
-/// model's [`FaultBehavior`] rule table: fault semantics are lane-word
-/// formulas derived from the rules, with no per-variant matches.
+/// model. Like the scalar `FaultyMemory`, the batch is a generic
+/// interpreter over the model's [`FaultBehavior`] rule table: fault
+/// semantics are lane-word formulas derived from the rules, with no
+/// per-variant matches.
 struct WideBatch<const W: usize> {
     n: usize,
     behavior: FaultBehavior,
@@ -190,8 +225,10 @@ struct WideBatch<const W: usize> {
     // Execution state.
     cells: Vec<LaneWord<W>>,
     latch: LaneWord<W>,
-    /// Operation history for dynamic faults: shared control flow, so one
-    /// scalar slot serves every lane (see `LaneBatch::last_write`).
+    /// Operation history for dynamic faults: the immediately preceding
+    /// operation, when it was a write (address, value). Shared control
+    /// flow — every lane sees the same op stream, so one scalar slot
+    /// serves all lanes.
     last_write: Option<(usize, Bit)>,
     mismatch: LaneWord<W>,
 }
@@ -282,8 +319,9 @@ impl<const W: usize> WideBatch<W> {
         self.mismatch = LaneWord::<W>::ZERO;
     }
 
-    /// State coupling is a *condition*, not an event: enforce the
-    /// behaviour's invariant after every operation, lane-wise.
+    /// State coupling is a *condition*, not an event (see
+    /// `FaultyMemory`): enforce the behaviour's invariant after every
+    /// operation, lane-wise.
     fn apply_invariant(&mut self) {
         if let Some(inv) = self.behavior.invariant {
             let mut cond = LaneWord::<W>::ZERO;
@@ -567,12 +605,7 @@ pub fn site_verdicts(
     n: usize,
     sites: &[FaultSite],
 ) -> Vec<bool> {
-    let lanes = lanes_for(sites, n);
-    match width_for(lanes.len()) {
-        2 => sweep_lanes::<2>(test, model, n, sites.len(), &lanes, false),
-        4 => sweep_lanes::<4>(test, model, n, sites.len(), &lanes, false),
-        _ => sweep_lanes::<8>(test, model, n, sites.len(), &lanes, false),
-    }
+    sweep(test, model, n, sites, false)
 }
 
 fn sweep(
@@ -590,7 +623,7 @@ fn sweep(
     }
 }
 
-/// Wide-lane equivalent of [`crate::coverage::model_coverage`], at the
+/// Packed equivalent of [`crate::coverage::model_coverage`], at the
 /// auto-selected width.
 #[must_use]
 pub fn model_coverage(test: &MarchTest, model: FaultModel, n: usize) -> ModelCoverage {
@@ -636,7 +669,7 @@ pub fn coverage_from_verdicts(
     }
 }
 
-/// Wide-lane equivalent of [`crate::coverage::coverage_report`].
+/// Packed equivalent of [`crate::coverage::coverage_report`].
 #[must_use]
 pub fn coverage_report(test: &MarchTest, models: &[FaultModel], n: usize) -> CoverageReport {
     CoverageReport {
@@ -661,16 +694,27 @@ pub fn coverage_report_w<const W: usize>(
     }
 }
 
-/// Wide-lane equivalent of [`crate::coverage::covers_all`], with early
-/// exit on the first escaped scenario — the compaction fast path.
+/// Packed equivalent of [`crate::coverage::covers_all`], with early
+/// exit on the first escaped scenario — the fast path for compaction,
+/// where most deletion candidates lose coverage quickly.
 #[must_use]
 pub fn covers_all(test: &MarchTest, models: &[FaultModel], n: usize) -> bool {
-    covers_all_sites(test, &crate::bitsim::enumerate_sites(models, n), n)
+    covers_all_sites(test, &enumerate_sites(models, n), n)
+}
+
+/// Per-model site lists enumerated once, for repeated coverage queries
+/// over varying tests (the compaction deletion loop) — the same hoist
+/// the scalar path applies in [`crate::redundancy`].
+#[must_use]
+pub fn enumerate_sites(models: &[FaultModel], n: usize) -> Vec<(FaultModel, Vec<FaultSite>)> {
+    models
+        .iter()
+        .map(|&m| (m, FaultSite::enumerate(m, n)))
+        .collect()
 }
 
 /// [`covers_all`] over pre-enumerated site lists (see
-/// [`crate::bitsim::enumerate_sites`]) — the same hoist the other
-/// backends apply for the compaction deletion loop.
+/// [`enumerate_sites`]).
 #[must_use]
 pub fn covers_all_sites(
     test: &MarchTest,
@@ -682,11 +726,15 @@ pub fn covers_all_sites(
         .all(|(model, sites)| sweep(test, *model, n, sites, true).iter().all(|&ok| ok))
 }
 
-/// Per-resolution, per-lane mismatch verdicts at width `W` — the wide
-/// engine's side of the lane-level differential (see
-/// [`crate::bitsim::lane_mismatches`] and
-/// [`crate::engine::lane_mismatches`] for the 64-lane and scalar
-/// counterparts; all three must agree on every single lane).
+/// Per-resolution, per-lane mismatch verdicts at width `W`: `out[r][l]`
+/// is `true` when lane `l` (in scenario enumeration order) produced at
+/// least one mismatching read under resolution vector `r`.
+///
+/// This is the finest observable the packed engine has — the
+/// differential suite compares it bit-for-bit with
+/// [`crate::engine::lane_mismatches`] at every width, so a disagreement
+/// on a *single* scenario lane fails the build even when the aggregated
+/// site verdicts happen to coincide.
 #[must_use]
 pub fn lane_mismatches_w<const W: usize>(
     test: &MarchTest,
@@ -723,8 +771,8 @@ pub fn model_lanes(model: FaultModel, n: usize) -> usize {
 }
 
 /// The largest per-model scenario lane count across `models` — the
-/// quantity the `auto` verifier choice keys on: ≤ 64 lanes fit one
-/// bitsim batch, anything wider wants this engine.
+/// widest single sweep a verification of the list runs (see
+/// [`width_for`]).
 #[must_use]
 pub fn max_model_lanes(models: &[FaultModel], n: usize) -> usize {
     models.iter().map(|&m| model_lanes(m, n)).max().unwrap_or(0)
@@ -780,7 +828,7 @@ pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bitsim, coverage};
+    use crate::coverage;
     use marchgen_faults::parse_fault_list;
     use marchgen_march::known;
     use marchgen_testkit::run_cases;
@@ -817,7 +865,22 @@ mod tests {
     }
 
     #[test]
-    fn matches_scalar_and_bitsim_on_classical_claims() {
+    fn lane_enumeration_matches_scalar_scenario_order() {
+        let model = FaultModel::CouplingIdempotent(marchgen_faults::TransitionDir::Up, Bit::One);
+        let sites = FaultSite::enumerate(model, 4);
+        let lanes = lanes_for(&sites, 4);
+        // site-major: lanes of site k all precede lanes of site k+1.
+        let mut last = 0usize;
+        for lane in &lanes {
+            assert!(lane.site_index >= last);
+            last = lane.site_index;
+        }
+        let per_site: usize = power_up_patterns(&sites[0], 4).len();
+        assert_eq!(lanes.len(), sites.len() * per_site);
+    }
+
+    #[test]
+    fn matches_scalar_on_classical_claims() {
         let n = 4;
         for (list, test) in [
             ("SAF, TF", known::mats_plus_plus()),
@@ -828,7 +891,6 @@ mod tests {
             let models = parse_fault_list(list).unwrap();
             let scalar = coverage::coverage_report(&test, &models, n);
             assert_eq!(coverage_report(&test, &models, n), scalar, "{list}");
-            assert_eq!(bitsim::coverage_report(&test, &models, n), scalar, "{list}");
             assert!(covers_all(&test, &models, n));
         }
     }

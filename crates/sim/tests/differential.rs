@@ -1,21 +1,20 @@
-//! Differential tests: every packed sweep — the 64-lane
-//! [`marchgen_sim::bitsim`] and the wide-lane [`marchgen_sim::widesim`]
-//! at **every** supported width W ∈ {2, 4, 8} — must agree **exactly**
-//! with the scalar behavioural simulator ([`coverage`] /
-//! [`SimVerifier`]): same [`CoverageReport`]s (including escape lists,
-//! in order), same compactions, same non-redundancy verdicts, and —
-//! finest of all — the same per-scenario-lane mismatch verdicts, so a
-//! disagreement on a *single* lane fails the build even when the
-//! aggregated site verdicts happen to coincide. Coverage spans the full
-//! extended fault catalog (`all_extended()`: classical + dynamic +
-//! linked), the known-test library, and deterministic random March
-//! tests from `marchgen-testkit`.
+//! Differential tests: the packed sweep of [`marchgen_sim::widesim`] at
+//! **every** supported width W ∈ {2, 4, 8}, and at the auto-selected
+//! one, must agree **exactly** with the scalar behavioural simulator
+//! ([`coverage`] / [`SimVerifier`]): same [`CoverageReport`]s (including
+//! escape lists, in order), same compactions, same non-redundancy
+//! verdicts, and — finest of all — the same per-scenario-lane mismatch
+//! verdicts, so a disagreement on a *single* lane fails the build even
+//! when the aggregated site verdicts happen to coincide. Coverage spans
+//! the full extended fault catalog (`all_extended()`: classical +
+//! dynamic + linked), the known-test library, and deterministic random
+//! March tests from `marchgen-testkit`.
 
 use marchgen_faults::{parse_fault_list, FaultModel};
 use marchgen_march::{known, Direction, MarchElement, MarchOp, MarchTest};
 use marchgen_model::{Bit, Tri};
-use marchgen_sim::verify::{BitSimVerifier, SimVerifier, Verifier, WideSimVerifier};
-use marchgen_sim::{bitsim, coverage, engine, widesim};
+use marchgen_sim::verify::{SimVerifier, Verifier, WideSimVerifier};
+use marchgen_sim::{coverage, engine, widesim};
 use marchgen_testkit::{run_cases, Rng};
 
 /// A random *consistent* March test: reads always expect the value the
@@ -54,15 +53,10 @@ fn random_march(rng: &mut Rng) -> MarchTest {
     test
 }
 
-/// Asserts all three backends (scalar, bitsim, widesim at W = 2/4/8 and
-/// auto width) produce the same per-model coverage.
-fn assert_three_way(test: &MarchTest, model: FaultModel, n: usize, ctx: &str) {
+/// Asserts the packed sweep at W = 2/4/8 and at auto width produces the
+/// scalar engine's per-model coverage.
+fn assert_matches_scalar(test: &MarchTest, model: FaultModel, n: usize, ctx: &str) {
     let scalar = coverage::model_coverage(test, model, n);
-    assert_eq!(
-        bitsim::model_coverage(test, model, n),
-        scalar,
-        "bitsim {ctx}"
-    );
     assert_eq!(
         widesim::model_coverage_w::<2>(test, model, n),
         scalar,
@@ -85,23 +79,44 @@ fn assert_three_way(test: &MarchTest, model: FaultModel, n: usize, ctx: &str) {
     );
 }
 
+/// Asserts the packed sweep's per-resolution × per-scenario-lane
+/// mismatch verdicts at W = 2/4/8 are the scalar engine's.
+fn assert_lanes_match_scalar(test: &MarchTest, model: FaultModel, n: usize, ctx: &str) {
+    let scalar = engine::lane_mismatches(test, model, n);
+    assert_eq!(
+        widesim::lane_mismatches_w::<2>(test, model, n),
+        scalar,
+        "widesim W=2 {ctx}"
+    );
+    assert_eq!(
+        widesim::lane_mismatches_w::<4>(test, model, n),
+        scalar,
+        "widesim W=4 {ctx}"
+    );
+    assert_eq!(
+        widesim::lane_mismatches_w::<8>(test, model, n),
+        scalar,
+        "widesim W=8 {ctx}"
+    );
+}
+
 /// Every model of the extended taxonomy (classical + dynamic + linked)
-/// × every known test: identical reports from every backend at every
-/// width, including per-site escape lists.
+/// × every known test: identical reports at every width, including
+/// per-site escape lists.
 #[test]
 fn full_catalog_matches_on_known_tests() {
     let n = 4;
     let catalog = FaultModel::all_extended();
     for (name, test) in known::all() {
         for &model in &catalog {
-            assert_three_way(&test, model, n, &format!("{name} × {model}"));
+            assert_matches_scalar(&test, model, n, &format!("{name} × {model}"));
         }
     }
 }
 
-/// Same sweep on a larger memory for a subset of tests, so multi-batch
-/// packing (pair faults at n = 6 → 240 lanes: four bitsim batches, two
-/// W = 2 blocks, one W = 4 block) is exercised in every backend.
+/// Same sweep on a larger memory for a subset of tests, so multi-block
+/// packing (pair faults at n = 6 → 240 lanes: two W = 2 blocks, one
+/// W = 4 block) is exercised at every width.
 #[test]
 fn full_catalog_matches_on_larger_memory() {
     let n = 6;
@@ -111,16 +126,16 @@ fn full_catalog_matches_on_larger_memory() {
         ("March G", known::march_g()),
     ] {
         for model in FaultModel::all_extended() {
-            assert_three_way(&test, model, n, &format!("{name} × {model} at n={n}"));
+            assert_matches_scalar(&test, model, n, &format!("{name} × {model} at n={n}"));
         }
     }
 }
 
 /// The finest observable: per-resolution × per-scenario-lane mismatch
-/// verdicts must be identical across the scalar engine, the 64-lane
-/// engine, and the wide engine at every width — over the whole extended
-/// catalog. A single disagreeing lane fails this test even if the
-/// aggregated detection verdicts agree.
+/// verdicts must be identical between the scalar engine and the packed
+/// engine at every width — over the whole extended catalog. A single
+/// disagreeing lane fails this test even if the aggregated detection
+/// verdicts agree.
 #[test]
 fn lane_verdicts_identical_across_backends() {
     let tests = [
@@ -131,28 +146,7 @@ fn lane_verdicts_identical_across_backends() {
     for n in [4usize, 6] {
         for (name, test) in &tests {
             for model in FaultModel::all_extended() {
-                let ctx = format!("{name} × {model} at n={n}");
-                let scalar = engine::lane_mismatches(test, model, n);
-                assert_eq!(
-                    bitsim::lane_mismatches(test, model, n),
-                    scalar,
-                    "bitsim {ctx}"
-                );
-                assert_eq!(
-                    widesim::lane_mismatches_w::<2>(test, model, n),
-                    scalar,
-                    "widesim W=2 {ctx}"
-                );
-                assert_eq!(
-                    widesim::lane_mismatches_w::<4>(test, model, n),
-                    scalar,
-                    "widesim W=4 {ctx}"
-                );
-                assert_eq!(
-                    widesim::lane_mismatches_w::<8>(test, model, n),
-                    scalar,
-                    "widesim W=8 {ctx}"
-                );
+                assert_lanes_match_scalar(test, model, n, &format!("{name} × {model} at n={n}"));
             }
         }
     }
@@ -166,33 +160,12 @@ fn random_lane_verdicts_match_scalar() {
         let test = random_march(rng);
         let n = rng.range(2, 6);
         let model = *rng.pick(&catalog);
-        let scalar = engine::lane_mismatches(&test, model, n);
-        let ctx = format!("{test} × {model} at n={n}");
-        assert_eq!(
-            bitsim::lane_mismatches(&test, model, n),
-            scalar,
-            "bitsim {ctx}"
-        );
-        assert_eq!(
-            widesim::lane_mismatches_w::<2>(&test, model, n),
-            scalar,
-            "widesim W=2 {ctx}"
-        );
-        assert_eq!(
-            widesim::lane_mismatches_w::<4>(&test, model, n),
-            scalar,
-            "widesim W=4 {ctx}"
-        );
-        assert_eq!(
-            widesim::lane_mismatches_w::<8>(&test, model, n),
-            scalar,
-            "widesim W=8 {ctx}"
-        );
+        assert_lanes_match_scalar(&test, model, n, &format!("{test} × {model} at n={n}"));
     });
 }
 
 /// Deterministic random March tests, random fault subsets, random
-/// memory sizes: reports and `covers_all` agree across all backends.
+/// memory sizes: reports and `covers_all` agree at every width.
 #[test]
 fn random_tests_match_scalar_reports() {
     let catalog = FaultModel::all_extended();
@@ -202,11 +175,6 @@ fn random_tests_match_scalar_reports() {
         let models: Vec<FaultModel> = (0..rng.range(1, 4)).map(|_| *rng.pick(&catalog)).collect();
         let scalar = coverage::coverage_report(&test, &models, n);
         let ctx = format!("{test} over {models:?} at n={n}");
-        assert_eq!(
-            bitsim::coverage_report(&test, &models, n),
-            scalar,
-            "bitsim {ctx}"
-        );
         assert_eq!(
             widesim::coverage_report_w::<2>(&test, &models, n),
             scalar,
@@ -222,21 +190,20 @@ fn random_tests_match_scalar_reports() {
             scalar,
             "widesim W=8 {ctx}"
         );
-        let expect = coverage::covers_all(&test, &models, n);
         assert_eq!(
-            bitsim::covers_all(&test, &models, n),
-            expect,
-            "bitsim {ctx}"
+            widesim::coverage_report(&test, &models, n),
+            scalar,
+            "widesim auto {ctx}"
         );
         assert_eq!(
             widesim::covers_all(&test, &models, n),
-            expect,
+            coverage::covers_all(&test, &models, n),
             "widesim {ctx}"
         );
     });
 }
 
-/// All three verifier backends agree on verification, compaction and
+/// Both verifier backends agree on verification, compaction and
 /// non-redundancy for the workloads the pipeline actually runs (Table 3
 /// fault lists plus dynamic/linked extensions).
 #[test]
@@ -255,35 +222,30 @@ fn verifier_backends_agree_on_compaction() {
     ] {
         let models = parse_fault_list(list).unwrap();
         let scalar = SimVerifier::new(n);
-        let backends: [Box<dyn Verifier>; 2] = [
-            Box::new(BitSimVerifier::new(n)),
-            Box::new(WideSimVerifier::new(n)),
-        ];
+        let packed = WideSimVerifier::new(n);
         for (name, test) in known::all() {
-            for packed in &backends {
-                let ctx = format!("{name} × {list} via {}", packed.name());
-                assert_eq!(
-                    packed.verify(&test, &models),
-                    scalar.verify(&test, &models),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    *packed.compact(&test, &models),
-                    *scalar.compact(&test, &models),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    packed.is_non_redundant(&test, &models),
-                    scalar.is_non_redundant(&test, &models),
-                    "{ctx}"
-                );
-            }
+            let ctx = format!("{name} × {list}");
+            assert_eq!(
+                packed.verify(&test, &models),
+                scalar.verify(&test, &models),
+                "{ctx}"
+            );
+            assert_eq!(
+                *packed.compact(&test, &models),
+                *scalar.compact(&test, &models),
+                "{ctx}"
+            );
+            assert_eq!(
+                packed.is_non_redundant(&test, &models),
+                scalar.is_non_redundant(&test, &models),
+                "{ctx}"
+            );
         }
     }
 }
 
-/// Random tests through all three verifiers end to end (verify +
-/// compact), including the sharded wide path at several worker counts.
+/// Random tests through both verifiers end to end (verify + compact),
+/// including the sharded packed path at several worker counts.
 #[test]
 fn random_tests_match_through_verifier_trait() {
     let catalog = FaultModel::all_extended();
@@ -294,17 +256,12 @@ fn random_tests_match_through_verifier_trait() {
         let scalar = SimVerifier::new(n);
         let expected = scalar.verify(&test, &models);
         let compacted = scalar.compact(&test, &models);
-        let backends: [Box<dyn Verifier>; 2] = [
-            Box::new(BitSimVerifier::new(n)),
-            Box::new(WideSimVerifier::new(n)),
-        ];
-        for packed in &backends {
-            let ctx = format!("{test} over {models:?} at n={n} via {}", packed.name());
-            assert_eq!(packed.verify(&test, &models), expected, "{ctx}");
-            assert_eq!(*packed.compact(&test, &models), *compacted, "{ctx}");
-            let workers = rng.range(1, 5);
-            let run = packed.verify_sharded(&test, &models, workers);
-            assert_eq!(run.report, expected, "sharded {ctx} at {workers} workers");
-        }
+        let packed = WideSimVerifier::new(n);
+        let ctx = format!("{test} over {models:?} at n={n}");
+        assert_eq!(packed.verify(&test, &models), expected, "{ctx}");
+        assert_eq!(*packed.compact(&test, &models), *compacted, "{ctx}");
+        let workers = rng.range(1, 5);
+        let run = packed.verify_sharded(&test, &models, workers);
+        assert_eq!(run.report, expected, "sharded {ctx} at {workers} workers");
     });
 }

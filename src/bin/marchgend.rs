@@ -1249,7 +1249,7 @@ impl App {
         // Fixed verification-backend vocabulary, same contract: the
         // trait names of the in-tree backends plus "none" for
         // verification-disabled requests.
-        for backend in ["simulator", "bitsim", "widesim", "none"] {
+        for backend in ["simulator", "widesim", "none"] {
             let _ = registry.counter(
                 "marchgend_verifier_outcomes_total",
                 "Computed outcomes by resolved verification backend (\"none\" when \

@@ -24,9 +24,8 @@ use marchgen_atsp::SolverRegistry;
 #[cfg(feature = "serde")]
 use marchgen_cache::{canonical_key_text, key_for_text, OutcomeCache};
 use marchgen_generator::{generate_with_registry, GenerateOutcome, GenerateRequest};
+use marchgen_sim::pool::run_indexed;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A progress event emitted while a batch runs. Events for different
 /// requests interleave arbitrarily; `index` ties them back to the input
@@ -205,58 +204,37 @@ impl Batch {
     }
 
     /// The worker-pool core shared by [`Batch::run_with_progress`] and
-    /// [`Batch::run_cached`]: runs every request through `compute`,
-    /// emits the per-request events (not the terminal one — the caller
-    /// owns batch totals).
+    /// [`Batch::run_cached`]: runs every request through `compute` on
+    /// the shared index-ordered pool and emits the per-request events
+    /// (not the terminal one — the caller owns batch totals).
     fn run_workers(
         &self,
         requests: Vec<GenerateRequest>,
         on_event: &(impl Fn(BatchEvent<'_>) + Sync),
         compute: &(impl Fn(&GenerateRequest) -> Result<GenerateOutcome, Error> + Sync),
     ) -> Vec<Result<GenerateOutcome, Error>> {
-        let total = requests.len();
-        let mut results: Vec<Option<Result<GenerateOutcome, Error>>> = Vec::new();
-        results.resize_with(total, || None);
-        let results = Mutex::new(results);
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.get().min(total.max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(index) else {
-                        break;
-                    };
-                    on_event(BatchEvent::Started { index, request });
-                    // Requests left on automatic search threading would
-                    // each spawn one shard worker per CPU *inside* a
-                    // batch that already runs one worker per CPU — pin
-                    // them to a single shard worker instead. Explicit
-                    // `search_threads` choices are honored as-is, and
-                    // the pinning never changes an outcome (sharding is
-                    // deterministic by construction) or a cache key
-                    // (`search_threads` is excluded from hashing).
-                    let result = if workers > 1 && request.search_threads == 0 {
-                        compute(&request.clone().with_search_threads(1))
-                    } else {
-                        compute(request)
-                    };
-                    match &result {
-                        Ok(outcome) => on_event(BatchEvent::Finished { index, outcome }),
-                        Err(error) => on_event(BatchEvent::Failed { index, error }),
-                    }
-                    results.lock().expect("results lock")[index] = Some(result);
-                });
+        let workers = self.threads.get().min(requests.len().max(1));
+        run_indexed(requests.len(), workers, |index| {
+            let request = &requests[index];
+            on_event(BatchEvent::Started { index, request });
+            // Requests left on automatic search threading would each
+            // spawn one shard worker per CPU *inside* a batch that
+            // already runs one worker per CPU — pin them to a single
+            // shard worker instead. Explicit `search_threads` choices are
+            // honored as-is, and the pinning never changes an outcome
+            // (sharding is deterministic by construction) or a cache key
+            // (`search_threads` is excluded from hashing).
+            let result = if workers > 1 && request.search_threads == 0 {
+                compute(&request.clone().with_search_threads(1))
+            } else {
+                compute(request)
+            };
+            match &result {
+                Ok(outcome) => on_event(BatchEvent::Finished { index, outcome }),
+                Err(error) => on_event(BatchEvent::Failed { index, error }),
             }
-        });
-
-        results
-            .into_inner()
-            .expect("results lock")
-            .into_iter()
-            .map(|slot| slot.expect("every request ran"))
-            .collect()
+            result
+        })
     }
 
     /// [`Batch::run`] through a content-addressed [`OutcomeCache`]:
@@ -373,7 +351,7 @@ impl Batch {
 mod tests {
     use super::*;
     use marchgen_generator::GenerateError;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_batch() {

@@ -36,11 +36,10 @@ fn random_request(rng: &mut Rng) -> GenerateRequest {
         .with_compact(rng.flip())
         .with_check_redundancy(rng.flip())
         .with_max_combinations(rng.range(1, 10_000))
-        .with_verifier(match rng.range(0, 4) {
-            0 => VerifierChoice::Auto,
-            1 => VerifierChoice::Scalar,
-            2 => VerifierChoice::BitParallel,
-            _ => VerifierChoice::Wide,
+        .with_verifier(if rng.flip() {
+            VerifierChoice::Auto
+        } else {
+            VerifierChoice::Scalar
         })
         .with_search_threads(rng.range(0, 9))
 }
@@ -84,6 +83,8 @@ fn random_outcome(rng: &mut Rng) -> GenerateOutcome {
             search_micros: rng.next_u64() % 1_000_000,
             verify_micros: rng.next_u64() % 1_000_000,
             shard_micros: rng.vec(0, 6, |rng| rng.next_u64() % 1_000_000),
+            // "bitsim" names a retired backend that cached documents
+            // still carry.
             verifier: ["", "simulator", "bitsim", "widesim"][rng.range(0, 4)].to_owned(),
             verify_shard_micros: rng.vec(0, 8, |rng| rng.next_u64() % 1_000_000),
             cache_hit: rng.flip(),

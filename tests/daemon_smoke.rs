@@ -349,6 +349,18 @@ fn daemon_smoke_generate_cache_stats_shutdown() {
     assert_eq!(status, 400, "{body}");
     let (status, body) = daemon.request("POST", "/v1/generate", "{\"faults\": [\"NOPE\"]}");
     assert_eq!(status, 422, "{body}");
+    // `verify_cells` is bounded at the wire: sweep cost grows ~n³, so
+    // an oversized memory is refused before any work is queued.
+    let (status, body) = daemon.request(
+        "POST",
+        "/v1/generate",
+        r#"{"faults": ["CFin"], "verify_cells": 65}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    assert!(
+        body.contains("invalid_request") && body.contains("verify_cells"),
+        "{body}"
+    );
     let (status, _) = daemon.request("GET", "/v1/missing", "");
     assert_eq!(status, 404);
     let (status, _) = daemon.request("GET", "/v1/generate", "");

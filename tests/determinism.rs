@@ -5,7 +5,7 @@
 //! run-varying) wall-clock timings are normalized — every other field,
 //! down to the per-shard timing *counts* and the candidate-complexity
 //! frontier, is exact. Likewise, swapping the verification backend
-//! (scalar / bitsim / wide) must never change what the pipeline
+//! (packed `auto` / `scalar`) must never change what the pipeline
 //! computes, only how fast.
 
 #![cfg(feature = "serde")]
@@ -61,7 +61,7 @@ fn sharded_search_json_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The wide backend's sharded verify phase is deterministic too: the
+/// The packed backend's sharded verify phase is deterministic too: the
 /// shard plan is cut from the fault list, not the worker count, so 1, 2
 /// and 8 workers produce byte-identical JSON — including the length of
 /// `verify_shard_micros`.
@@ -70,7 +70,7 @@ fn sharded_verify_json_is_byte_identical_across_thread_counts() {
     for faults in ["SAF, CFin", "SAF, TF, ADF, CFin", "CFin, CFid"] {
         let base = GenerateRequest::from_fault_list(faults)
             .unwrap()
-            .with_verifier(VerifierChoice::Wide)
+            .with_verifier(VerifierChoice::Auto)
             .with_check_redundancy(true);
         let reference = normalized_json(generate(&base.clone().with_search_threads(1)).unwrap());
         for threads in [2usize, 8] {
@@ -109,9 +109,9 @@ fn local_search_solver_json_is_byte_identical_across_thread_counts() {
 }
 
 /// The verifier backend is *not* supposed to leak into the outcome:
-/// scalar, bit-parallel and wide verification serialize identically
-/// once the backend-identity diagnostics (`verifier`, per-shard verify
-/// timings) are blanked.
+/// scalar and packed verification serialize identically once the
+/// backend-identity diagnostics (`verifier`, per-shard verify timings)
+/// are blanked.
 #[test]
 fn verifier_backend_does_not_change_outcome_json() {
     for faults in ["SAF, CFin", "CFid<u,0>, CFid<u,1>"] {
@@ -121,10 +121,7 @@ fn verifier_backend_does_not_change_outcome_json() {
         let scalar = backend_normalized_json(
             generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap(),
         );
-        for choice in [VerifierChoice::BitParallel, VerifierChoice::Wide] {
-            let packed =
-                backend_normalized_json(generate(&base.clone().with_verifier(choice)).unwrap());
-            assert_eq!(packed, scalar, "{faults} via {choice}");
-        }
+        let packed = backend_normalized_json(generate(&base).unwrap());
+        assert_eq!(packed, scalar, "{faults}");
     }
 }

@@ -480,21 +480,21 @@ fn live_daemon_exposition_is_lint_clean_and_covers_key_families() {
     // The verifier-outcome family carries the full fixed backend
     // vocabulary from the first scrape (zeros, not gaps), and the
     // computed SAF+TF requests above actually landed on the packed
-    // 64-lane backend the auto heuristic selects for that list.
-    for backend in ["simulator", "bitsim", "widesim", "none"] {
+    // backend `auto` resolves to.
+    for backend in ["simulator", "widesim", "none"] {
         let series = format!("marchgend_verifier_outcomes_total{{backend=\"{backend}\"}}");
         assert!(text.contains(&series), "missing backend {backend}:\n{text}");
     }
-    let bitsim_count = text
+    let widesim_count = text
         .lines()
         .find_map(|line| {
-            line.strip_prefix("marchgend_verifier_outcomes_total{backend=\"bitsim\"} ")
+            line.strip_prefix("marchgend_verifier_outcomes_total{backend=\"widesim\"} ")
         })
         .and_then(|v| v.trim().parse::<u64>().ok())
-        .expect("bitsim verifier counter present");
+        .expect("widesim verifier counter present");
     assert!(
-        bitsim_count >= 1,
-        "computed SAF+TF outcome should count under bitsim:\n{text}"
+        widesim_count >= 1,
+        "computed SAF+TF outcome should count under widesim:\n{text}"
     );
     daemon.shutdown();
 }
