@@ -21,22 +21,24 @@
 //! * [`local_search`] — a Lin–Kernighan-style local search (candidate
 //!   lists, Or-opt/2-opt moves, don't-look bits, deterministic seeded
 //!   restarts) for instances beyond the exact solvers' range,
-//! * [`solve`] / [`Solver`] — a facade that picks a method by instance
-//!   size (exact up to [`EXACT_THRESHOLD`] nodes, local search beyond).
+//! * [`AtspSolver`] — the one seam the March generator solves through:
+//!   the built-in strategies, [`AutoSolver`] (which picks a method by
+//!   instance size: exact up to [`EXACT_THRESHOLD`] nodes, local search
+//!   beyond) and any strategy registered in a [`SolverRegistry`].
 //!
 //! Costs use `u64` with [`INF`] marking forbidden arcs.
 //!
 //! # Example
 //!
 //! ```
-//! use marchgen_atsp::{AtspInstance, solve};
+//! use marchgen_atsp::{AtspInstance, AtspSolver, AutoSolver};
 //!
 //! let inst = AtspInstance::from_rows(vec![
 //!     vec![0, 1, 9],
 //!     vec![9, 0, 1],
 //!     vec![1, 9, 0],
 //! ]);
-//! let tour = solve(&inst);
+//! let tour = AutoSolver.solve(&inst);
 //! assert_eq!(tour.cost, 3);
 //! ```
 
@@ -54,7 +56,6 @@ mod solver;
 
 pub use instance::{add_cost, AtspInstance, Tour, INF, MAX_DIMENSION};
 pub use solver::{
-    solve, solve_all_optimal, AtspSolver, AutoSolver, BranchBoundSolver, HeldKarpSolver,
-    HeuristicSolver, LocalSearchSolver, SolveStats, Solver, SolverChoice, SolverRegistry,
-    UnknownSolverError, EXACT_THRESHOLD,
+    AtspSolver, AutoSolver, BranchBoundSolver, HeldKarpSolver, HeuristicSolver, LocalSearchSolver,
+    SolveStats, SolverChoice, SolverRegistry, UnknownSolverError, EXACT_THRESHOLD,
 };

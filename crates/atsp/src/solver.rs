@@ -1,6 +1,6 @@
-//! The solver facade: the [`AtspSolver`] extension trait, the built-in
-//! implementations, a by-name [`SolverRegistry`], and the size-dispatch
-//! helpers the generator used historically.
+//! The solver seam: the [`AtspSolver`] extension trait, the built-in
+//! implementations (with [`AutoSolver`] as the size dispatcher) and a
+//! by-name [`SolverRegistry`].
 
 use crate::instance::{AtspInstance, Tour};
 use crate::{branch_bound, held_karp, heuristics, local_search};
@@ -178,11 +178,10 @@ impl AtspSolver for LocalSearchSolver {
 }
 
 /// Size-dispatching default: Held–Karp (with enumeration) up to its
-/// table limit, branch-and-bound up to [`EXACT_THRESHOLD`] nodes, the
-/// Lin–Kernighan-style local search beyond — the behaviour of the free
-/// [`solve`] / [`solve_all_optimal`] functions. The exact path is
-/// retained as the cross-check oracle for the local search in the
-/// differential test suites.
+/// table limit [`held_karp::MAX_NODES`], branch-and-bound up to
+/// [`EXACT_THRESHOLD`] nodes, the Lin–Kernighan-style local search
+/// beyond. The exact path is retained as the cross-check oracle for the
+/// local search in the differential test suites.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AutoSolver;
 
@@ -192,7 +191,14 @@ impl AtspSolver for AutoSolver {
     }
 
     fn solve(&self, instance: &AtspInstance) -> Tour {
-        Solver::for_size(instance.len()).run(instance)
+        let n = instance.len();
+        if n <= held_karp::MAX_NODES {
+            held_karp::solve(instance)
+        } else if n <= EXACT_THRESHOLD {
+            branch_bound::solve(instance)
+        } else {
+            local_search::solve(instance)
+        }
     }
 
     fn is_exact_for(&self, instance: &AtspInstance) -> bool {
@@ -390,90 +396,44 @@ impl SolverRegistry {
     }
 }
 
-/// Which algorithm the facade (or a caller) should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Solver {
-    /// Exact `O(2ⁿ n²)` dynamic programming ([`held_karp`]).
-    HeldKarp,
-    /// Exact AP-relaxation branch-and-bound ([`branch_bound`]).
-    BranchBound,
-    /// Heuristic construction + Or-opt ([`heuristics`]); not exact.
-    Heuristic,
-    /// Lin–Kernighan-style local search ([`local_search`]); not exact
-    /// but near-optimal, and stronger than the one-shot heuristics.
-    LocalSearch,
-}
-
-impl Solver {
-    /// The method [`solve`] picks for an instance of `n` nodes: Held–Karp
-    /// up to its table limit, branch-and-bound up to [`EXACT_THRESHOLD`]
-    /// nodes, the local search beyond.
-    #[must_use]
-    pub fn for_size(n: usize) -> Solver {
-        if n <= held_karp::MAX_NODES {
-            Solver::HeldKarp
-        } else if n <= EXACT_THRESHOLD {
-            Solver::BranchBound
-        } else {
-            Solver::LocalSearch
-        }
-    }
-
-    /// Runs this solver on the instance.
-    #[must_use]
-    pub fn run(self, instance: &AtspInstance) -> Tour {
-        match self {
-            Solver::HeldKarp => held_karp::solve(instance),
-            Solver::BranchBound => branch_bound::solve(instance),
-            Solver::Heuristic => heuristics::construct(instance),
-            Solver::LocalSearch => local_search::solve(instance),
-        }
-    }
-}
-
-/// Solves the instance with the size-appropriate method (exact for every
-/// instance the March generator produces in practice).
-#[must_use]
-pub fn solve(instance: &AtspInstance) -> Tour {
-    Solver::for_size(instance.len()).run(instance)
-}
-
-/// Enumerates optimal tours: all of them (up to `cap`) when the instance
-/// fits Held–Karp, otherwise the single tour the exact/heuristic method
-/// returns.
-#[must_use]
-pub fn solve_all_optimal(instance: &AtspInstance, cap: usize) -> Vec<Tour> {
-    if instance.len() <= held_karp::MAX_NODES {
-        held_karp::solve_all(instance, cap)
-    } else {
-        vec![solve(instance)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn size_dispatch() {
-        assert_eq!(Solver::for_size(4), Solver::HeldKarp);
-        assert_eq!(Solver::for_size(held_karp::MAX_NODES), Solver::HeldKarp);
-        assert_eq!(
-            Solver::for_size(held_karp::MAX_NODES + 1),
-            Solver::BranchBound
-        );
-        assert_eq!(Solver::for_size(EXACT_THRESHOLD), Solver::BranchBound);
-        assert_eq!(Solver::for_size(EXACT_THRESHOLD + 1), Solver::LocalSearch);
-        assert_eq!(Solver::for_size(64), Solver::LocalSearch);
+    /// A deterministic pseudo-random instance (xorshift costs below 100).
+    fn random_instance(n: usize, mut state: u64) -> AtspInstance {
+        AtspInstance::from_fn(n, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 100
+        })
     }
 
+    /// `AutoSolver` runs Held–Karp through [`held_karp::MAX_NODES`],
+    /// branch-and-bound through [`EXACT_THRESHOLD`] and the local search
+    /// beyond: on each side of both thresholds it returns the tour of
+    /// the method it names, and only the Held–Karp side enumerates ties.
     #[test]
-    fn facade_solves() {
-        let inst = AtspInstance::from_rows(vec![vec![0, 1, 9], vec![9, 0, 1], vec![1, 9, 0]]);
-        assert_eq!(solve(&inst).cost, 3);
-        let all = solve_all_optimal(&inst, 8);
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].cost, 3);
+    fn auto_dispatches_by_size() {
+        type Method = fn(&AtspInstance) -> Tour;
+        let sides: [(usize, Method); 4] = [
+            (held_karp::MAX_NODES, held_karp::solve),
+            (held_karp::MAX_NODES + 1, branch_bound::solve),
+            (EXACT_THRESHOLD, branch_bound::solve),
+            (EXACT_THRESHOLD + 1, local_search::solve),
+        ];
+        for (n, method) in sides {
+            let inst = random_instance(n, 0x5eed_u64 + n as u64);
+            assert_eq!(AutoSolver.solve(&inst), method(&inst), "n = {n}");
+            assert_eq!(AutoSolver.is_exact_for(&inst), n <= EXACT_THRESHOLD);
+        }
+        let ties = |n| AtspInstance::from_fn(n, |_, _| 1);
+        let enumerated = AutoSolver.solve_all_optimal(&ties(held_karp::MAX_NODES), 3);
+        assert_eq!(enumerated.len(), 3);
+        let single = AutoSolver.solve_all_optimal(&ties(held_karp::MAX_NODES + 1), 3);
+        assert_eq!(single.len(), 1);
+        assert_eq!(single[0].cost, held_karp::MAX_NODES as u64 + 1);
     }
 
     #[test]
@@ -515,7 +475,7 @@ mod tests {
             vec![15, 7, 0, 8],
             vec![6, 3, 12, 0],
         ]);
-        let opt = solve(&inst).cost;
+        let opt = held_karp::solve(&inst).cost;
         for choice in [
             SolverChoice::Auto,
             SolverChoice::HeldKarp,
@@ -541,13 +501,7 @@ mod tests {
     /// variant; exact backends report zeros.
     #[test]
     fn solve_stats_plumbing() {
-        let mut state = 0x1234_5678_u64;
-        let inst = AtspInstance::from_fn(14, |_, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % 100
-        });
+        let inst = random_instance(14, 0x1234_5678);
         let (tours, stats) = LocalSearchSolver.solve_all_optimal_with_stats(&inst, 8);
         assert_eq!(tours.len(), 1);
         assert!(stats.restarts > 0);
@@ -563,13 +517,7 @@ mod tests {
     /// instances to the local search (visible through its stats).
     #[test]
     fn auto_dispatches_to_local_search_beyond_the_exact_threshold() {
-        let mut state = 0x9876_u64;
-        let big = AtspInstance::from_fn(EXACT_THRESHOLD + 2, |_, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % 100
-        });
+        let big = random_instance(EXACT_THRESHOLD + 2, 0x9876);
         assert!(!AutoSolver.is_exact_for(&big));
         let (tours, stats) = AutoSolver.solve_all_optimal_with_stats(&big, 4);
         assert_eq!(tours.len(), 1);
@@ -590,10 +538,10 @@ mod tests {
             vec![15, 7, 0, 8],
             vec![6, 3, 12, 0],
         ]);
-        let hk = Solver::HeldKarp.run(&inst);
-        let bb = Solver::BranchBound.run(&inst);
+        let hk = held_karp::solve(&inst);
+        let bb = branch_bound::solve(&inst);
         assert_eq!(hk.cost, bb.cost);
-        let h = Solver::Heuristic.run(&inst);
+        let h = heuristics::construct(&inst);
         assert!(h.cost >= hk.cost);
     }
 }

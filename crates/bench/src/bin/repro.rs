@@ -25,7 +25,7 @@
 use marchgen_bench::{row_models, section4_tps, TABLE3};
 use marchgen_faults::{bfe, catalog, parse_fault_list, FaultModel, TransitionDir};
 use marchgen_generator::{
-    baseline, generate, gts::Gts, schedule_tour, GenerateRequest, Generator, VerifierChoice,
+    baseline, generate, gts::Gts, schedule_tour, GenerateRequest, VerifierChoice,
 };
 use marchgen_json::Json;
 use marchgen_march::{known, MarchTest};
@@ -435,7 +435,7 @@ fn table3() {
     for row in TABLE3 {
         let models = row_models(row);
         let start = Instant::now();
-        let out = Generator::new(models.clone()).run().expect("generates");
+        let out = generate(&GenerateRequest::new(models.clone())).expect("generates");
         let dt = start.elapsed();
         let cm = CoverageMatrix::build(&out.test, &models, 4);
         let nr = cm.non_redundancy();
@@ -481,7 +481,7 @@ fn baseline_comparison() {
     ] {
         let models = marchgen_faults::parse_fault_list(list).expect("parses");
         let t0 = Instant::now();
-        let out = Generator::new(models.clone()).run().expect("generates");
+        let out = generate(&GenerateRequest::new(models.clone())).expect("generates");
         let pipeline_time = t0.elapsed();
 
         let cap = 40_000_000u64;
@@ -512,26 +512,24 @@ fn baseline_comparison() {
 fn ablations() {
     println!("\n== Ablations on row 5 (SAF+TF+ADF+CFin+CFid) =================");
     let models = row_models(&TABLE3[4]);
-    for (label, gen) in [
+    let default = GenerateRequest::new(models);
+    for (label, request) in [
         (
             "default (f.4.4 + enumeration + Table-2 pass)",
-            Generator::new(models.clone()),
+            default.clone(),
         ),
         (
             "start policy: free",
-            Generator::new(models.clone()).start_policy(StartPolicy::Free),
+            default.clone().with_start_policy(StartPolicy::Free),
         ),
         (
             "single tour per combination",
-            Generator::new(models.clone()).tour_cap(1),
+            default.clone().with_tour_cap(1),
         ),
-        (
-            "no minimization pass",
-            Generator::new(models.clone()).compact(false),
-        ),
+        ("no minimization pass", default.clone().with_compact(false)),
     ] {
         let t = Instant::now();
-        let out = gen.run().expect("generates");
+        let out = generate(&request).expect("generates");
         println!(
             "  {:<46} -> {:>2}n, verified={} in {:>9.2?}",
             label,

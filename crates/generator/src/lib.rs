@@ -23,10 +23,11 @@
 //! # Example
 //!
 //! ```
-//! use marchgen_generator::Generator;
+//! use marchgen_generator::{generate, GenerateRequest};
 //!
 //! // Table 3, row 1: stuck-at faults → a 4n test (MATS-equivalent).
-//! let outcome = Generator::from_fault_list("SAF").unwrap().run().unwrap();
+//! let request = GenerateRequest::from_fault_list("SAF").unwrap();
+//! let outcome = generate(&request).unwrap();
 //! assert_eq!(outcome.test.complexity(), 4);
 //! assert!(outcome.verified);
 //! ```
@@ -45,8 +46,7 @@ pub mod serde;
 
 pub use outcome::{Diagnostics, GenerateOutcome};
 pub use pipeline::{
-    generate, generate_with, generate_with_registry, verifier_for, ClassCombinations,
-    GenerateError, Generator, Outcome,
+    generate, generate_with, generate_with_registry, verifier_for, ClassCombinations, GenerateError,
 };
 pub use request::{GenerateRequest, VerifierChoice};
 pub use schedule::{schedule_tour, ScheduleError};

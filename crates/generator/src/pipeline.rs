@@ -5,23 +5,17 @@
 //! The engine is the free function [`generate`] (and its
 //! dependency-injected variants [`generate_with_registry`] /
 //! [`generate_with`]), which maps a typed [`GenerateRequest`] to a typed
-//! [`GenerateOutcome`]. The historical [`Generator`] builder survives as
-//! a thin compatibility shim over the request layer.
+//! [`GenerateOutcome`].
 
-use crate::gts::Gts;
 use crate::outcome::{Diagnostics, GenerateOutcome};
 use crate::request::{GenerateRequest, VerifierChoice};
 use crate::schedule::schedule_tour;
-use marchgen_atsp::{AtspSolver, SolveStats, SolverChoice, SolverRegistry};
-use marchgen_faults::{
-    dedupe_subsumed, parse_fault_list, requirements_for, CoverageRequirement, FaultModel,
-    ParseFaultError, TestPattern,
-};
+use marchgen_atsp::{AtspSolver, SolveStats, SolverRegistry};
+use marchgen_faults::{dedupe_subsumed, requirements_for, CoverageRequirement, TestPattern};
 use marchgen_march::MarchTest;
-use marchgen_sim::coverage::CoverageReport;
 use marchgen_sim::pool::run_indexed;
 use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
-use marchgen_tpg::{plan_tour_with_stats, StartPolicy, Tpg};
+use marchgen_tpg::{plan_tour_with_stats, Tpg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -69,7 +63,8 @@ pub fn generate(request: &GenerateRequest) -> Result<GenerateOutcome, GenerateEr
     generate_with_registry(request, &SolverRegistry::default())
 }
 
-/// Runs a request resolving its [`SolverChoice`] against a caller
+/// Runs a request resolving its
+/// [`SolverChoice`](marchgen_atsp::SolverChoice) against a caller
 /// registry (custom strategies included), verifying with the built-in
 /// simulator.
 ///
@@ -304,177 +299,6 @@ fn combination_shards(limit: usize, workers: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The result of a [`Generator`] run (compatibility shape; new code
-/// should prefer [`GenerateOutcome`]).
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// The best March test found.
-    pub test: MarchTest,
-    /// The tour it was built from.
-    pub tour: Vec<TestPattern>,
-    /// The tour's Global Test Sequence (paper §4 intermediate).
-    pub gts: Gts,
-    /// `true` when the fault simulator confirmed full coverage of every
-    /// requested model (always checked unless `verify_cells` is 0).
-    pub verified: bool,
-    /// Simulator coverage report (present when verification ran).
-    pub report: Option<CoverageReport>,
-    /// Operational non-redundancy (present when requested): no single
-    /// operation can be deleted without losing coverage.
-    pub non_redundant: Option<bool>,
-    /// Distinct March candidates constructed across tours/combinations.
-    pub candidates: usize,
-    /// Equivalence-class combinations examined (the paper's `E`).
-    pub combinations: usize,
-}
-
-impl From<GenerateOutcome> for Outcome {
-    fn from(outcome: GenerateOutcome) -> Outcome {
-        Outcome {
-            gts: Gts::from_tour(&outcome.tour),
-            test: outcome.test,
-            tour: outcome.tour,
-            verified: outcome.verified,
-            report: outcome.report,
-            non_redundant: outcome.non_redundant,
-            candidates: outcome.diagnostics.candidates,
-            combinations: outcome.diagnostics.combinations,
-        }
-    }
-}
-
-/// The configurable generation pipeline — a builder-style compatibility
-/// shim over [`GenerateRequest`] + [`generate`].
-///
-/// ```
-/// use marchgen_generator::Generator;
-///
-/// let outcome = Generator::from_fault_list("SAF, TF").unwrap().run().unwrap();
-/// assert_eq!(outcome.test.complexity(), 5); // Table 3 row 2: MATS+ class
-/// ```
-#[derive(Debug, Clone)]
-pub struct Generator {
-    request: GenerateRequest,
-}
-
-impl Generator {
-    /// A generator for the given fault models with the paper's default
-    /// configuration (uniform-start constraint f.4.4, all-optimal-tour
-    /// enumeration, simulator verification on a 4-cell memory,
-    /// minimization to non-redundancy).
-    #[must_use]
-    pub fn new(models: Vec<FaultModel>) -> Generator {
-        Generator {
-            request: GenerateRequest::new(models),
-        }
-    }
-
-    /// Parses a textual fault list (see
-    /// [`parse_fault_list`](marchgen_faults::parse_fault_list)).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of the first invalid token.
-    pub fn from_fault_list(list: &str) -> Result<Generator, ParseFaultError> {
-        Ok(Generator::new(parse_fault_list(list)?))
-    }
-
-    /// Wraps an existing request in the builder interface.
-    #[must_use]
-    pub fn from_request(request: GenerateRequest) -> Generator {
-        Generator { request }
-    }
-
-    /// Overrides the f.4.4 start policy (ablation hook).
-    #[must_use]
-    pub fn start_policy(mut self, policy: StartPolicy) -> Generator {
-        self.request.start_policy = policy;
-        self
-    }
-
-    /// Selects the ATSP solver strategy.
-    #[must_use]
-    pub fn solver(mut self, solver: SolverChoice) -> Generator {
-        self.request.solver = solver;
-        self
-    }
-
-    /// Caps the number of optimal tours tried per combination.
-    #[must_use]
-    pub fn tour_cap(mut self, cap: usize) -> Generator {
-        self.request = self.request.with_tour_cap(cap);
-        self
-    }
-
-    /// Memory size for simulator verification; `0` disables verification
-    /// (and compaction).
-    #[must_use]
-    pub fn verify_cells(mut self, n: usize) -> Generator {
-        self.request.verify_cells = n;
-        self
-    }
-
-    /// Enables/disables the simulator-guided minimization pass (Table 2's
-    /// role; on by default).
-    #[must_use]
-    pub fn compact(mut self, on: bool) -> Generator {
-        self.request.compact = on;
-        self
-    }
-
-    /// Also run the operation-deletion non-redundancy check on the final
-    /// test (off by default; it is implied `true` when compaction ran).
-    #[must_use]
-    pub fn check_redundancy(mut self, on: bool) -> Generator {
-        self.request.check_redundancy = on;
-        self
-    }
-
-    /// Selects the verification backend (packed `Auto` or `Scalar`).
-    #[must_use]
-    pub fn verifier(mut self, verifier: VerifierChoice) -> Generator {
-        self.request.verifier = verifier;
-        self
-    }
-
-    /// Worker threads for the sharded candidate search (`0` = one per
-    /// available CPU). Never changes the outcome, only the wall-clock.
-    #[must_use]
-    pub fn search_threads(mut self, threads: usize) -> Generator {
-        self.request.search_threads = threads;
-        self
-    }
-
-    /// The fault models targeted.
-    #[must_use]
-    pub fn models(&self) -> &[FaultModel] {
-        &self.request.faults
-    }
-
-    /// The underlying typed request.
-    #[must_use]
-    pub fn request(&self) -> &GenerateRequest {
-        &self.request
-    }
-
-    /// Consumes the builder into its typed request.
-    #[must_use]
-    pub fn into_request(self) -> GenerateRequest {
-        self.request
-    }
-
-    /// Runs the pipeline.
-    ///
-    /// # Errors
-    ///
-    /// [`GenerateError::EmptyFaultList`] for an empty expansion,
-    /// [`GenerateError::NoCandidate`] when no tour schedules (does not
-    /// happen for the built-in catalog).
-    pub fn run(&self) -> Result<Outcome, GenerateError> {
-        generate(&self.request).map(Outcome::from)
-    }
-}
-
 /// Iterator over the cartesian product of requirement alternatives —
 /// the paper's class combination space, `E = Π |Cᵢ|` entries.
 ///
@@ -577,7 +401,14 @@ impl ExactSizeIterator for ClassCombinations<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marchgen_atsp::SolverChoice;
+    use marchgen_faults::parse_fault_list;
     use marchgen_sim::widesim;
+
+    /// Generates `faults` with the default request.
+    fn run(faults: &str) -> GenerateOutcome {
+        generate(&GenerateRequest::from_fault_list(faults).unwrap()).unwrap()
+    }
 
     #[test]
     fn combination_count_is_product_of_cardinalities() {
@@ -729,7 +560,7 @@ mod tests {
 
     #[test]
     fn empty_fault_list_rejected() {
-        let err = Generator::new(Vec::new()).run().unwrap_err();
+        let err = generate(&GenerateRequest::default()).unwrap_err();
         assert_eq!(err, GenerateError::EmptyFaultList);
     }
 
@@ -745,7 +576,7 @@ mod tests {
     /// Table 3 row 1: SAF → 4n, verified and non-redundant.
     #[test]
     fn table3_row1_saf() {
-        let out = Generator::from_fault_list("SAF").unwrap().run().unwrap();
+        let out = run("SAF");
         assert!(out.verified, "coverage report: {:?}", out.report);
         assert_eq!(out.test.complexity(), 4, "{}", out.test);
         assert_eq!(out.non_redundant, Some(true));
@@ -754,10 +585,7 @@ mod tests {
     /// Table 3 row 2: SAF + TF → 5n (MATS+ class).
     #[test]
     fn table3_row2_saf_tf() {
-        let out = Generator::from_fault_list("SAF, TF")
-            .unwrap()
-            .run()
-            .unwrap();
+        let out = run("SAF, TF");
         assert!(out.verified);
         assert_eq!(out.test.complexity(), 5, "{}", out.test);
     }
@@ -765,10 +593,7 @@ mod tests {
     /// The §4 example fault list: 8n.
     #[test]
     fn section4_example_8n() {
-        let out = Generator::from_fault_list("CFid<u,0>, CFid<u,1>")
-            .unwrap()
-            .run()
-            .unwrap();
+        let out = run("CFid<u,0>, CFid<u,1>");
         assert!(out.verified);
         assert_eq!(out.test.complexity(), 8, "{}", out.test);
     }
@@ -776,10 +601,7 @@ mod tests {
     /// Table 3 row 6: {CFid<↑,1>, CFid<↓,1>} → 5n.
     #[test]
     fn table3_row6_cfid_pair() {
-        let out = Generator::from_fault_list("CFid<u,1>, CFid<d,1>")
-            .unwrap()
-            .run()
-            .unwrap();
+        let out = run("CFid<u,1>, CFid<d,1>");
         assert!(out.verified);
         assert_eq!(out.test.complexity(), 5, "{}", out.test);
     }
@@ -790,7 +612,7 @@ mod tests {
     #[test]
     fn dynamic_fault_lists_generate_verified_tests() {
         for faults in ["dRDF", "dDRDF<1>", "dIRF", "dRDF, dDRDF, dIRF"] {
-            let out = Generator::from_fault_list(faults).unwrap().run().unwrap();
+            let out = run(faults);
             assert!(out.verified, "{faults}: {:?}", out.report);
         }
     }
@@ -798,7 +620,7 @@ mod tests {
     /// Linked idempotent coupling generates a verified test end-to-end.
     #[test]
     fn linked_fault_list_generates_verified_test() {
-        let out = Generator::from_fault_list("LCF").unwrap().run().unwrap();
+        let out = run("LCF");
         assert!(out.verified, "{:?}", out.report);
     }
 
@@ -818,11 +640,10 @@ mod tests {
 
     #[test]
     fn unverified_mode_still_returns_a_candidate() {
-        let out = Generator::from_fault_list("SAF")
+        let request = GenerateRequest::from_fault_list("SAF")
             .unwrap()
-            .verify_cells(0)
-            .run()
-            .unwrap();
+            .with_verify_cells(0);
+        let out = generate(&request).unwrap();
         assert!(!out.verified);
         assert!(out.report.is_none());
         assert_eq!(out.test.complexity(), 4);
@@ -832,9 +653,7 @@ mod tests {
     #[test]
     fn exact_solver_choices_agree() {
         for faults in ["SAF", "SAF, TF", "CFid<u,0>, CFid<u,1>"] {
-            let baseline = generate(&GenerateRequest::from_fault_list(faults).unwrap())
-                .unwrap()
-                .complexity();
+            let baseline = run(faults).complexity();
             for choice in [SolverChoice::HeldKarp, SolverChoice::BranchBound] {
                 let request = GenerateRequest::from_fault_list(faults)
                     .unwrap()
@@ -861,8 +680,7 @@ mod tests {
             "the TPG here is large enough for the restart phase"
         );
         // The exact baseline: same complexity on this catalog workload.
-        let exact =
-            generate(&GenerateRequest::from_fault_list("CFid<u,0>, CFid<u,1>").unwrap()).unwrap();
+        let exact = run("CFid<u,0>, CFid<u,1>");
         assert_eq!(out.complexity(), exact.complexity());
         assert_eq!(exact.diagnostics.solver, "auto");
         assert_eq!(
@@ -874,7 +692,7 @@ mod tests {
     /// Diagnostics account for the search the engine performed.
     #[test]
     fn diagnostics_are_populated() {
-        let out = generate(&GenerateRequest::from_fault_list("SAF, TF").unwrap()).unwrap();
+        let out = run("SAF, TF");
         let d = &out.diagnostics;
         assert_eq!(d.solver, "auto");
         assert!(d.combinations > 0);
@@ -885,21 +703,5 @@ mod tests {
         assert!(!d.candidate_complexities.is_empty());
         assert!(d.candidate_complexities.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(d.candidate_complexities[0], out.complexity());
-    }
-
-    /// The builder shim and the request layer produce identical results.
-    #[test]
-    fn shim_matches_engine() {
-        let generator = Generator::from_fault_list("SAF, TF")
-            .unwrap()
-            .check_redundancy(true);
-        let via_shim = generator.run().unwrap();
-        let via_engine = generate(generator.request()).unwrap();
-        assert_eq!(via_shim.test, via_engine.test);
-        assert_eq!(via_shim.tour, via_engine.tour);
-        assert_eq!(via_shim.verified, via_engine.verified);
-        assert_eq!(via_shim.non_redundant, via_engine.non_redundant);
-        assert_eq!(via_shim.candidates, via_engine.diagnostics.candidates);
-        assert_eq!(via_shim.combinations, via_engine.diagnostics.combinations);
     }
 }

@@ -1,10 +1,9 @@
 //! [`GenerateRequest`] — the typed, serializable description of one
 //! generation run.
 //!
-//! Every knob of the historical [`Generator`](crate::Generator) builder
-//! is captured here as plain data, so a request can be constructed
-//! programmatically, decoded from JSON (`serde` feature), queued through
-//! the batch service layer, and replayed byte-for-byte.
+//! Every engine knob is captured here as plain data, so a request can be
+//! built with the `with_*` methods, decoded from JSON (`serde` feature),
+//! queued through the batch service layer, and replayed byte-for-byte.
 
 use marchgen_atsp::SolverChoice;
 use marchgen_faults::{parse_fault_list, FaultModel, ParseFaultError};

@@ -26,7 +26,6 @@
 //! * the two-cell operation alphabet ([`MemOp`], [`Cell`]),
 //! * two-cell memory states with partial (don't-care) components
 //!   ([`PairState`]),
-//! * a small generic Mealy-automaton container ([`mealy::Mealy`]),
 //! * the concrete two-cell memory machine ([`TwoCellMachine`]) with the
 //!   fault-free `M0` constructor and transition/output *overrides* used to
 //!   build faulty machines, and
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod dot;
-pub mod mealy;
 mod op;
 mod state;
 mod two_cell;

@@ -30,7 +30,7 @@ fn main() {
     }
 
     println!("A generated test tuned for the same list:");
-    let out = Generator::new(models.clone()).run().expect("generates");
+    let out = generate(&GenerateRequest::new(models.clone())).expect("generates");
     let report = diagnose(&out.test, &models, 5);
     println!("generated ({}n): {report}", out.test.complexity());
     println!("note: detection-optimal tests are usually *not* diagnosis-optimal —");

@@ -7,6 +7,7 @@
 //! With no argument it runs the paper's headline fault list (Table 3,
 //! row 5).
 
+use marchgen::generator::gts::Gts;
 use marchgen::prelude::*;
 
 fn main() {
@@ -14,8 +15,8 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "SAF, TF, ADF, CFin, CFid".to_string());
 
-    let generator = match Generator::from_fault_list(&list) {
-        Ok(g) => g,
+    let request = match GenerateRequest::from_fault_list(&list) {
+        Ok(request) => request,
         Err(e) => {
             eprintln!("cannot parse fault list: {e}");
             std::process::exit(1);
@@ -23,11 +24,11 @@ fn main() {
     };
 
     println!("fault list : {list}");
-    let outcome = generator.run().expect("fault list expands to requirements");
+    let outcome = generate(&request).expect("fault list expands to requirements");
 
     println!("march test : {}", outcome.test);
     println!("complexity : {}n", outcome.test.complexity());
-    println!("GTS        : {}", outcome.gts);
+    println!("GTS        : {}", Gts::from_tour(&outcome.tour));
     println!("tour       : {} test patterns", outcome.tour.len());
     for tp in &outcome.tour {
         println!("             {tp}");

@@ -66,7 +66,7 @@ fn main() {
     for row in ROWS {
         let models = parse_fault_list(row.faults).expect("row lists parse");
         let start = Instant::now();
-        let outcome = Generator::new(models.clone()).run().expect("rows generate");
+        let outcome = generate(&GenerateRequest::new(models.clone())).expect("rows generate");
         let elapsed = start.elapsed();
 
         // §6 verification: coverage matrix + set covering non-redundancy.

@@ -130,75 +130,6 @@ impl RtlEntry {
     }
 }
 
-/// Cumulative per-phase timing over every *computed* (non-cache-hit)
-/// outcome this daemon produced, plus the wall time spent producing
-/// them. Cache hits by design contribute nothing here — that is the
-/// point of the cache — so `computed × phase` averages stay honest.
-#[derive(Default)]
-struct PhaseAggregates {
-    computed: AtomicU64,
-    expand_micros: AtomicU64,
-    search_micros: AtomicU64,
-    verify_micros: AtomicU64,
-    wall_micros: AtomicU64,
-}
-
-impl PhaseAggregates {
-    fn record(&self, diagnostics: &Diagnostics, wall_micros: u64) {
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        self.expand_micros
-            .fetch_add(diagnostics.expand_micros, Ordering::Relaxed);
-        self.search_micros
-            .fetch_add(diagnostics.search_micros, Ordering::Relaxed);
-        self.verify_micros
-            .fetch_add(diagnostics.verify_micros, Ordering::Relaxed);
-        self.wall_micros.fetch_add(wall_micros, Ordering::Relaxed);
-    }
-
-    /// Folds one batch/stream call's results into the aggregates:
-    /// per-phase micros for every *computed* (non-cache-hit) outcome,
-    /// plus the call's shared wall time exactly once — and only when
-    /// something was actually computed, so all-hit calls stay invisible
-    /// (phases are per outcome; wall time is per call).
-    fn record_batch<E>(&self, results: &[Result<GenerateOutcome, E>], wall_micros: u64) {
-        let mut computed = false;
-        for outcome in results.iter().flatten() {
-            if !outcome.diagnostics.cache_hit {
-                computed = true;
-                self.record(&outcome.diagnostics, 0);
-            }
-        }
-        if computed {
-            self.wall_micros.fetch_add(wall_micros, Ordering::Relaxed);
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "computed",
-                Json::from(self.computed.load(Ordering::Relaxed)),
-            ),
-            (
-                "expand_micros",
-                Json::from(self.expand_micros.load(Ordering::Relaxed)),
-            ),
-            (
-                "search_micros",
-                Json::from(self.search_micros.load(Ordering::Relaxed)),
-            ),
-            (
-                "verify_micros",
-                Json::from(self.verify_micros.load(Ordering::Relaxed)),
-            ),
-            (
-                "wall_micros",
-                Json::from(self.wall_micros.load(Ordering::Relaxed)),
-            ),
-        ])
-    }
-}
-
 /// Bucket bounds for every duration histogram, µs: 100µs to 30s.
 /// Generation runs span sub-millisecond cache hits to multi-second
 /// pair-fault searches, so the grid is logarithmic-ish.
@@ -273,27 +204,16 @@ impl Metrics {
     }
 
     /// Phase histograms + solver counters for one *computed*
-    /// (non-cache-hit) outcome. Cache hits contribute nothing — same
-    /// contract as [`PhaseAggregates`].
+    /// (non-cache-hit) outcome: one observation per phase per outcome.
+    /// Cache hits contribute nothing. The `expand`, `search` and
+    /// `verify` histograms are the source of `/v1/stats` `timing`.
     fn record_outcome(&self, diagnostics: &Diagnostics) {
         let (solve, schedule) = solve_schedule_split(diagnostics);
         self.phase("expand").observe(diagnostics.expand_micros);
         self.phase("search").observe(diagnostics.search_micros);
         self.phase("solve").observe(solve);
         self.phase("schedule").observe(schedule);
-        // The verify phase is fed per shard when the backend sharded it
-        // (one observation per verification shard, so the histogram
-        // shows the distributed work units), falling back to the single
-        // wall-clock observation for unsharded backends and documents
-        // predating the sharded verifier.
-        if diagnostics.verify_shard_micros.is_empty() {
-            self.phase("verify").observe(diagnostics.verify_micros);
-        } else {
-            let verify = self.phase("verify");
-            for &micros in &diagnostics.verify_shard_micros {
-                verify.observe(micros);
-            }
-        }
+        self.phase("verify").observe(diagnostics.verify_micros);
         let verifier = if diagnostics.verifier.is_empty() {
             "none"
         } else {
@@ -382,6 +302,11 @@ fn record_phases(tracer: &Tracer, diagnostics: &Diagnostics) {
     tracer.record("verify", diagnostics.verify_micros, |_| {});
 }
 
+/// Microseconds elapsed since `started`, saturating.
+fn micros_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
 /// `2xx`/`4xx`-style label value for the status-class counter.
 fn status_class(status: u16) -> &'static str {
     match status / 100 {
@@ -468,7 +393,11 @@ struct App {
     batch: Batch,
     // Resumable `/v1/stream` batches: batch_id → replay ring.
     streams: StreamRegistry,
-    timing: PhaseAggregates,
+    // Wall time spent producing computed outcomes: per `/v1/generate`
+    // or `/v1/rtl` request, and once per batch or stream call that
+    // computed anything. The rest of `/v1/stats` `timing` is read from
+    // the phase histograms.
+    wall_micros: AtomicU64,
     generate_requests: AtomicU64,
     batch_requests: AtomicU64,
     stream_requests: AtomicU64,
@@ -505,8 +434,8 @@ impl App {
             Reply::Full(response) => response.status,
             Reply::Stream(stream) => stream.status,
         };
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.observe_http(endpoint, status, micros);
+        self.metrics
+            .observe_http(endpoint, status, micros_since(started));
         reply
     }
 
@@ -573,8 +502,8 @@ impl App {
     /// Runs one decoded request through the shared outcome cache — the
     /// compute core of `/v1/generate` and the generated-test path of
     /// `/v1/rtl`. Applies the daemon's anti-oversubscription rule and
-    /// folds computed (non-cache-hit) outcomes into the timing
-    /// aggregates; failures come back as a ready-to-send 422.
+    /// books the outcome through [`App::record_served`]; failures come
+    /// back as a ready-to-send 422.
     fn run_generate(
         &self,
         mut request: GenerateRequest,
@@ -596,16 +525,14 @@ impl App {
         if contended && request.search_threads == 0 {
             request = request.with_search_threads(1);
         }
-        self.count_fault_classes(&request);
+        let classes = self.count_fault_classes(&request);
         let started = Instant::now();
         let generate_span = tracer.span("generate");
         match self.cache.get_or_compute(&request, marchgen::generate) {
             Ok(outcome) => {
-                self.count_verify_outcomes(&request, outcome.verified);
-                if !outcome.diagnostics.cache_hit {
-                    let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    self.timing.record(&outcome.diagnostics, wall);
-                    self.metrics.record_outcome(&outcome.diagnostics);
+                let wall = micros_since(started);
+                if self.record_served(&classes, &outcome) {
+                    self.wall_micros.fetch_add(wall, Ordering::Relaxed);
                     // Synthesize the pipeline's own phase timings under
                     // the still-open `generate` span. Cache hits get no
                     // phase children: their Diagnostics micros describe
@@ -815,10 +742,13 @@ impl App {
             Ok(requests) => requests,
             Err(response) => return response,
         };
+        let classes: Vec<_> = requests
+            .iter()
+            .map(|request| self.count_fault_classes(request))
+            .collect();
         let started = Instant::now();
         let results = self.batch.run_cached(&self.cache, requests, |_| {});
-        let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.timing.record_batch(&results, wall);
+        self.record_batch(&classes, &results, micros_since(started));
         let entries = results.iter().map(|result| match result {
             Ok(outcome) => Json::object([("outcome", outcome.to_json())]),
             Err(error) => Json::object([("error", Json::Str(error_chain(error)))]),
@@ -853,6 +783,10 @@ impl App {
             Ok(requests) => requests,
             Err(response) => return response.into(),
         };
+        let classes: Vec<_> = requests
+            .iter()
+            .map(|request| self.count_fault_classes(request))
+            .collect();
         let app = Arc::clone(self);
         let stream = self.streams.begin();
         let request_id = request.request_id.clone();
@@ -880,8 +814,7 @@ impl App {
                         let doc = event.to_json();
                         producer_stream.publish(|seq| frame_line(doc, seq, &producer_request_id));
                     });
-                    let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    app.timing.record_batch(&results, wall);
+                    app.record_batch(&classes, &results, micros_since(started));
                 });
                 let followed = stream.follow(0, |line| sink.send(line.as_bytes()));
                 // The batch always runs to completion — coalesced cache
@@ -1031,19 +964,20 @@ impl App {
         Response::text(self.metrics.registry.render(), "text/plain; version=0.0.4")
     }
 
-    /// Increments the per-`fault_class` request counters: one tick per
-    /// distinct class label in the request's fault list. The label set
-    /// is the fixed [`FAULT_CLASS_LABELS`] vocabulary, so cardinality
-    /// is bounded regardless of request contents.
-    fn count_fault_classes(&self, request: &GenerateRequest) {
-        let mut seen: Vec<&'static str> = request
+    /// Increments the per-`fault_class` request counters for one
+    /// generation request: one tick per distinct class label in its
+    /// fault list. The label set is the fixed [`FAULT_CLASS_LABELS`]
+    /// vocabulary, so cardinality is bounded regardless of request
+    /// contents. Returns those labels for [`App::record_served`].
+    fn count_fault_classes(&self, request: &GenerateRequest) -> Vec<&'static str> {
+        let mut classes: Vec<&'static str> = request
             .faults
             .iter()
             .map(marchgen::FaultModel::class_label)
             .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for label in seen {
+        classes.sort_unstable();
+        classes.dedup();
+        for label in &classes {
             self.metrics
                 .registry
                 .counter(
@@ -1053,30 +987,80 @@ impl App {
                 )
                 .inc();
         }
+        classes
     }
 
-    /// Increments the per-`fault_class` verification-outcome counters
-    /// for a served generation (cache hits included — the outcome is
-    /// what the client received).
-    fn count_verify_outcomes(&self, request: &GenerateRequest, verified: bool) {
-        let outcome = if verified { "verified" } else { "unverified" };
-        let mut seen: Vec<&'static str> = request
-            .faults
-            .iter()
-            .map(marchgen::FaultModel::class_label)
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for label in seen {
+    /// Books one served generation outcome — the one place
+    /// `/v1/generate`, `/v1/rtl`, `/v1/batch` and `/v1/stream` report
+    /// to. Every outcome ticks the per-`fault_class` verification
+    /// counters (cache hits included — the outcome is what the client
+    /// received); a computed one also feeds the phase histograms and
+    /// backend counters. Returns `true` when the outcome was computed.
+    fn record_served(&self, classes: &[&'static str], outcome: &GenerateOutcome) -> bool {
+        let verdict = if outcome.verified {
+            "verified"
+        } else {
+            "unverified"
+        };
+        for label in classes {
             self.metrics
                 .registry
                 .counter(
                     "marchgend_fault_class_verify_total",
                     FAULT_CLASS_VERIFY_HELP,
-                    &[("fault_class", label), ("outcome", outcome)],
+                    &[("fault_class", label), ("outcome", verdict)],
                 )
                 .inc();
         }
+        let computed = !outcome.diagnostics.cache_hit;
+        if computed {
+            self.metrics.record_outcome(&outcome.diagnostics);
+        }
+        computed
+    }
+
+    /// Books one batch or stream call: every successful item through
+    /// [`App::record_served`], plus the call's shared wall time exactly
+    /// once — and only when something was computed, so all-hit calls
+    /// add no wall time.
+    fn record_batch<E>(
+        &self,
+        classes: &[Vec<&'static str>],
+        results: &[Result<GenerateOutcome, E>],
+        wall: u64,
+    ) {
+        let mut computed = false;
+        for (classes, result) in classes.iter().zip(results) {
+            if let Ok(outcome) = result {
+                computed |= self.record_served(classes, outcome);
+            }
+        }
+        if computed {
+            self.wall_micros.fetch_add(wall, Ordering::Relaxed);
+        }
+    }
+
+    /// The `/v1/stats` `timing` block: computed outcomes and their
+    /// summed phase micros, read from the phase histograms (one
+    /// observation per computed outcome), plus their wall time.
+    fn timing_json(&self) -> Json {
+        let expand = self.metrics.phase("expand");
+        Json::object([
+            ("computed", Json::from(expand.count())),
+            ("expand_micros", Json::from(expand.sum())),
+            (
+                "search_micros",
+                Json::from(self.metrics.phase("search").sum()),
+            ),
+            (
+                "verify_micros",
+                Json::from(self.metrics.phase("verify").sum()),
+            ),
+            (
+                "wall_micros",
+                Json::from(self.wall_micros.load(Ordering::Relaxed)),
+            ),
+        ])
     }
 
     /// Copies every externally owned statistic (server stats, outcome
@@ -1475,7 +1459,7 @@ impl App {
                     ("evictions", Json::from(self.rtl_cache.evictions())),
                 ]),
             ),
-            ("timing", self.timing.to_json()),
+            ("timing", self.timing_json()),
             (
                 "endpoints",
                 Json::object([
@@ -1627,7 +1611,7 @@ fn run() -> Result<(), String> {
         cache,
         batch: Batch::new(),
         streams: StreamRegistry::new(),
-        timing: PhaseAggregates::default(),
+        wall_micros: AtomicU64::new(0),
         generate_requests: AtomicU64::new(0),
         batch_requests: AtomicU64::new(0),
         stream_requests: AtomicU64::new(0),

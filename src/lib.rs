@@ -11,21 +11,20 @@
 //! test that is **proven** against a behavioural fault simulator:
 //!
 //! ```
-//! use marchgen::Generator;
+//! use marchgen::{generate, GenerateRequest};
 //!
-//! let outcome = Generator::from_fault_list("SAF, TF, ADF, CFin, CFid")?
-//!     .run()
-//!     .expect("catalog fault lists always generate");
+//! let request = GenerateRequest::from_fault_list("SAF, TF, ADF, CFin, CFid")?;
+//! let outcome = generate(&request)?;
 //! assert_eq!(outcome.test.complexity(), 10); // a March C−-class test
 //! assert!(outcome.verified);
 //! assert_eq!(outcome.non_redundant, Some(true));
-//! # Ok::<(), marchgen::faults::ParseFaultError>(())
+//! # Ok::<(), marchgen::Error>(())
 //! ```
 //!
 //! # API layering
 //!
-//! The public surface is organized in three layers; each is built on the
-//! one below and all three are supported entry points:
+//! The public surface is organized in two layers; the second is built on
+//! the first and both are supported entry points:
 //!
 //! 1. **Typed request/outcome core.** [`GenerateRequest`] captures every
 //!    engine knob as plain data; [`generate`] maps it to a
@@ -45,9 +44,9 @@
 //!    and an optional persistent store ([`service::Batch::run_cached`]
 //!    threads the two together); the [`daemon`] crate and the
 //!    `marchgend` binary put an HTTP/1.1 front-end on top.
-//! 3. **Builder facade.** [`Generator`] is a thin compatibility shim
-//!    over layer 1 for ergonomic one-off runs; the `marchgen` CLI sits
-//!    on layers 1–2 and exposes `--json` for machine consumers.
+//!
+//! The `marchgen` CLI sits on both layers and exposes `--json` for
+//! machine consumers.
 //!
 //! # Architecture
 //!
@@ -68,7 +67,7 @@
 //!
 //! The most common entry points are lifted to the crate root:
 //! [`generate`], [`GenerateRequest`], [`GenerateOutcome`],
-//! [`Generator`], [`MarchTest`], [`FaultModel`], [`known`].
+//! [`MarchTest`], [`FaultModel`], [`known`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,7 +117,7 @@ pub use marchgen_atsp::{AtspSolver, LocalSearchSolver, SolveStats, SolverChoice,
 pub use marchgen_faults::{parse_fault_list, FaultModel};
 pub use marchgen_generator::{
     generate, generate_with, generate_with_registry, Diagnostics, GenerateOutcome, GenerateRequest,
-    Generator, Outcome, VerifierChoice,
+    VerifierChoice,
 };
 pub use marchgen_march::{known, Direction, MarchElement, MarchOp, MarchTest};
 pub use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
@@ -127,7 +126,7 @@ pub use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
 pub mod prelude {
     pub use crate::faults::{parse_fault_list, FaultModel, TestPattern};
     pub use crate::generator::{
-        generate, Diagnostics, GenerateOutcome, GenerateRequest, Generator, Outcome, VerifierChoice,
+        generate, Diagnostics, GenerateOutcome, GenerateRequest, VerifierChoice,
     };
     pub use crate::march::{known, Direction, MarchElement, MarchOp, MarchTest};
     pub use crate::service::Batch;

@@ -49,7 +49,7 @@ fn conditions_hold_on_generated_tests() {
         ("DRF", |c| c.drf),
     ];
     for (list, check) in cases {
-        let out = Generator::from_fault_list(list).unwrap().run().unwrap();
+        let out = generate(&GenerateRequest::from_fault_list(list).unwrap()).unwrap();
         assert!(out.verified, "{list}");
         let conditions = analyze(&out.test);
         assert!(

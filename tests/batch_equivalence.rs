@@ -1,7 +1,7 @@
 //! The batch service layer is observationally equivalent to the
 //! single-shot API: running the paper's Table 3 fault lists through
-//! `Batch::run` produces the same tests as `Generator::run`, at the
-//! paper's complexities.
+//! `Batch::run` produces the same tests as one `generate` call per
+//! request, at the paper's complexities.
 
 use marchgen::prelude::*;
 use marchgen::service::BatchEvent;
@@ -16,7 +16,7 @@ fn batch_matches_single_shot_on_table3() {
         .collect();
 
     let events = AtomicUsize::new(0);
-    let results = Batch::new().run_with_progress(requests, |event| {
+    let results = Batch::new().run_with_progress(requests.clone(), |event| {
         if matches!(
             event,
             BatchEvent::Finished { .. } | BatchEvent::Failed { .. }
@@ -26,14 +26,11 @@ fn batch_matches_single_shot_on_table3() {
     });
     assert_eq!(events.load(Ordering::Relaxed), TABLE3.len());
 
-    for (row, batched) in TABLE3.iter().zip(&results) {
+    for ((row, request), batched) in TABLE3.iter().zip(&requests).zip(&results) {
         let batched = batched
             .as_ref()
             .unwrap_or_else(|e| panic!("{}: {e}", row.label));
-        let single = Generator::from_fault_list(row.faults)
-            .unwrap()
-            .run()
-            .unwrap();
+        let single = generate(request).unwrap();
 
         assert_eq!(
             batched.complexity(),

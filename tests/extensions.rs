@@ -5,11 +5,8 @@
 use marchgen::prelude::*;
 use marchgen::tpg::StartPolicy;
 
-fn generate(list: &str) -> Outcome {
-    Generator::from_fault_list(list)
-        .expect("parses")
-        .run()
-        .expect("generates")
+fn generate(list: &str) -> GenerateOutcome {
+    marchgen::generate(&GenerateRequest::from_fault_list(list).expect("parses")).expect("generates")
 }
 
 #[test]
@@ -69,11 +66,10 @@ fn full_catalog_with_retention_and_sof() {
 fn free_start_policy_is_never_better_than_uniform_on_table3() {
     for list in ["SAF", "SAF, TF", "CFid<u,1>, CFid<d,1>"] {
         let uniform = generate(list);
-        let free = Generator::from_fault_list(list)
+        let request = GenerateRequest::from_fault_list(list)
             .unwrap()
-            .start_policy(StartPolicy::Free)
-            .run()
-            .unwrap();
+            .with_start_policy(StartPolicy::Free);
+        let free = marchgen::generate(&request).unwrap();
         assert!(free.verified);
         // f.4.4's point: the uniform constraint does not hurt, and it is
         // what yields the minimal March complexity.
@@ -89,7 +85,7 @@ fn free_start_policy_is_never_better_than_uniform_on_table3() {
 #[test]
 fn verification_reports_cover_every_requested_model() {
     let models = parse_fault_list("SAF, TF, CFin").unwrap();
-    let out = Generator::new(models.clone()).run().unwrap();
+    let out = marchgen::generate(&GenerateRequest::new(models.clone())).unwrap();
     let report = out.report.expect("verification ran");
     assert_eq!(report.models.len(), models.len());
     assert!(report.complete());

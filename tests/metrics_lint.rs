@@ -499,6 +499,131 @@ fn live_daemon_exposition_is_lint_clean_and_covers_key_families() {
     daemon.shutdown();
 }
 
+/// The value of one series (`name{labels}` exactly as rendered); 0
+/// while the series does not exist yet.
+fn series_value(exposition: &str, series: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .map_or(0, |value| value.trim().parse().expect("integer sample"))
+}
+
+/// Computed `/v1/batch` and `/v1/stream` items reach the same families
+/// as `/v1/generate` requests: the phase histograms, the backend
+/// counters and both per-fault-class families.
+#[test]
+fn batch_and_stream_outcomes_reach_metrics() {
+    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let series = [
+        "marchgend_phase_duration_microseconds_count{phase=\"expand\"}",
+        "marchgend_solver_outcomes_total{backend=\"auto\"}",
+        "marchgend_fault_class_requests_total{fault_class=\"SAF\"}",
+        "marchgend_fault_class_verify_total{fault_class=\"SAF\",outcome=\"verified\"}",
+    ];
+    let scrape = || {
+        let (status, text) = daemon.request("GET", "/metrics", "");
+        assert_eq!(status, 200, "{text}");
+        series.map(|name| series_value(&text, name))
+    };
+    let assert_raised = |before: [u64; 4], after: [u64; 4], by: [u64; 4], what: &str| {
+        for (index, name) in series.iter().enumerate() {
+            assert_eq!(
+                after[index] - before[index],
+                by[index],
+                "{name} after {what}"
+            );
+        }
+    };
+
+    let before = scrape();
+    let (status, body) = daemon.request(
+        "POST",
+        "/v1/batch",
+        r#"[{"faults": ["SAF"]}, {"faults": ["SAF", "TF"]}]"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    let after_batch = scrape();
+    assert_raised(before, after_batch, [2, 2, 2, 2], "a cold two-item batch");
+
+    // One cold item and one the batch above cached: both are served and
+    // counted per fault class, only the cold one is computed.
+    let (status, body) = daemon.request(
+        "POST",
+        "/v1/stream",
+        r#"[{"faults": ["SAF", "ADF"]}, {"faults": ["SAF"]}]"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"event\":\"completed\""), "{body}");
+    let after_stream = scrape();
+    assert_raised(
+        after_batch,
+        after_stream,
+        [1, 1, 2, 2],
+        "a half-warm stream",
+    );
+    daemon.shutdown();
+}
+
+/// `/v1/stats` `timing` is read from the phase histograms: after cold
+/// and warm generate, batch and stream traffic, `computed` equals the
+/// count of each generator phase histogram (one observation per
+/// computed outcome) and the phase micros equal their sums.
+#[test]
+fn stats_timing_equals_the_phase_histograms() {
+    let daemon = Daemon::spawn(&["--workers", "2"]);
+    for (path, body) in [
+        ("/v1/generate", r#"{"faults": ["SAF", "TF"]}"#),
+        ("/v1/generate", r#"{"faults": ["TF", "SAF"]}"#),
+        (
+            "/v1/batch",
+            r#"[{"faults": ["SAF"]}, {"faults": ["SAF", "TF"]}]"#,
+        ),
+        ("/v1/stream", r#"[{"faults": ["TF"]}]"#),
+    ] {
+        let (status, reply) = daemon.request("POST", path, body);
+        assert_eq!(status, 200, "{path}: {reply}");
+    }
+    let (status, stats) = daemon.request("GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats}");
+    let (status, metrics) = daemon.request("GET", "/metrics", "");
+    assert_eq!(status, 200, "{metrics}");
+
+    let doc = Json::parse(&stats).expect("stats JSON");
+    let timing = doc.get("timing").expect("timing block");
+    let field = |key: &str| -> u64 {
+        let value = timing
+            .get(key)
+            .and_then(Json::as_int)
+            .expect("timing field");
+        u64::try_from(value).expect("non-negative")
+    };
+    // SAF+TF cold, its permutation warm, batch SAF cold + SAF+TF warm,
+    // stream TF cold.
+    assert_eq!(field("computed"), 3, "{stats}");
+    assert!(field("wall_micros") > 0, "{stats}");
+    for phase in ["expand", "search", "verify"] {
+        let count = series_value(
+            &metrics,
+            &format!("marchgend_phase_duration_microseconds_count{{phase=\"{phase}\"}}"),
+        );
+        let sum = series_value(
+            &metrics,
+            &format!("marchgend_phase_duration_microseconds_sum{{phase=\"{phase}\"}}"),
+        );
+        assert_eq!(
+            count,
+            field("computed"),
+            "{phase} count\n{stats}\n{metrics}"
+        );
+        assert_eq!(
+            sum,
+            field(&format!("{phase}_micros")),
+            "{phase} sum\n{stats}\n{metrics}"
+        );
+    }
+    daemon.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Trace consistency: diagnostics.trace sums match the micros fields
 // ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ fn rows() -> Vec<Row> {
     ]
 }
 
-fn generate(faults: &str) -> (Outcome, Vec<FaultModel>) {
+fn generate(faults: &str) -> (GenerateOutcome, Vec<FaultModel>) {
     let models = parse_fault_list(faults).expect("row parses");
-    let outcome = Generator::new(models.clone()).run().expect("row generates");
+    let outcome = marchgen::generate(&GenerateRequest::new(models.clone())).expect("row generates");
     (outcome, models)
 }
 

@@ -103,10 +103,8 @@ fn optimal_tours_schedule_to_8n() {
 /// verified by simulation.
 #[test]
 fn pipeline_reproduces_8n() {
-    let out = Generator::from_fault_list("CFid<u,0>, CFid<u,1>")
-        .expect("parses")
-        .run()
-        .expect("generates");
+    let request = GenerateRequest::from_fault_list("CFid<u,0>, CFid<u,1>").expect("parses");
+    let out = generate(&request).expect("generates");
     assert_eq!(out.test.complexity(), 8, "{}", out.test);
     assert!(out.verified);
     assert_eq!(out.non_redundant, Some(true));
