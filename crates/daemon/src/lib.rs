@@ -8,9 +8,9 @@
 //! codes, live server counters and graceful shutdown.
 //!
 //! This crate is protocol only; it knows nothing about March tests. The
-//! application (routing, the outcome cache, the batch layer) lives in
-//! the `marchgend` binary of the facade crate and plugs in through the
-//! [`Handler`] trait:
+//! application (routing, the outcome cache, the batch layer) is the
+//! `App` of the facade crate's `serve` module, which the `marchgend`
+//! binary plugs in through the [`Handler`] trait:
 //!
 //! ```
 //! use marchgen_daemon::{Handler, Request, Response, Server, ServerConfig};

@@ -109,16 +109,10 @@ pub struct ServerConfig {
     /// the queue: an over-budget peer is answered `429` +
     /// `Retry-After` and never occupies a worker.
     pub rate_limit: Option<crate::limit::RateLimitConfig>,
-    /// Emit one stderr line per served request
-    /// (`peer "METHOD /path" status id=<request-id>`), correlating log
-    /// output with the `X-Request-Id` echoed on the response.
-    pub log_requests: bool,
     /// Threshold in milliseconds past which a served request earns a
     /// `slow request` warning line on stderr, measured from dispatch
     /// to the end of the response write (so a slow stream consumer
-    /// counts too). Emitted even when `log_requests` is off — a
-    /// latency cliff matters regardless of access logging. `0`
-    /// disables the warning.
+    /// counts too). `0` disables the warning.
     pub slow_request_millis: u64,
 }
 
@@ -131,7 +125,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             rate_limit: None,
-            log_requests: false,
             slow_request_millis: 1000,
         }
     }
@@ -455,19 +448,15 @@ impl Drop for StreamGuard<'_> {
     }
 }
 
-/// One served request's stderr log line (gated by
-/// [`ServerConfig::log_requests`]): peer, request line, status and the
-/// correlation id echoed as `X-Request-Id`.
-fn log_request(config: &ServerConfig, peer: &str, method: &str, path: &str, status: u16, id: &str) {
-    if config.log_requests {
-        eprintln!("marchgen-daemon: {peer} \"{method} {path}\" {status} id={id}");
-    }
+/// One served request's stderr access line: peer, request line, status
+/// and the correlation id echoed as `X-Request-Id`.
+fn log_request(peer: &str, method: &str, path: &str, status: u16, id: &str) {
+    eprintln!("marchgen-daemon: {peer} \"{method} {path}\" {status} id={id}");
 }
 
 /// Stderr warning for a request that took longer than
 /// [`ServerConfig::slow_request_millis`] from dispatch to the end of
-/// the response write. Unconditional on `log_requests` (see the
-/// config-field docs); `0` disables.
+/// the response write; `0` disables.
 fn warn_slow_request(
     config: &ServerConfig,
     peer: &str,
@@ -561,7 +550,7 @@ fn serve_connection(
                 // the log line.
                 let request_id = next_request_id();
                 response.request_id = Some(request_id.clone());
-                log_request(config, &peer, "-", "-", response.status, &request_id);
+                log_request(&peer, "-", "-", response.status, &request_id);
                 let _ = response.write_to(&mut writer);
                 // The reject may leave unread request bytes (e.g. a 413
                 // body that was never read); closing now would RST and
@@ -618,7 +607,6 @@ fn serve_connection(
                     shutdown.store(true, Ordering::SeqCst);
                 }
                 log_request(
-                    config,
                     &peer,
                     &request.method,
                     &request.path,
@@ -647,7 +635,6 @@ fn serve_connection(
                     stream_response.request_id = Some(request.request_id.clone());
                 }
                 log_request(
-                    config,
                     &peer,
                     &request.method,
                     &request.path,

@@ -10,12 +10,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 const SHARDS: usize = 8;
 
 /// A monotonically increasing counter.
-///
-/// `inc`/`add` are the normal write path. [`Counter::store`] exists
-/// for *mirror* counters whose source of truth is an atomic owned by
-/// another subsystem (cache, stream registry, server stats): the
-/// scrape path copies the authoritative value in, so the JSON and
-/// Prometheus views can never drift apart.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -30,11 +24,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value (mirror-counter sync; see type docs).
-    pub fn store(&self, value: u64) {
-        self.value.store(value, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -454,14 +443,5 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
-    }
-
-    #[test]
-    fn counter_store_overwrites_for_mirrors() {
-        let registry = Registry::new();
-        let mirror = registry.counter("mirror_total", "Mirrored.", &[]);
-        mirror.store(41);
-        mirror.store(42);
-        assert_eq!(mirror.get(), 42);
     }
 }

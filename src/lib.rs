@@ -42,8 +42,9 @@
 //!    memoizes outcomes by the content hash of the canonical request
 //!    ([`GenerateRequest::normalize`]) with single-flight coalescing
 //!    and an optional persistent store ([`service::Batch::run_cached`]
-//!    threads the two together); the [`daemon`] crate and the
-//!    `marchgend` binary put an HTTP/1.1 front-end on top.
+//!    threads the two together); the [`daemon`] engine and the
+//!    [`serve`] application behind the `marchgend` binary put an
+//!    HTTP/1.1 front-end on top.
 //!
 //! The `marchgen` CLI sits on both layers and exposes `--json` for
 //! machine consumers.
@@ -64,6 +65,7 @@
 //! | [`rtl`] | §1 (March BIST) | SystemVerilog backend: patgen FSM, BIST wrapper, testbench, SV lint |
 //! | [`cache`] | — | content-addressed outcome cache (keys, LRU, disk, single-flight) |
 //! | [`daemon`] | — | dependency-free HTTP/1.1 service engine behind `marchgend` |
+//! | [`serve`] | — | the `marchgend` application: routing, handlers, `/v1/stats` and `/metrics` |
 //!
 //! The most common entry points are lifted to the crate root:
 //! [`generate`], [`GenerateRequest`], [`GenerateOutcome`],
@@ -110,6 +112,8 @@ pub use marchgen_json as json;
 
 mod error;
 pub mod resume;
+#[cfg(feature = "serde")]
+pub mod serve;
 pub mod service;
 
 pub use error::Error;

@@ -22,115 +22,30 @@
 
 #![cfg(feature = "failpoints")]
 
+#[allow(dead_code)]
+mod common;
+
+use common::Daemon;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Stdio;
+use std::time::Duration;
 
-struct Daemon {
-    child: Child,
-    addr: String,
+/// Arms failpoints through the admin endpoint.
+fn arm(daemon: &Daemon, config: &str) {
+    let (status, body) = daemon.request(
+        "POST",
+        "/v1/failpoints",
+        &format!("{{\"config\": \"{config}\"}}"),
+    );
+    assert_eq!(status, 200, "arming {config:?}: {body}");
+    assert!(body.contains("\"enabled\":true"), "{body}");
 }
 
-impl Daemon {
-    /// Spawns the real daemon binary with extra CLI args and extra
-    /// environment (`MARCHGEND_FAILPOINTS` mainly), scraping the bound
-    /// address from the stdout banner.
-    fn spawn(extra_args: &[&str], env: &[(&str, &str)]) -> Daemon {
-        let mut command = Command::new(env!("CARGO_BIN_EXE_marchgend"));
-        command
-            .arg("--addr")
-            .arg("127.0.0.1:0")
-            .args(extra_args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        for (key, value) in env {
-            command.env(key, value);
-        }
-        let mut child = command.spawn().expect("spawn marchgend");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut first_line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut first_line)
-            .expect("read banner");
-        let addr = first_line
-            .trim()
-            .strip_prefix("marchgend listening on http://")
-            .unwrap_or_else(|| panic!("unexpected banner {first_line:?}"))
-            .to_owned();
-        Daemon { child, addr }
-    }
-
-    /// One buffered HTTP exchange on a fresh connection.
-    fn request(&self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(&self.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nhost: marchgend\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("send request");
-        let mut wire = String::new();
-        stream.read_to_string(&mut wire).expect("read response");
-        let status: u16 = wire
-            .strip_prefix("HTTP/1.1 ")
-            .and_then(|rest| rest.get(..3))
-            .and_then(|code| code.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable response {wire:?}"));
-        let body = wire
-            .split_once("\r\n\r\n")
-            .map(|(_, body)| body.to_owned())
-            .unwrap_or_default();
-        (status, body)
-    }
-
-    /// Arms failpoints through the admin endpoint.
-    fn arm(&self, config: &str) {
-        let (status, body) = self.request(
-            "POST",
-            "/v1/failpoints",
-            &format!("{{\"config\": \"{config}\"}}"),
-        );
-        assert_eq!(status, 200, "arming {config:?}: {body}");
-        assert!(body.contains("\"enabled\":true"), "{body}");
-    }
-
-    /// Disarms every failpoint through the admin endpoint.
-    fn disarm_all(&self) {
-        let (status, body) = self.request("POST", "/v1/failpoints", "{\"clear\": true}");
-        assert_eq!(status, 200, "{body}");
-    }
-
-    fn shutdown(mut self) {
-        let (status, _) = self.request("POST", "/v1/shutdown", "");
-        assert_eq!(status, 200);
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            match self.child.try_wait().expect("poll daemon") {
-                Some(status) => {
-                    assert!(status.success(), "daemon exited with {status}");
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    let _ = self.child.kill();
-                    panic!("daemon did not exit after shutdown");
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        // Never leak a daemon from a panicking test: an orphan holds
-        // the inherited stderr open and wedges piped test runs.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
+/// Disarms every failpoint through the admin endpoint.
+fn disarm_all(daemon: &Daemon) {
+    let (status, body) = daemon.request("POST", "/v1/failpoints", "{\"clear\": true}");
+    assert_eq!(status, 200, "{body}");
 }
 
 /// A `/v1/stream` connection being read frame by frame.
@@ -242,10 +157,10 @@ fn assert_sequenced(frames: &[String], start: u64) {
 /// batch itself never restarted.
 #[test]
 fn chaos_mid_stream_disconnect_resumes_byte_identical() {
-    let daemon = Daemon::spawn(&["--workers", "2"], &[]);
+    let daemon = Daemon::spawn(&["--workers", "2"], &[], Stdio::inherit());
     // Slow every socket write a little so the batch reliably outlives
     // the deliberately-early disconnect below.
-    daemon.arm("daemon.socket.write=delay(20)");
+    arm(&daemon, "daemon.socket.write=delay(20)");
 
     let body = r#"[{"faults": ["SAF"]}, {"faults": ["SAF", "TF"]}, {"faults": ["TF"]}]"#;
     let mut first = StreamConn::open(&daemon.addr, "/v1/stream", Some(body));
@@ -293,7 +208,7 @@ fn chaos_mid_stream_disconnect_resumes_byte_identical() {
     assert_eq!(&tail_frames[..], &frames[2..], "suffix replay");
     assert_sequenced(&tail_frames, 2);
 
-    daemon.disarm_all();
+    disarm_all(&daemon);
     daemon.shutdown();
 }
 
@@ -305,10 +220,14 @@ fn chaos_disk_faults_degrade_then_recover() {
     let cache_dir =
         std::env::temp_dir().join(format!("marchgend-chaos-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let daemon = Daemon::spawn(&["--cache-dir", cache_dir.to_str().unwrap()], &[]);
+    let daemon = Daemon::spawn(
+        &["--cache-dir", cache_dir.to_str().unwrap()],
+        &[],
+        Stdio::inherit(),
+    );
 
     // Every disk write fails "persistently" from now on.
-    daemon.arm("cache.disk.write=err(injected: disk full)");
+    arm(&daemon, "cache.disk.write=err(injected: disk full)");
 
     // The computation still succeeds — the memory tier serves it.
     let (status, body) = daemon.request("POST", "/v1/generate", r#"{"faults": ["SAF"]}"#);
@@ -341,7 +260,7 @@ fn chaos_disk_faults_degrade_then_recover() {
 
     // Clear the fault; after the 500ms initial backoff the next store
     // doubles as a recovery probe and the disk tier comes back.
-    daemon.disarm_all();
+    disarm_all(&daemon);
     std::thread::sleep(Duration::from_millis(700));
     let (status, body) = daemon.request("POST", "/v1/generate", r#"{"faults": ["TF"]}"#);
     assert_eq!(status, 200, "{body}");
@@ -367,7 +286,11 @@ fn chaos_corrupt_disk_entries_are_quarantined() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let request_body = r#"{"faults": ["SAF", "TF"]}"#;
 
-    let first = Daemon::spawn(&["--cache-dir", cache_dir.to_str().unwrap()], &[]);
+    let first = Daemon::spawn(
+        &["--cache-dir", cache_dir.to_str().unwrap()],
+        &[],
+        Stdio::inherit(),
+    );
     let (status, _) = first.request("POST", "/v1/generate", request_body);
     assert_eq!(status, 200);
     first.shutdown();
@@ -383,7 +306,11 @@ fn chaos_corrupt_disk_entries_are_quarantined() {
     }
     assert!(rotted >= 1, "the first daemon must have persisted an entry");
 
-    let second = Daemon::spawn(&["--cache-dir", cache_dir.to_str().unwrap()], &[]);
+    let second = Daemon::spawn(
+        &["--cache-dir", cache_dir.to_str().unwrap()],
+        &[],
+        Stdio::inherit(),
+    );
     let (status, body) = second.request("POST", "/v1/generate", request_body);
     assert_eq!(status, 200, "{body}");
     // Computed fresh — the rotted entry must not be served...
@@ -415,6 +342,7 @@ fn chaos_handler_panics_and_errors_stay_structured() {
             "MARCHGEND_FAILPOINTS",
             "marchgend.generate=1*panic(injected chaos panic)",
         )],
+        Stdio::inherit(),
     );
 
     // First request trips the panic: a structured 500, not a hang or a
@@ -429,7 +357,7 @@ fn chaos_handler_panics_and_errors_stay_structured() {
     assert!(body.contains("\"verified\":true"), "{body}");
 
     // Injected handler *errors* come back as structured 500s too.
-    daemon.arm("marchgend.generate=2*err(injected handler fault)");
+    arm(&daemon, "marchgend.generate=2*err(injected handler fault)");
     for _ in 0..2 {
         let (status, body) = daemon.request("POST", "/v1/generate", r#"{"faults": ["TF"]}"#);
         assert_eq!(status, 500, "{body}");
@@ -440,7 +368,7 @@ fn chaos_handler_panics_and_errors_stay_structured() {
 
     // The admin endpoint reflects reality: after a clear, nothing is
     // armed (burned count-limited sites stay listed until cleared).
-    daemon.disarm_all();
+    disarm_all(&daemon);
     let (status, body) = daemon.request("GET", "/v1/failpoints", "");
     assert_eq!(status, 200);
     assert!(body.contains("\"enabled\":true"), "{body}");
@@ -454,14 +382,14 @@ fn chaos_handler_panics_and_errors_stay_structured() {
 /// poisoned state instead of propagating it.)
 #[test]
 fn chaos_metrics_panic_does_not_poison_registry() {
-    let daemon = Daemon::spawn(&[], &[]);
+    let daemon = Daemon::spawn(&[], &[], Stdio::inherit());
 
     // Baseline: a healthy scrape with the always-on families present.
     let (status, baseline) = daemon.request("GET", "/metrics", "");
     assert_eq!(status, 200, "{baseline}");
     assert!(baseline.contains("marchgend_build_info"), "{baseline}");
 
-    daemon.arm("marchgend.metrics=1*panic(injected metrics panic)");
+    arm(&daemon, "marchgend.metrics=1*panic(injected metrics panic)");
     let (status, body) = daemon.request("GET", "/metrics", "");
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("\"code\":\"handler_panic\""), "{body}");
@@ -480,13 +408,13 @@ fn chaos_metrics_panic_does_not_poison_registry() {
         assert!(recovered.contains(family), "missing {family}:\n{recovered}");
     }
     // Injected handler *errors* on the same site surface structured too.
-    daemon.arm("marchgend.metrics=1*err(injected metrics fault)");
+    arm(&daemon, "marchgend.metrics=1*err(injected metrics fault)");
     let (status, body) = daemon.request("GET", "/metrics", "");
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("\"code\":\"injected_fault\""), "{body}");
     let (status, _) = daemon.request("GET", "/metrics", "");
     assert_eq!(status, 200, "the error spec burns down and scrapes resume");
-    daemon.disarm_all();
+    disarm_all(&daemon);
     daemon.shutdown();
 }
 
@@ -495,10 +423,10 @@ fn chaos_metrics_panic_does_not_poison_registry() {
 /// batch result is never lost and never recomputed.
 #[test]
 fn chaos_socket_faults_truncate_but_resume_recovers() {
-    let daemon = Daemon::spawn(&["--workers", "2"], &[]);
+    let daemon = Daemon::spawn(&["--workers", "2"], &[], Stdio::inherit());
 
     // Kill the next few stream writes: the client sees a torn stream.
-    daemon.arm("daemon.socket.write=2*err(injected write fault)");
+    arm(&daemon, "daemon.socket.write=2*err(injected write fault)");
     let body = r#"[{"faults": ["SAF"]}, {"faults": ["TF"]}]"#;
     let mut torn = StreamConn::open(&daemon.addr, "/v1/stream", Some(body));
     let torn_frames = torn.drain();
@@ -514,19 +442,19 @@ fn chaos_socket_faults_truncate_but_resume_recovers() {
 
     // The batch finished server-side regardless; find it via stats and
     // resume it. (The torn client may not even have seen the batch_id.)
-    daemon.disarm_all();
+    disarm_all(&daemon);
     let (_, stats) = daemon.request("GET", "/v1/stats", "");
     assert!(stats.contains("\"retained\":1"), "{stats}");
 
     // Run a fresh slow stream end to end: delays must not corrupt
     // framing, and this stream's token then proves resumption works
     // after delay-type faults too.
-    daemon.arm("daemon.socket.write=delay(15)");
+    arm(&daemon, "daemon.socket.write=delay(15)");
     let mut slow = StreamConn::open(&daemon.addr, "/v1/stream", Some(body));
     let slow_frames = slow.drain();
     assert_sequenced(&slow_frames, 0);
     let batch_id = batch_id_of(&slow_frames[0]);
-    daemon.disarm_all();
+    disarm_all(&daemon);
 
     let mut replay = StreamConn::open(
         &daemon.addr,

@@ -3,17 +3,23 @@
 //! wire format. The lint is exercised three ways: against a synthetic
 //! registry stuffed with hostile label values, against hand-written
 //! malformed expositions (every rule must actually fire), and against
-//! a live `marchgend` daemon (CI job `metrics-lint`). A final case
-//! checks `?trace=1` span trees stay consistent with the
-//! `Diagnostics` micros fields they are derived from.
+//! the daemon's App serving in-process after traffic on every
+//! subsystem. The App cases also hold the exposition to the metric
+//! catalog in docs/OBSERVABILITY.md, check that `/v1/stats` `timing`
+//! and batch/stream outcomes agree with the histograms, and check that
+//! `?trace=1` span trees stay consistent with the `Diagnostics` micros
+//! fields they are derived from.
 
+#[allow(dead_code)]
+mod common;
+
+use common::{app, call, request, serve};
+use marchgen::cache::OutcomeCache;
 use marchgen::json::Json;
 use marchgen::obs::Registry;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use marchgen::serve::App;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // The lint
@@ -356,94 +362,30 @@ fn lint_catches_malformed_expositions() {
 }
 
 // ---------------------------------------------------------------------------
-// Live-daemon cases (the CI `metrics-lint` job)
+// App cases (in-process, through `App::handle`)
 // ---------------------------------------------------------------------------
 
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(extra_args: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_marchgend"))
-            .arg("--addr")
-            .arg("127.0.0.1:0")
-            .args(extra_args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn marchgend");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut first_line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut first_line)
-            .expect("read listen line");
-        let addr = first_line
-            .trim()
-            .strip_prefix("marchgend listening on http://")
-            .unwrap_or_else(|| panic!("unexpected banner {first_line:?}"))
-            .to_owned();
-        Daemon { child, addr }
-    }
-
-    fn request(&self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(&self.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nhost: marchgend\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("send request");
-        let mut wire = String::new();
-        stream.read_to_string(&mut wire).expect("read response");
-        let status: u16 = wire
-            .strip_prefix("HTTP/1.1 ")
-            .and_then(|rest| rest.get(..3))
-            .and_then(|code| code.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable response {wire:?}"));
-        let body = wire
-            .split_once("\r\n\r\n")
-            .map(|(_, body)| body.to_owned())
-            .unwrap_or_default();
-        (status, body)
-    }
-
-    fn shutdown(self) {
-        let (status, _) = self.request("POST", "/v1/shutdown", "");
-        assert_eq!(status, 200);
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
+/// A serving App's exposition, after traffic on every subsystem, is
+/// lint-clean and carries the catalog's key families.
 #[test]
 fn live_daemon_exposition_is_lint_clean_and_covers_key_families() {
-    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let app = app();
 
     // Touch every subsystem so the owned families exist: a cold
     // generate (phases + solver), its warm repeat (cache hit), an RTL
     // render, a streamed batch, and a stats snapshot.
-    let (status, _) = daemon.request("POST", "/v1/generate", r#"{"faults": ["SAF", "TF"]}"#);
+    let (status, _) = call(&app, "POST", "/v1/generate", r#"{"faults": ["SAF", "TF"]}"#);
     assert_eq!(status, 200);
-    let (status, _) = daemon.request("POST", "/v1/generate", r#"{"faults": ["TF", "SAF"]}"#);
+    let (status, _) = call(&app, "POST", "/v1/generate", r#"{"faults": ["TF", "SAF"]}"#);
     assert_eq!(status, 200);
-    let (status, _) = daemon.request("POST", "/v1/rtl", r#"{"march": "March C-"}"#);
+    let (status, _) = call(&app, "POST", "/v1/rtl", r#"{"march": "March C-"}"#);
     assert_eq!(status, 200);
-    let (status, _) = daemon.request("POST", "/v1/stream", r#"[{"faults": ["SAF"]}]"#);
+    let (status, _) = call(&app, "POST", "/v1/stream", r#"[{"faults": ["SAF"]}]"#);
     assert_eq!(status, 200);
-    let (status, _) = daemon.request("GET", "/v1/stats", "");
+    let (status, _) = call(&app, "GET", "/v1/stats", "");
     assert_eq!(status, 200);
 
-    let (status, text) = daemon.request("GET", "/metrics", "");
+    let (status, text) = call(&app, "GET", "/metrics", "");
     assert_eq!(status, 200, "{text}");
     let violations = lint_exposition(&text);
     assert!(violations.is_empty(), "{violations:#?}\n---\n{text}");
@@ -496,7 +438,6 @@ fn live_daemon_exposition_is_lint_clean_and_covers_key_families() {
         widesim_count >= 1,
         "computed SAF+TF outcome should count under widesim:\n{text}"
     );
-    daemon.shutdown();
 }
 
 /// The value of one series (`name{labels}` exactly as rendered); 0
@@ -513,7 +454,7 @@ fn series_value(exposition: &str, series: &str) -> u64 {
 /// counters and both per-fault-class families.
 #[test]
 fn batch_and_stream_outcomes_reach_metrics() {
-    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let app = app();
     let series = [
         "marchgend_phase_duration_microseconds_count{phase=\"expand\"}",
         "marchgend_solver_outcomes_total{backend=\"auto\"}",
@@ -521,7 +462,7 @@ fn batch_and_stream_outcomes_reach_metrics() {
         "marchgend_fault_class_verify_total{fault_class=\"SAF\",outcome=\"verified\"}",
     ];
     let scrape = || {
-        let (status, text) = daemon.request("GET", "/metrics", "");
+        let (status, text) = call(&app, "GET", "/metrics", "");
         assert_eq!(status, 200, "{text}");
         series.map(|name| series_value(&text, name))
     };
@@ -536,7 +477,8 @@ fn batch_and_stream_outcomes_reach_metrics() {
     };
 
     let before = scrape();
-    let (status, body) = daemon.request(
+    let (status, body) = call(
+        &app,
         "POST",
         "/v1/batch",
         r#"[{"faults": ["SAF"]}, {"faults": ["SAF", "TF"]}]"#,
@@ -547,7 +489,8 @@ fn batch_and_stream_outcomes_reach_metrics() {
 
     // One cold item and one the batch above cached: both are served and
     // counted per fault class, only the cold one is computed.
-    let (status, body) = daemon.request(
+    let (status, body) = call(
+        &app,
         "POST",
         "/v1/stream",
         r#"[{"faults": ["SAF", "ADF"]}, {"faults": ["SAF"]}]"#,
@@ -561,7 +504,6 @@ fn batch_and_stream_outcomes_reach_metrics() {
         [1, 1, 2, 2],
         "a half-warm stream",
     );
-    daemon.shutdown();
 }
 
 /// `/v1/stats` `timing` is read from the phase histograms: after cold
@@ -570,7 +512,7 @@ fn batch_and_stream_outcomes_reach_metrics() {
 /// computed outcome) and the phase micros equal their sums.
 #[test]
 fn stats_timing_equals_the_phase_histograms() {
-    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let app = app();
     for (path, body) in [
         ("/v1/generate", r#"{"faults": ["SAF", "TF"]}"#),
         ("/v1/generate", r#"{"faults": ["TF", "SAF"]}"#),
@@ -580,12 +522,12 @@ fn stats_timing_equals_the_phase_histograms() {
         ),
         ("/v1/stream", r#"[{"faults": ["TF"]}]"#),
     ] {
-        let (status, reply) = daemon.request("POST", path, body);
+        let (status, reply) = call(&app, "POST", path, body);
         assert_eq!(status, 200, "{path}: {reply}");
     }
-    let (status, stats) = daemon.request("GET", "/v1/stats", "");
+    let (status, stats) = call(&app, "GET", "/v1/stats", "");
     assert_eq!(status, 200, "{stats}");
-    let (status, metrics) = daemon.request("GET", "/metrics", "");
+    let (status, metrics) = call(&app, "GET", "/metrics", "");
     assert_eq!(status, 200, "{metrics}");
 
     let doc = Json::parse(&stats).expect("stats JSON");
@@ -621,7 +563,6 @@ fn stats_timing_equals_the_phase_histograms() {
             "{phase} sum\n{stats}\n{metrics}"
         );
     }
-    daemon.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -641,11 +582,12 @@ fn span_micros(node: &Json) -> i64 {
 
 #[test]
 fn traced_generate_matches_diagnostics_micros() {
-    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let app = app();
 
     // Cold request: computed, so the trace synthesizes the generator's
     // phase spans from the Diagnostics micros.
-    let (status, body) = daemon.request(
+    let (status, body) = call(
+        &app,
         "POST",
         "/v1/generate?trace=1",
         r#"{"faults": ["SAF", "TF", "CFin"]}"#,
@@ -697,21 +639,12 @@ fn traced_generate_matches_diagnostics_micros() {
     // Warm repeat via the header spelling: still traced, but a cache
     // hit synthesizes no phase children (its Diagnostics describe the
     // original computation, not this request).
-    let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
     let body = r#"{"faults": ["CFin", "TF", "SAF"]}"#;
-    write!(
-        stream,
-        "POST /v1/generate HTTP/1.1\r\nhost: x\r\nx-trace: 1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send traced request");
-    let mut wire = String::new();
-    stream.read_to_string(&mut wire).expect("read response");
-    let warm = wire.split_once("\r\n\r\n").map(|(_, b)| b).expect("body");
-    let warm_doc = Json::parse(warm).expect("warm outcome JSON");
+    let mut traced = request("POST", "/v1/generate", body);
+    traced.headers.push(("x-trace".to_owned(), "1".to_owned()));
+    let (status, warm) = serve(&app, &traced);
+    assert_eq!(status, 200, "{warm}");
+    let warm_doc = Json::parse(&warm).expect("warm outcome JSON");
     let warm_diagnostics = warm_doc.get("diagnostics").expect("diagnostics");
     assert_eq!(
         warm_diagnostics.get("cache_hit").and_then(Json::as_bool),
@@ -728,8 +661,96 @@ fn traced_generate_matches_diagnostics_micros() {
     );
 
     // An untraced request carries no trace block at all.
-    let (status, plain) = daemon.request("POST", "/v1/generate", body);
+    let (status, plain) = call(&app, "POST", "/v1/generate", body);
     assert_eq!(status, 200, "{plain}");
     assert!(!plain.contains("\"trace\""), "{plain}");
-    daemon.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The catalog in docs/OBSERVABILITY.md matches the exposition
+// ---------------------------------------------------------------------------
+
+/// The (family, type) pairs of the catalog tables: every table row whose
+/// first cell is one backticked `marchgend_` family name.
+fn catalog_families() -> BTreeSet<(String, String)> {
+    include_str!("../docs/OBSERVABILITY.md")
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let family = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            let kind = cells.get(2)?;
+            family
+                .starts_with("marchgend_")
+                .then(|| (family.to_owned(), (*kind).to_owned()))
+        })
+        .collect()
+}
+
+/// The (family, type) pairs an exposition declares.
+fn exposed_families(exposition: &str) -> BTreeSet<(String, String)> {
+    exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split_once(' '))
+        .map(|(family, kind)| (family.to_owned(), kind.to_owned()))
+        .collect()
+}
+
+/// After traffic on every endpoint, against an App with a disk tier
+/// (its families exist only then), `/metrics` declares exactly the
+/// families the catalog lists, with the catalog's types.
+#[test]
+fn metric_catalog_matches_the_exposition() {
+    let dir = std::env::temp_dir().join(format!("marchgen-catalog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = OutcomeCache::new(64).with_disk(&dir).expect("disk tier");
+    let app = Arc::new(App::new(cache));
+    for (method, path, body) in [
+        ("GET", "/v1/health", ""),
+        ("POST", "/v1/generate", r#"{"faults": ["SAF", "TF"]}"#),
+        (
+            "POST",
+            "/v1/generate?trace=1",
+            r#"{"faults": ["TF", "SAF"]}"#,
+        ),
+        ("POST", "/v1/rtl", r#"{"march": "March C-"}"#),
+        ("POST", "/v1/rtl", r#"{"faults": ["SAF"]}"#),
+        (
+            "POST",
+            "/v1/batch",
+            r#"[{"faults": ["SAF"]}, {"faults": ["SAF", "ADF"]}]"#,
+        ),
+        ("GET", "/v1/failpoints", ""),
+        ("GET", "/v1/stats", ""),
+        ("POST", "/v1/shutdown", ""),
+    ] {
+        let (status, reply) = call(&app, method, path, body);
+        assert_eq!(status, 200, "{method} {path}: {reply}");
+    }
+    let (status, frames) = call(&app, "POST", "/v1/stream", r#"[{"faults": ["TF"]}]"#);
+    assert_eq!(status, 200, "{frames}");
+    let batch_id = frames
+        .split_once("\"batch_id\":\"")
+        .and_then(|(_, rest)| rest.split_once('"'))
+        .map(|(id, _)| id.to_owned())
+        .expect("batch frame carries batch_id");
+    let (status, replay) = call(
+        &app,
+        "GET",
+        &format!("/v1/stream?resume={batch_id}&from=0"),
+        "",
+    );
+    assert_eq!((status, replay.as_str()), (200, frames.as_str()));
+
+    let (status, exposition) = call(&app, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{exposition}");
+    let exposed = exposed_families(&exposition);
+    let catalog = catalog_families();
+    let undocumented: Vec<_> = exposed.difference(&catalog).collect();
+    let unexposed: Vec<_> = catalog.difference(&exposed).collect();
+    assert!(
+        undocumented.is_empty() && unexposed.is_empty(),
+        "exposed but not in the catalog: {undocumented:#?}\n\
+         in the catalog but not exposed: {unexposed:#?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
