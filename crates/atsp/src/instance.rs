@@ -102,6 +102,17 @@ impl AtspInstance {
         self.cost[i * self.n + j]
     }
 
+    /// The sub-instance on `nodes`: node `k` of the result is node
+    /// `nodes[k]` of `self`, with the same arc costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty or names a node out of range.
+    #[must_use]
+    pub fn induced(&self, nodes: &[usize]) -> AtspInstance {
+        AtspInstance::from_fn(nodes.len(), |i, j| self.cost(nodes[i], nodes[j]))
+    }
+
     /// Sets the cost of arc `i → j` (used by branch-and-bound nodes),
     /// clamped at [`INF`].
     pub fn set_cost(&mut self, i: usize, j: usize, c: u64) {
@@ -306,6 +317,17 @@ mod tests {
         assert_eq!(all_huge, 3 * INF);
         assert_eq!(all_small, 3);
         assert!(all_small < all_huge);
+    }
+
+    #[test]
+    fn induced_keeps_the_arcs_between_the_chosen_nodes() {
+        let inst = AtspInstance::from_fn(4, |i, j| (i * 10 + j) as u64);
+        let sub = inst.induced(&[1, 3]);
+        assert_eq!(sub.len(), 2);
+        assert_eq!(sub.cost(0, 1), 13);
+        assert_eq!(sub.cost(1, 0), 31);
+        assert_eq!(sub.cost(0, 0), INF);
+        assert_eq!(inst.induced(&[0, 1, 2, 3]), inst);
     }
 
     #[test]

@@ -76,6 +76,52 @@ pub trait AtspSolver: Send + Sync {
     ) -> (Vec<Tour>, SolveStats) {
         (self.solve_all_optimal(instance, cap), SolveStats::default())
     }
+
+    /// Solves a family of sub-instances of one cost matrix. Member `k`
+    /// is the instance induced by `members[k]`, distinct nodes of
+    /// `instance` in ascending order.
+    ///
+    /// `visit(k, tours, stats)` is called once per member, with what
+    /// [`AtspSolver::solve_all_optimal_with_stats`] returns for
+    /// `instance.induced(&members[k])`: the member's tours in
+    /// member-local indices. The order of the calls is the strategy's;
+    /// a caller can time the gaps between them to charge each member its
+    /// share of the work. The default solves each member on its own;
+    /// [`HeldKarpSolver`] and [`AutoSolver`] share Held–Karp tables
+    /// between the members that fit [`held_karp::MAX_NODES`].
+    fn solve_family(
+        &self,
+        instance: &AtspInstance,
+        members: &[Vec<usize>],
+        cap: usize,
+        visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
+    ) {
+        for (k, nodes) in members.iter().enumerate() {
+            let (tours, stats) = self.solve_all_optimal_with_stats(&instance.induced(nodes), cap);
+            visit(k, tours, stats);
+        }
+    }
+}
+
+/// The family solve of the Held–Karp strategies: members within
+/// [`held_karp::MAX_NODES`] share tables, larger ones take `solver`'s
+/// own per-instance path.
+fn solve_family_shared(
+    solver: &dyn AtspSolver,
+    instance: &AtspInstance,
+    members: &[Vec<usize>],
+    cap: usize,
+    visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
+) {
+    held_karp::solve_family(instance, members, cap, &mut |k, tours| {
+        visit(k, tours, SolveStats::default());
+    });
+    for (k, nodes) in members.iter().enumerate() {
+        if nodes.len() > held_karp::MAX_NODES {
+            let (tours, stats) = solver.solve_all_optimal_with_stats(&instance.induced(nodes), cap);
+            visit(k, tours, stats);
+        }
+    }
 }
 
 /// Exact Held–Karp dynamic programming with all-optimal-tour
@@ -107,6 +153,16 @@ impl AtspSolver for HeldKarpSolver {
         } else {
             vec![branch_bound::solve(instance)]
         }
+    }
+
+    fn solve_family(
+        &self,
+        instance: &AtspInstance,
+        members: &[Vec<usize>],
+        cap: usize,
+        visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
+    ) {
+        solve_family_shared(self, instance, members, cap, visit);
     }
 }
 
@@ -223,6 +279,16 @@ impl AtspSolver for AutoSolver {
         } else {
             (self.solve_all_optimal(instance, cap), SolveStats::default())
         }
+    }
+
+    fn solve_family(
+        &self,
+        instance: &AtspInstance,
+        members: &[Vec<usize>],
+        cap: usize,
+        visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
+    ) {
+        solve_family_shared(self, instance, members, cap, visit);
     }
 }
 

@@ -54,7 +54,9 @@ pub struct Diagnostics {
     /// Distinct post-subsumption TP sets among them (the memoized
     /// ATSP instances actually solved).
     pub unique_tp_sets: usize,
-    /// Optimal tours returned by the solver across all combinations.
+    /// Optimal tours returned by the solver, summed over the unique TP
+    /// sets (each set counts once, however many combinations collapse
+    /// to it).
     pub tours_tried: usize,
     /// Distinct March candidates successfully scheduled from tours.
     pub candidates: usize,
@@ -68,10 +70,15 @@ pub struct Diagnostics {
     pub search_micros: u64,
     /// Time spent in the verifier (coverage, compaction, redundancy), µs.
     pub verify_micros: u64,
-    /// Per-shard solve times, µs: one entry per unique TP set (the unit
-    /// of parallel work the sharded search distributes across its
-    /// workers), in deterministic first-seen order. The *length* is
-    /// independent of the thread count; only the values vary run to run.
+    /// Per-set planning times, µs: one entry per unique TP set, in
+    /// deterministic first-seen order, so the *length* is independent
+    /// of the thread count; only the values vary run to run. An entry
+    /// is the time enumerating that set's optimal tours and scheduling
+    /// them into March candidates. Sets that share a Held–Karp table
+    /// are planned together, and the first set of each table also
+    /// carries the table's build, so the entries sum to the planning
+    /// work of the search. Entries planned on different threads overlap
+    /// in wall time.
     pub shard_micros: Vec<u64>,
     /// The verification backend the run resolved its
     /// [`VerifierChoice`](crate::VerifierChoice) to (the trait name:

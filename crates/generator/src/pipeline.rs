@@ -15,7 +15,7 @@ use marchgen_faults::{dedupe_subsumed, requirements_for, CoverageRequirement, Te
 use marchgen_march::MarchTest;
 use marchgen_sim::pool::run_indexed;
 use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
-use marchgen_tpg::{plan_tour_with_stats, Tpg};
+use marchgen_tpg::{StartPolicy, TourFamily, Tpg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -128,9 +128,10 @@ pub fn generate_with(
     // the post-subsumption TP set: choices that collapse to the same set
     // solve the same ATSP. The search is sharded: the mixed-radix
     // combination space is range-partitioned across workers for
-    // enumeration, and the unique TP sets are then solved from a shared
-    // work queue. Both passes collect results by index, so the outcome is
-    // identical for every thread count (including 1, which runs inline).
+    // enumeration, and partitions of the unique TP sets are then planned
+    // from a shared work queue. Both passes collect results by index, so
+    // the outcome is identical for every thread count (including 1,
+    // which runs inline).
     let search_started = Instant::now();
     let workers = search_workers(request);
     let limit = ClassCombinations::total(&requirements).min(request.max_combinations);
@@ -161,35 +162,87 @@ pub fn generate_with(
     };
     diagnostics.unique_tp_sets = tp_sets.len();
 
-    // Pass 2: plan tours and schedule March candidates per unique TP
-    // set, fanned out across the workers.
-    let solved = run_indexed(tp_sets.len(), workers, |k| {
-        let shard_started = Instant::now();
-        let tps = &tp_sets[k];
-        let tpg = Tpg::new(tps.clone());
-        let mut tours_tried = 0usize;
-        let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
-        let (plans, solve_stats) =
-            plan_tour_with_stats(&tpg, request.start_policy, request.tour_cap, solver);
-        for plan in plans {
-            tours_tried += 1;
-            let tour: Vec<TestPattern> = plan.order.iter().map(|&i| tps[i]).collect();
-            if let Ok(test) = schedule_tour(&tour) {
-                if test.check_consistency().is_ok() {
-                    candidates.push((test, tour));
-                }
+    // Pass 2: plan tours and schedule March candidates. Every set is
+    // drawn from one union of TPs, so the sets are planned as one
+    // `TourFamily`. Sets with the same first TP and effective start
+    // policy share Held–Karp rows; each such partition is one unit of
+    // parallel work. A set's shard time runs from the end of the
+    // previous set's visit to the end of its own scheduling, so the
+    // first set of each shared table also carries the table's build.
+    let tpg = {
+        let mut union: Vec<TestPattern> = tp_sets.iter().flatten().copied().collect();
+        union.sort();
+        union.dedup();
+        Tpg::new(union)
+    };
+    let family = TourFamily::new(&tpg);
+    let mut keys: Vec<(Option<TestPattern>, StartPolicy)> = Vec::new();
+    let mut partitions: Vec<Vec<usize>> = Vec::new();
+    for (k, tps) in tp_sets.iter().enumerate() {
+        let key = (
+            tps.first().copied(),
+            request.start_policy.effective_for(tps),
+        );
+        match keys.iter().position(|seen| *seen == key) {
+            Some(p) => partitions[p].push(k),
+            None => {
+                keys.push(key);
+                partitions.push(vec![k]);
             }
         }
-        (
-            candidates,
-            tours_tried,
-            solve_stats,
-            as_micros(shard_started),
-        )
+    }
+    let union = tpg.test_patterns();
+    let solved = run_indexed(partitions.len(), workers, |p| {
+        let ids = &partitions[p];
+        let members: Vec<Vec<usize>> = ids
+            .iter()
+            .map(|&k| {
+                tp_sets[k]
+                    .iter()
+                    .map(|tp| union.binary_search(tp).expect("the union holds every set"))
+                    .collect()
+            })
+            .collect();
+        let mut planned: Vec<Option<Planned>> = Vec::new();
+        planned.resize_with(ids.len(), || None);
+        let mut since = Instant::now();
+        family.plan(
+            &members,
+            request.start_policy,
+            request.tour_cap,
+            solver,
+            &mut |j, plans, solve_stats| {
+                let tps = &tp_sets[ids[j]];
+                let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
+                for plan in &plans {
+                    let tour: Vec<TestPattern> = plan.order.iter().map(|&i| tps[i]).collect();
+                    if let Ok(test) = schedule_tour(&tour) {
+                        if test.check_consistency().is_ok() {
+                            candidates.push((test, tour));
+                        }
+                    }
+                }
+                planned[j] = Some((candidates, plans.len(), solve_stats, as_micros(since)));
+                since = Instant::now();
+            },
+        );
+        planned
     });
+    let mut per_set: Vec<Option<Planned>> = Vec::new();
+    per_set.resize_with(tp_sets.len(), || None);
+    for (ids, planned) in partitions.iter().zip(solved) {
+        for (&k, set) in ids.iter().zip(planned) {
+            per_set[k] = set;
+        }
+    }
     let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
     let mut solver_stats = SolveStats::default();
-    for (shard_candidates, tours_tried, solve_stats, micros) in solved {
+    // Candidates are kept in first-seen set order: the stable sort and
+    // the dedupe below pick among equal-complexity tests by it.
+    for (shard_candidates, tours_tried, solve_stats, micros) in per_set
+        .into_iter()
+        .map(|set| set.expect("every set is planned"))
+    {
         diagnostics.tours_tried += tours_tried;
         diagnostics.candidates += shard_candidates.len();
         diagnostics.shard_micros.push(micros);
@@ -273,6 +326,10 @@ pub fn generate_with(
         diagnostics,
     })
 }
+
+/// One TP set's scheduled candidates, tours tried, solver statistics
+/// and shard time.
+type Planned = (Vec<(MarchTest, Vec<TestPattern>)>, usize, SolveStats, u64);
 
 fn as_micros(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
@@ -401,9 +458,10 @@ impl ExactSizeIterator for ClassCombinations<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marchgen_atsp::SolverChoice;
+    use marchgen_atsp::{AutoSolver, SolverChoice};
     use marchgen_faults::parse_fault_list;
     use marchgen_sim::widesim;
+    use marchgen_tpg::plan_tour_with;
 
     /// Generates `faults` with the default request.
     fn run(faults: &str) -> GenerateOutcome {
@@ -510,6 +568,63 @@ mod tests {
             .unwrap()
             .with_verify_cells(0);
         assert!(verifier_for(&off).is_none());
+    }
+
+    /// Planning the TP sets as families, one shared table per
+    /// partition, picks exactly what planning each set on its own picks:
+    /// the same tours tried, the same candidates and the same winner.
+    /// Candidates are concatenated in first-seen set order, because the
+    /// stable sort and the dedupe break ties by that order.
+    #[test]
+    fn family_search_matches_the_per_set_search() {
+        for faults in [
+            "SAF, TF, ADF, CFin",
+            "CFst",
+            "ADF, CFin, CFid<u,1>",
+            "CFid<u,0>, CFid<u,1>",
+        ] {
+            for policy in [StartPolicy::Uniform, StartPolicy::Free] {
+                let request = GenerateRequest::from_fault_list(faults)
+                    .unwrap()
+                    .with_start_policy(policy)
+                    .with_verify_cells(0);
+                let out = generate(&request).unwrap();
+                let requirements = requirements_for(&request.faults);
+                let mut seen: BTreeMap<Vec<TestPattern>, ()> = BTreeMap::new();
+                let mut tours_tried = 0;
+                let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
+                for combo in ClassCombinations::new(&requirements) {
+                    let mut tps = dedupe_subsumed(&combo);
+                    tps.sort();
+                    if seen.insert(tps.clone(), ()).is_some() {
+                        continue;
+                    }
+                    let tpg = Tpg::new(tps.clone());
+                    let plans = plan_tour_with(&tpg, policy, request.tour_cap, &AutoSolver);
+                    tours_tried += plans.len();
+                    for plan in plans {
+                        let tour: Vec<TestPattern> = plan.order.iter().map(|&i| tps[i]).collect();
+                        if let Ok(test) = schedule_tour(&tour) {
+                            if test.check_consistency().is_ok() {
+                                candidates.push((test, tour));
+                            }
+                        }
+                    }
+                }
+                let d = &out.diagnostics;
+                let ctx = format!("{faults} {policy:?}");
+                assert_eq!(d.unique_tp_sets, seen.len(), "{ctx}");
+                assert_eq!(d.shard_micros.len(), seen.len(), "{ctx}");
+                assert_eq!(d.tours_tried, tours_tried, "{ctx}");
+                assert_eq!(d.candidates, candidates.len(), "{ctx}");
+                candidates.sort_by_key(|(t, _)| (t.complexity(), t.element_count()));
+                candidates.dedup_by(|a, b| a.0 == b.0);
+                let complexities: Vec<usize> =
+                    candidates.iter().map(|(t, _)| t.complexity()).collect();
+                assert_eq!(d.candidate_complexities, complexities, "{ctx}");
+                assert_eq!((out.test, out.tour), candidates.swap_remove(0), "{ctx}");
+            }
+        }
     }
 
     /// Both verification backends produce the same outcome on the paper

@@ -82,7 +82,8 @@ pub struct GenerateRequest {
     pub start_policy: StartPolicy,
     /// Which ATSP solver strategy plans the TP tours.
     pub solver: SolverChoice,
-    /// Cap on optimal tours tried per class combination.
+    /// Cap on optimal tours tried per unique TP set (combinations that
+    /// collapse to the same set share its tours).
     pub tour_cap: usize,
     /// Memory size for simulator verification; `0` disables verification
     /// (and compaction). JSON decoding rejects values above 64.
@@ -96,10 +97,15 @@ pub struct GenerateRequest {
     pub max_combinations: usize,
     /// Which verification backend to use (see [`VerifierChoice`]).
     pub verifier: VerifierChoice,
-    /// Worker threads for the in-request candidate search (the class
-    /// combination space is range-partitioned across them); `0` means
-    /// one per available CPU. The thread count never changes the
-    /// outcome — results are collected deterministically.
+    /// Worker threads for the in-request candidate search; `0` means
+    /// one per available CPU. The class combination space is
+    /// range-partitioned across them, then the unique TP sets are
+    /// planned by partition: the sets with the same first TP and
+    /// effective start policy share one Held–Karp table (cut where
+    /// their union passes `held_karp::MAX_NODES`), so each partition is
+    /// one unit of parallel work. The thread count never changes the
+    /// outcome — results are collected deterministically. JSON decoding
+    /// rejects values above 64.
     pub search_threads: usize,
 }
 

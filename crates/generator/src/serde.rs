@@ -31,6 +31,11 @@ const SCHEMA_VERSION: i64 = 1;
 /// 16× the default of 4 cells.
 const MAX_VERIFY_CELLS: usize = 64;
 
+/// The largest `search_threads` a decoded [`GenerateRequest`] may carry.
+/// Each search pass spawns up to that many threads, so without a bound
+/// one request body could make a daemon worker spawn thousands.
+const MAX_SEARCH_THREADS: usize = 64;
+
 fn check_schema(json: &Json) -> Result<(), JsonError> {
     // Tolerate an absent version (hand-written documents); reject a
     // mismatched one.
@@ -407,6 +412,12 @@ impl FromJson for GenerateRequest {
                 "field \"verify_cells\" must be at most {MAX_VERIFY_CELLS}, got {verify_cells}"
             )));
         }
+        let search_threads = opt_usize("search_threads", defaults.search_threads)?;
+        if search_threads > MAX_SEARCH_THREADS {
+            return Err(JsonError::decode(format!(
+                "field \"search_threads\" must be at most {MAX_SEARCH_THREADS}, got {search_threads}"
+            )));
+        }
         // Route the caps through the builder so decoded requests share
         // its clamp invariants (a hand-written `"tour_cap": 0` behaves
         // like the builder path, not a zero-work run).
@@ -418,7 +429,7 @@ impl FromJson for GenerateRequest {
             verify_cells,
             compact: opt_bool("compact", defaults.compact)?,
             check_redundancy: opt_bool("check_redundancy", defaults.check_redundancy)?,
-            search_threads: opt_usize("search_threads", defaults.search_threads)?,
+            search_threads,
             ..GenerateRequest::default()
         }
         .with_tour_cap(opt_usize("tour_cap", defaults.tour_cap)?)
@@ -687,6 +698,23 @@ mod tests {
         assert_eq!(back.verify_cells, MAX_VERIFY_CELLS);
         let err = GenerateRequest::from_json_str(&doc(MAX_VERIFY_CELLS + 1)).unwrap_err();
         assert!(err.message.contains("\"verify_cells\""), "{}", err.message);
+        assert!(err.message.contains("64"), "{}", err.message);
+    }
+
+    /// `search_threads` is bounded at the wire too: the maximum
+    /// decodes, one more is a decode error naming the field. Decoding
+    /// only; no request here runs.
+    #[test]
+    fn search_threads_is_bounded_at_decode() {
+        let doc = |threads: usize| format!(r#"{{"faults": ["SAF"], "search_threads": {threads}}}"#);
+        let back = GenerateRequest::from_json_str(&doc(MAX_SEARCH_THREADS)).unwrap();
+        assert_eq!(back.search_threads, 64);
+        let err = GenerateRequest::from_json_str(&doc(MAX_SEARCH_THREADS + 1)).unwrap_err();
+        assert!(
+            err.message.contains("\"search_threads\""),
+            "{}",
+            err.message
+        );
         assert!(err.message.contains("64"), "{}", err.message);
     }
 

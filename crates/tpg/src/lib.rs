@@ -40,4 +40,6 @@ mod graph;
 pub mod path;
 
 pub use graph::Tpg;
-pub use path::{plan_tour, plan_tour_with, plan_tour_with_stats, StartPolicy, TourPlan};
+pub use path::{
+    plan_tour, plan_tour_with, plan_tour_with_stats, StartPolicy, TourFamily, TourPlan,
+};

@@ -14,9 +14,15 @@
 //! the ATSP objective equal the exact GTS operation count (up to the
 //! fixed per-TP excitation/observation operations), so "minimum-weight
 //! tour" and "minimum-length GTS" coincide.
+//!
+//! A request plans many TP sets drawn from one pool of TPs.
+//! [`TourFamily`] builds the pool's instance once and plans each set as
+//! the sub-instance on its TPs and the dummy, through
+//! [`AtspSolver::solve_family`].
 
 use crate::graph::Tpg;
 use marchgen_atsp::{AtspInstance, AtspSolver, AutoSolver, SolveStats, Tour, INF};
+use marchgen_faults::TestPattern;
 
 /// Which TPs may start the Global Test Sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,6 +38,19 @@ pub enum StartPolicy {
 }
 
 impl StartPolicy {
+    /// The policy a TP set is planned under: [`StartPolicy::Uniform`]
+    /// falls back to [`StartPolicy::Free`] when no TP of the set has a
+    /// uniform initialization.
+    #[must_use]
+    pub fn effective_for<'a>(self, tps: impl IntoIterator<Item = &'a TestPattern>) -> StartPolicy {
+        match self {
+            StartPolicy::Uniform if tps.into_iter().any(|tp| tp.init.is_uniform()) => {
+                StartPolicy::Uniform
+            }
+            _ => StartPolicy::Free,
+        }
+    }
+
     fn allows(self, tpg: &Tpg, node: usize) -> bool {
         match self {
             StartPolicy::Free => true,
@@ -78,7 +97,8 @@ pub fn plan_tour_with(
 /// [`plan_tour_with`] plus the solver's [`SolveStats`] for this TPG —
 /// exact backends report zeros, the local search its iteration and
 /// restart counts. The request layer aggregates these per generation
-/// run into its diagnostics.
+/// run into its diagnostics. This is the one-member case of
+/// [`TourFamily::plan`].
 #[must_use]
 pub fn plan_tour_with_stats(
     tpg: &Tpg,
@@ -86,63 +106,139 @@ pub fn plan_tour_with_stats(
     cap: usize,
     solver: &dyn AtspSolver,
 ) -> (Vec<TourPlan>, SolveStats) {
-    let v = tpg.len();
-    if v == 0 {
-        return (Vec::new(), SolveStats::default());
-    }
-    if v == 1 {
-        return (
-            vec![TourPlan {
-                order: vec![0],
-                gts_ops: tpg.gts_op_count(&[0]),
-            }],
-            SolveStats::default(),
-        );
-    }
-    let effective = if (0..v).any(|n| policy.allows(tpg, n)) {
-        policy
-    } else {
-        StartPolicy::Free
-    };
-
-    // Node v is the dummy. Index 0..v are TPs.
-    let dummy = v;
-    let inst = AtspInstance::from_fn(v + 1, |i, j| {
-        if i == dummy {
-            if effective.allows(tpg, j) {
-                u64::from(tpg.init_cost(j))
-            } else {
-                INF
-            }
-        } else if j == dummy {
-            0
-        } else {
-            u64::from(tpg.weight(i, j))
-        }
-    });
-
-    let (tours, stats) = solver.solve_all_optimal_with_stats(&inst, cap);
-    (
-        tours
-            .into_iter()
-            .map(|t| cut_at_dummy(tpg, &t, dummy))
-            .collect(),
-        stats,
-    )
+    let mut planned = (Vec::new(), SolveStats::default());
+    TourFamily::new(tpg).plan(
+        &[(0..tpg.len()).collect()],
+        policy,
+        cap,
+        solver,
+        &mut |_, plans, stats| planned = (plans, stats),
+    );
+    planned
 }
 
-fn cut_at_dummy(tpg: &Tpg, tour: &Tour, dummy: usize) -> TourPlan {
-    let pos = tour
-        .order
-        .iter()
-        .position(|&n| n == dummy)
-        .expect("dummy in tour");
-    let mut order = Vec::with_capacity(tour.order.len() - 1);
-    for k in 1..tour.order.len() {
-        order.push(tour.order[(pos + k) % tour.order.len()]);
+/// Tour planning for many TP sets drawn from one pool: the pool's TPG
+/// and its dummy-closed ATSP instance under each start policy, built
+/// once and shared by every member set.
+///
+/// A member lists TP indices of the pool in ascending order. Its
+/// instance is the one its own TPG would give (node `k` is its `k`-th
+/// TP, the dummy last), so a pool sorted like its members plans each
+/// member exactly as [`plan_tour_with_stats`] plans the member's TPG.
+#[derive(Debug)]
+pub struct TourFamily<'a> {
+    tpg: &'a Tpg,
+    /// The pool's instances under [`StartPolicy::Uniform`] and
+    /// [`StartPolicy::Free`]; node `tpg.len()` is the dummy.
+    instances: [AtspInstance; 2],
+}
+
+impl<'a> TourFamily<'a> {
+    /// Builds the pool's instances.
+    #[must_use]
+    pub fn new(tpg: &'a Tpg) -> TourFamily<'a> {
+        let instance = |policy: StartPolicy| {
+            let dummy = tpg.len();
+            AtspInstance::from_fn(dummy + 1, |i, j| {
+                if i == dummy {
+                    if policy.allows(tpg, j) {
+                        u64::from(tpg.init_cost(j))
+                    } else {
+                        INF
+                    }
+                } else if j == dummy {
+                    0
+                } else {
+                    u64::from(tpg.weight(i, j))
+                }
+            })
+        };
+        TourFamily {
+            tpg,
+            instances: [instance(StartPolicy::Uniform), instance(StartPolicy::Free)],
+        }
     }
-    let gts_ops = tpg.gts_op_count(&order);
-    TourPlan { order, gts_ops }
+
+    /// Plans every member under its effective start policy (see
+    /// [`StartPolicy::effective_for`]) and calls `visit(k, plans, stats)`
+    /// once per member, with the member's optimal plans up to `cap` in
+    /// member-local TP indices. The calls follow the solver's
+    /// [`AtspSolver::solve_family`], so a caller can time the gaps
+    /// between them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member's indices are not ascending or not in the
+    /// pool.
+    pub fn plan(
+        &self,
+        members: &[Vec<usize>],
+        policy: StartPolicy,
+        cap: usize,
+        solver: &dyn AtspSolver,
+        visit: &mut dyn FnMut(usize, Vec<TourPlan>, SolveStats),
+    ) {
+        let tps = self.tpg.test_patterns();
+        for member in members {
+            assert!(
+                member.windows(2).all(|w| w[0] < w[1]) && member.iter().all(|&i| i < tps.len()),
+                "family members list pool indices in ascending order"
+            );
+        }
+        for (instance, effective) in self
+            .instances
+            .iter()
+            .zip([StartPolicy::Uniform, StartPolicy::Free])
+        {
+            let mut ids = Vec::new();
+            let mut nodes = Vec::new();
+            for (k, member) in members.iter().enumerate() {
+                let planned_under = policy.effective_for(member.iter().map(|&i| &tps[i]));
+                if member.len() >= 2 && planned_under == effective {
+                    ids.push(k);
+                    nodes.push(member.iter().copied().chain([self.tpg.len()]).collect());
+                }
+            }
+            solver.solve_family(instance, &nodes, cap, &mut |j, tours, stats| {
+                let member = &members[ids[j]];
+                let plans = tours.iter().map(|t| self.cut_at_dummy(member, t)).collect();
+                visit(ids[j], plans, stats);
+            });
+        }
+        // An empty TPG has no plan and a single TP one, without a solve.
+        for (k, member) in members.iter().enumerate() {
+            if member.len() < 2 {
+                let plans = member
+                    .iter()
+                    .map(|&i| TourPlan {
+                        order: vec![0],
+                        gts_ops: self.tpg.gts_op_count(&[i]),
+                    })
+                    .collect();
+                visit(k, plans, SolveStats::default());
+            }
+        }
+    }
+
+    /// The member's plan from a tour of its instance (whose last node is
+    /// the dummy).
+    fn cut_at_dummy(&self, member: &[usize], tour: &Tour) -> TourPlan {
+        let dummy = member.len();
+        let pos = tour
+            .order
+            .iter()
+            .position(|&n| n == dummy)
+            .expect("dummy in tour");
+        let mut order = Vec::with_capacity(tour.order.len() - 1);
+        for k in 1..tour.order.len() {
+            order.push(tour.order[(pos + k) % tour.order.len()]);
+        }
+        let in_pool: Vec<usize> = order.iter().map(|&i| member[i]).collect();
+        TourPlan {
+            order,
+            gts_ops: self.tpg.gts_op_count(&in_pool),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -231,6 +327,34 @@ mod tests {
         assert_eq!(plans[0].order, vec![0]);
         // SA0: no init writes, excite w1 + observe r1 = 2 ops.
         assert_eq!(plans[0].gts_ops, 2);
+    }
+
+    /// One family call plans members under different effective
+    /// policies (a member without a uniform TP falls back to free
+    /// starts), and members of zero and one TP, each exactly as its own
+    /// TPG plans.
+    #[test]
+    fn family_members_plan_like_their_own_tpgs() {
+        let mut pool = section4_tps();
+        pool.sort();
+        let tpg = Tpg::new(pool.clone());
+        let uniform: Vec<usize> = (0..4).filter(|&i| pool[i].init.is_uniform()).collect();
+        let skewed: Vec<usize> = (0..4).filter(|&i| !pool[i].init.is_uniform()).collect();
+        let members = vec![vec![0, 1, 2, 3], skewed, uniform, vec![2], Vec::new()];
+        for policy in [StartPolicy::Uniform, StartPolicy::Free] {
+            let mut got = vec![None; members.len()];
+            TourFamily::new(&tpg).plan(&members, policy, 64, &AutoSolver, &mut |k, plans, _| {
+                assert!(got[k].replace(plans).is_none(), "{k} visited twice");
+            });
+            for (member, got) in members.iter().zip(got) {
+                let own = Tpg::new(member.iter().map(|&i| pool[i]).collect());
+                assert_eq!(
+                    got,
+                    Some(plan_tour(&own, policy, 64)),
+                    "{member:?} {policy:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,19 @@ fn daemon_answers_bodies_errors_and_routes() {
         body.contains("invalid_request") && body.contains("verify_cells"),
         "{body}"
     );
+    // So is `search_threads`: each search pass spawns up to that many
+    // threads. The request is refused at decode; nothing runs.
+    let (status, body) = call(
+        &app,
+        "POST",
+        "/v1/generate",
+        r#"{"faults": ["SAF"], "search_threads": 65}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    assert!(
+        body.contains("invalid_request") && body.contains("search_threads"),
+        "{body}"
+    );
     let (status, _) = call(&app, "GET", "/v1/missing", "");
     assert_eq!(status, 404);
     let (status, _) = call(&app, "GET", "/v1/generate", "");

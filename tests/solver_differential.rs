@@ -11,11 +11,11 @@
 //! this suite pins the local search to the exact optimum on the whole
 //! catalog range where both can run.
 
-use marchgen::atsp::{AtspInstance, AtspSolver, SolverRegistry, Tour};
+use marchgen::atsp::{AtspInstance, AtspSolver, SolveStats, SolverRegistry, Tour};
 use marchgen::faults::{dedupe_subsumed, parse_fault_list, requirements_for, FaultModel};
 use marchgen::generator::ClassCombinations;
 use marchgen::prelude::TestPattern;
-use marchgen::tpg::{plan_tour_with, StartPolicy, Tpg};
+use marchgen::tpg::{plan_tour_with, plan_tour_with_stats, StartPolicy, TourFamily, Tpg};
 
 /// Brute-force permutation oracle as an [`AtspSolver`], usable wherever
 /// the instance (TPG + dummy node) stays within its 10-node cap.
@@ -35,10 +35,10 @@ impl AtspSolver for BruteOracle {
     }
 }
 
-/// Every distinct post-subsumption TP set (the memoized ATSP instances
-/// the pipeline actually solves) for a fault list, capped like the
-/// engine's default combination budget.
-fn unique_tp_sets(faults: &str) -> Vec<Vec<TestPattern>> {
+/// The distinct post-subsumption TP sets (the memoized ATSP instances
+/// the pipeline actually solves) of a fault list's first 64 class
+/// combinations, in first-seen order, at most `max_sets` of them.
+fn unique_tp_sets(faults: &str, max_sets: usize) -> Vec<Vec<TestPattern>> {
     let models = parse_fault_list(faults).expect("catalog lists parse");
     let requirements = requirements_for(&models);
     let limit = ClassCombinations::total(&requirements).min(64);
@@ -49,10 +49,7 @@ fn unique_tp_sets(faults: &str) -> Vec<Vec<TestPattern>> {
         if !seen.contains(&tps) {
             seen.push(tps);
         }
-        // A bounded, deterministic sample per list keeps the sweep's
-        // wall-clock inside tier-1 budgets; the global dedupe below
-        // still yields a diverse instance population.
-        if seen.len() >= 8 {
+        if seen.len() >= max_sets {
             break;
         }
     }
@@ -102,7 +99,10 @@ fn all_registered_solvers_agree_on_catalog_tpgs() {
     // distinct set once.
     let mut sweep: Vec<(String, Vec<TestPattern>)> = Vec::new();
     for faults in catalog_fault_lists() {
-        for tps in unique_tp_sets(&faults) {
+        // A bounded, deterministic sample per list keeps the sweep's
+        // wall-clock inside tier-1 budgets; the global dedupe below
+        // still yields a diverse instance population.
+        for tps in unique_tp_sets(&faults, 8) {
             if tps.is_empty() || tps.len() > 12 {
                 continue;
             }
@@ -199,4 +199,122 @@ fn local_search_pipeline_matches_exact_on_table3_workloads() {
         assert_eq!(local.complexity(), exact.complexity(), "{faults}");
         assert_eq!(local.diagnostics.solver, "local-search");
     }
+}
+
+/// A strategy with its family solve stripped: every member goes through
+/// the wrapped strategy's per-instance path (for Held–Karp, the `u64`
+/// table), which is what the default `solve_family` does.
+struct PerInstance<'a>(&'a dyn AtspSolver);
+
+impl AtspSolver for PerInstance<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn solve(&self, instance: &AtspInstance) -> Tour {
+        self.0.solve(instance)
+    }
+
+    fn is_exact_for(&self, instance: &AtspInstance) -> bool {
+        self.0.is_exact_for(instance)
+    }
+
+    fn solve_all_optimal_with_stats(
+        &self,
+        instance: &AtspInstance,
+        cap: usize,
+    ) -> (Vec<Tour>, SolveStats) {
+        self.0.solve_all_optimal_with_stats(instance, cap)
+    }
+}
+
+/// Planning a list's TP sets as one family gives every set exactly the
+/// plans (and solver statistics) `plan_tour_with_stats` gives its own
+/// TPG, under both start policies and caps 1 and 64: with the
+/// shared-table solvers (`auto`, `held-karp`) and with `local-search`,
+/// which has no family override and so runs the trait's default. For
+/// sets of at most 13 TPs, where the `u64` table stays small, the
+/// per-set plans are also held to that table.
+///
+/// The lists are the catalog above (Table 3, the §4 example and every
+/// extended model), four `search_heavy` lists, `ADF, CFin, CFst` (sets
+/// of 10–14 TPs from one start TP, sharing a 17-node table) and
+/// `SAF, TF, ADF, CFin, CFid, CFst` (sets of 12–18 TPs whose 19-node
+/// union is cut into two tables, one set past `MAX_NODES`), each from
+/// its first 64 class combinations.
+#[test]
+fn family_plans_match_per_set_plans() {
+    let registry = SolverRegistry::default();
+    let mut lists = catalog_fault_lists();
+    for list in [
+        "ADF, CFin",
+        "CFst",
+        "CFst, SAF, TF",
+        "SAF, ADF, CFin, CFid<u,0>",
+        "ADF, CFin, CFst",
+        "SAF, TF, ADF, CFin, CFid, CFst",
+    ] {
+        lists.push(list.to_owned());
+    }
+    let max_nodes = marchgen::atsp::held_karp::MAX_NODES;
+    let mut sets_checked = 0usize;
+    let mut past_max_nodes = 0usize;
+    let mut cut_unions = 0usize;
+    for faults in &lists {
+        let sets = unique_tp_sets(faults, usize::MAX);
+        let mut union: Vec<TestPattern> = sets.iter().flatten().copied().collect();
+        union.sort();
+        union.dedup();
+        let members: Vec<Vec<usize>> = sets
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .map(|tp| union.binary_search(tp).expect("in the union"))
+                    .collect()
+            })
+            .collect();
+        // Every instance closes its tour through one dummy node.
+        cut_unions += usize::from(union.len() + 1 > max_nodes);
+        let union = Tpg::new(union);
+        let family = TourFamily::new(&union);
+        sets_checked += sets.len();
+        past_max_nodes += sets.iter().filter(|set| set.len() + 1 > max_nodes).count();
+        for name in ["auto", "held-karp", "local-search"] {
+            let solver = registry.get(name).expect("built-in");
+            for policy in [StartPolicy::Uniform, StartPolicy::Free] {
+                for cap in [1, 64] {
+                    let mut got = vec![None; sets.len()];
+                    family.plan(
+                        &members,
+                        policy,
+                        cap,
+                        solver.as_ref(),
+                        &mut |k, plans, stats| {
+                            assert!(
+                                got[k].replace((plans, stats)).is_none(),
+                                "{k} visited twice"
+                            );
+                        },
+                    );
+                    for (set, got) in sets.iter().zip(got) {
+                        let tpg = Tpg::new(set.clone());
+                        let want = plan_tour_with_stats(&tpg, policy, cap, solver.as_ref());
+                        let ctx = format!(
+                            "{faults:?}, {} TPs, {name}, {policy:?}, cap {cap}",
+                            set.len()
+                        );
+                        assert_eq!(got.as_ref(), Some(&want), "{ctx}");
+                        if name != "local-search" && set.len() <= 13 {
+                            let oracle = PerInstance(solver.as_ref());
+                            let reference = plan_tour_with_stats(&tpg, policy, cap, &oracle);
+                            assert_eq!(want, reference, "{ctx}: against the u64 table");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(sets_checked >= 300, "{sets_checked} sets");
+    assert!(past_max_nodes > 0, "some set must exceed MAX_NODES");
+    assert!(cut_unions > 0, "some union must exceed MAX_NODES");
 }
