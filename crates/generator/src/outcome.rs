@@ -58,10 +58,14 @@ pub struct Diagnostics {
     /// sets (each set counts once, however many combinations collapse
     /// to it).
     pub tours_tried: usize,
-    /// Distinct March candidates successfully scheduled from tours.
+    /// March candidates scheduled from tours: every tour that
+    /// scheduled into a read-consistent test, repeats of one test
+    /// included.
     pub candidates: usize,
-    /// Complexities of the deduplicated candidates, ascending — the
-    /// shape of the search frontier the verifier walked.
+    /// Complexities of the candidates, ascending — the shape of the
+    /// search frontier the verifier walked. After the sort, a candidate
+    /// equal to the one just before it is dropped; repeats that do not
+    /// end up adjacent stay, so one test can appear more than once.
     pub candidate_complexities: Vec<usize>,
     /// Time expanding the fault list into coverage requirements, µs.
     pub expand_micros: u64,

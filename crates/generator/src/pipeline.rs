@@ -9,7 +9,7 @@
 
 use crate::outcome::{Diagnostics, GenerateOutcome};
 use crate::request::{GenerateRequest, VerifierChoice};
-use crate::schedule::schedule_tour;
+use crate::schedule::{schedule_tour, Builder};
 use marchgen_atsp::{AtspSolver, SolveStats, SolverRegistry};
 use marchgen_faults::{dedupe_subsumed, requirements_for, CoverageRequirement, TestPattern};
 use marchgen_march::MarchTest;
@@ -19,6 +19,7 @@ use marchgen_tpg::{StartPolicy, TourFamily, Tpg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Why generation failed outright (verification shortfalls are reported
@@ -162,13 +163,14 @@ pub fn generate_with(
     };
     diagnostics.unique_tp_sets = tp_sets.len();
 
-    // Pass 2: plan tours and schedule March candidates. Every set is
-    // drawn from one union of TPs, so the sets are planned as one
-    // `TourFamily`. Sets with the same first TP and effective start
-    // policy share Held–Karp rows; each such partition is one unit of
-    // parallel work. A set's shard time runs from the end of the
-    // previous set's visit to the end of its own scheduling, so the
-    // first set of each shared table also carries the table's build.
+    // Pass 2: plan tours and schedule them into packed candidates (see
+    // `Candidate`). Every set is drawn from one union of TPs, so the
+    // sets are planned as one `TourFamily`. Sets with the same first TP
+    // and effective start policy share Held–Karp rows; each such
+    // partition is one unit of parallel work. A set's shard time runs
+    // from the end of the previous set's visit to the end of its own
+    // scheduling, so the first set of each shared table also carries
+    // the table's build.
     let tpg = {
         let mut union: Vec<TestPattern> = tp_sets.iter().flatten().copied().collect();
         union.sort();
@@ -178,21 +180,26 @@ pub fn generate_with(
     let family = TourFamily::new(&tpg);
     let mut keys: Vec<(Option<TestPattern>, StartPolicy)> = Vec::new();
     let mut partitions: Vec<Vec<usize>> = Vec::new();
+    // Where each set is planned: its partition and its place in it.
+    let mut placed: Vec<(usize, usize)> = Vec::with_capacity(tp_sets.len());
     for (k, tps) in tp_sets.iter().enumerate() {
         let key = (
             tps.first().copied(),
             request.start_policy.effective_for(tps),
         );
-        match keys.iter().position(|seen| *seen == key) {
-            Some(p) => partitions[p].push(k),
-            None => {
+        let p = keys
+            .iter()
+            .position(|seen| *seen == key)
+            .unwrap_or_else(|| {
                 keys.push(key);
-                partitions.push(vec![k]);
-            }
-        }
+                partitions.push(Vec::new());
+                partitions.len() - 1
+            });
+        placed.push((p, partitions[p].len()));
+        partitions[p].push(k);
     }
     let union = tpg.test_patterns();
-    let solved = run_indexed(partitions.len(), workers, |p| {
+    let mut solved = run_indexed(partitions.len(), workers, |p| {
         let ids = &partitions[p];
         let members: Vec<Vec<usize>> = ids
             .iter()
@@ -203,8 +210,12 @@ pub fn generate_with(
                     .collect()
             })
             .collect();
-        let mut planned: Vec<Option<Planned>> = Vec::new();
-        planned.resize_with(ids.len(), || None);
+        let mut job = Job {
+            arena: Vec::new(),
+            candidates: Vec::new(),
+            planned: vec![None; ids.len()],
+        };
+        let mut builder = Builder::new();
         let mut since = Instant::now();
         family.plan(
             &members,
@@ -212,43 +223,52 @@ pub fn generate_with(
             request.tour_cap,
             solver,
             &mut |j, plans, solve_stats| {
-                let tps = &tp_sets[ids[j]];
-                let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
+                let set = ids[j];
+                let tps = &tp_sets[set];
+                let first = job.candidates.len();
                 for plan in &plans {
-                    let tour: Vec<TestPattern> = plan.order.iter().map(|&i| tps[i]).collect();
-                    if let Ok(test) = schedule_tour(&tour) {
-                        if test.check_consistency().is_ok() {
-                            candidates.push((test, tour));
-                        }
+                    let offset = job.arena.len();
+                    let tour = plan.order.iter().map(|&i| &tps[i]);
+                    if let Some((complexity, elements)) = builder.pack(tour, &mut job.arena) {
+                        let len = job.arena.len() - offset;
+                        job.arena.extend(plan.order.iter().map(|&i| {
+                            u8::try_from(i)
+                                .expect("a TP set has one TP per requirement, far below 256")
+                        }));
+                        job.candidates.push(Candidate {
+                            complexity: to_u32(complexity),
+                            elements: to_u32(elements),
+                            set: to_u32(set),
+                            partition: to_u32(p),
+                            offset,
+                            len: to_u32(len),
+                        });
                     }
                 }
-                planned[j] = Some((candidates, plans.len(), solve_stats, as_micros(since)));
+                job.planned[j] = Some(SetRun {
+                    candidates: first..job.candidates.len(),
+                    tours_tried: plans.len(),
+                    solve_stats,
+                    micros: as_micros(since),
+                });
                 since = Instant::now();
             },
         );
-        planned
+        job
     });
-    let mut per_set: Vec<Option<Planned>> = Vec::new();
-    per_set.resize_with(tp_sets.len(), || None);
-    for (ids, planned) in partitions.iter().zip(solved) {
-        for (&k, set) in ids.iter().zip(planned) {
-            per_set[k] = set;
-        }
-    }
-    let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
     let mut solver_stats = SolveStats::default();
     // Candidates are kept in first-seen set order: the stable sort and
     // the dedupe below pick among equal-complexity tests by it.
-    for (shard_candidates, tours_tried, solve_stats, micros) in per_set
-        .into_iter()
-        .map(|set| set.expect("every set is planned"))
-    {
-        diagnostics.tours_tried += tours_tried;
-        diagnostics.candidates += shard_candidates.len();
-        diagnostics.shard_micros.push(micros);
-        solver_stats.absorb(solve_stats);
-        candidates.extend(shard_candidates);
+    for &(p, j) in &placed {
+        let run = solved[p].planned[j].take().expect("every set is planned");
+        diagnostics.tours_tried += run.tours_tried;
+        diagnostics.candidates += run.candidates.len();
+        diagnostics.shard_micros.push(run.micros);
+        solver_stats.absorb(run.solve_stats);
+        candidates.extend_from_slice(&solved[p].candidates[run.candidates]);
     }
+    let arenas: Vec<Vec<u8>> = solved.into_iter().map(|job| job.arena).collect();
     diagnostics.solver_iterations = solver_stats.iterations;
     diagnostics.solver_restarts = solver_stats.restarts;
     if candidates.is_empty() {
@@ -256,14 +276,27 @@ pub fn generate_with(
         return Err(GenerateError::NoCandidate);
     }
 
-    // Shortest first; deduplicate identical tests.
-    candidates.sort_by_key(|(t, _)| (t.complexity(), t.element_count()));
-    candidates.dedup_by(|a, b| a.0 == b.0);
-    diagnostics.candidate_complexities = candidates.iter().map(|(t, _)| t.complexity()).collect();
+    // Shortest first; drop a test equal to the one just before it
+    // (repeats that are not adjacent after the sort stay).
+    candidates.sort_by_key(|c| (c.complexity, c.elements));
+    candidates.dedup_by(|a, b| a.test_bytes(&arenas) == b.test_bytes(&arenas));
+    diagnostics.candidate_complexities =
+        candidates.iter().map(|c| to_usize(c.complexity)).collect();
     diagnostics.search_micros = as_micros(search_started);
+    // Only the candidates that get screened are built as March tests.
+    let materialize = |c: &Candidate| -> (MarchTest, Vec<TestPattern>) {
+        let tps = &tp_sets[to_usize(c.set)];
+        let tour: Vec<TestPattern> = c
+            .tour_bytes(&arenas, tps.len())
+            .iter()
+            .map(|&i| tps[usize::from(i)])
+            .collect();
+        let test = schedule_tour(&tour).expect("a packed candidate schedules");
+        (test, tour)
+    };
 
     let Some(verifier) = verifier else {
-        let (test, tour) = candidates.swap_remove(0);
+        let (test, tour) = materialize(&candidates[0]);
         return Ok(GenerateOutcome {
             test,
             tour,
@@ -281,14 +314,15 @@ pub fn generate_with(
     diagnostics.verifier = verifier.name().to_owned();
     let verify_started = Instant::now();
     let mut fallback: Option<(MarchTest, Vec<TestPattern>)> = None;
-    for (test, tour) in &candidates {
-        let run = verifier.verify_sharded(test, &request.faults, workers);
+    for candidate in &candidates {
+        let (test, tour) = materialize(candidate);
+        let run = verifier.verify_sharded(&test, &request.faults, workers);
         diagnostics.verify_shard_micros.extend(run.shard_micros);
         if run.report.complete() {
             let final_test = if request.compact {
-                verifier.compact(test, &request.faults).into_owned()
+                verifier.compact(&test, &request.faults).into_owned()
             } else {
-                test.clone()
+                test
             };
             let run = verifier.verify_sharded(&final_test, &request.faults, workers);
             diagnostics.verify_shard_micros.extend(run.shard_micros);
@@ -300,7 +334,7 @@ pub fn generate_with(
             diagnostics.verify_micros = as_micros(verify_started);
             return Ok(GenerateOutcome {
                 test: final_test,
-                tour: tour.clone(),
+                tour,
                 verified: true,
                 report: Some(run.report),
                 non_redundant,
@@ -308,7 +342,7 @@ pub fn generate_with(
             });
         }
         if fallback.is_none() {
-            fallback = Some((test.clone(), tour.clone()));
+            fallback = Some((test, tour));
         }
     }
 
@@ -327,9 +361,60 @@ pub fn generate_with(
     })
 }
 
-/// One TP set's scheduled candidates, tours tried, solver statistics
-/// and shard time.
-type Planned = (Vec<(MarchTest, Vec<TestPattern>)>, usize, SolveStats, u64);
+/// A scheduled candidate. Its test, packed, and then its tour, one
+/// member-local TP index per byte, sit in the arena of the partition
+/// job that scheduled it, from `offset` on.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    complexity: u32,
+    elements: u32,
+    /// The TP set, in first-seen order.
+    set: u32,
+    partition: u32,
+    offset: usize,
+    /// Length of the packed test.
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 32);
+
+impl Candidate {
+    fn test_bytes<'a>(&self, arenas: &'a [Vec<u8>]) -> &'a [u8] {
+        &arenas[to_usize(self.partition)][self.offset..self.offset + to_usize(self.len)]
+    }
+
+    fn tour_bytes<'a>(&self, arenas: &'a [Vec<u8>], set_len: usize) -> &'a [u8] {
+        let start = self.offset + to_usize(self.len);
+        &arenas[to_usize(self.partition)][start..start + set_len]
+    }
+}
+
+/// One partition job's scheduled candidates, their arena, and each of
+/// its sets' share of them.
+struct Job {
+    arena: Vec<u8>,
+    candidates: Vec<Candidate>,
+    planned: Vec<Option<SetRun>>,
+}
+
+/// One TP set's candidates within its job, tours tried, solver
+/// statistics and shard time.
+#[derive(Clone)]
+struct SetRun {
+    candidates: Range<usize>,
+    tours_tried: usize,
+    solve_stats: SolveStats,
+    micros: u64,
+}
+
+/// A count or index of the search as a [`Candidate`] field.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("search counts and indices fit u32")
+}
+
+fn to_usize(n: u32) -> usize {
+    usize::try_from(n).expect("u32 fits usize")
+}
 
 fn as_micros(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
@@ -571,59 +656,89 @@ mod tests {
     }
 
     /// Planning the TP sets as families, one shared table per
-    /// partition, picks exactly what planning each set on its own picks:
-    /// the same tours tried, the same candidates and the same winner.
-    /// Candidates are concatenated in first-seen set order, because the
-    /// stable sort and the dedupe break ties by that order.
+    /// partition, and holding candidates as packed records pick exactly
+    /// what planning and scheduling each set on its own picks: the same
+    /// tours tried, the same candidates and the same winner, also with
+    /// two partition jobs at once and with verification on. Candidates
+    /// are concatenated in first-seen set order, because the stable
+    /// sort and the dedupe break ties by that order.
     #[test]
     fn family_search_matches_the_per_set_search() {
+        let mut cases: Vec<(&str, StartPolicy, usize, usize)> = Vec::new();
         for faults in [
             "SAF, TF, ADF, CFin",
             "CFst",
             "ADF, CFin, CFid<u,1>",
             "CFid<u,0>, CFid<u,1>",
+            // `Del` elements; setup TPs; pre-reads and immediate reads
+            "CFst, DRF",
+            "ADF, CFin, dDRDF",
+            "SOF, ADF, CFin",
         ] {
             for policy in [StartPolicy::Uniform, StartPolicy::Free] {
-                let request = GenerateRequest::from_fault_list(faults)
-                    .unwrap()
-                    .with_start_policy(policy)
-                    .with_verify_cells(0);
-                let out = generate(&request).unwrap();
-                let requirements = requirements_for(&request.faults);
-                let mut seen: BTreeMap<Vec<TestPattern>, ()> = BTreeMap::new();
-                let mut tours_tried = 0;
-                let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
-                for combo in ClassCombinations::new(&requirements) {
-                    let mut tps = dedupe_subsumed(&combo);
-                    tps.sort();
-                    if seen.insert(tps.clone(), ()).is_some() {
-                        continue;
-                    }
-                    let tpg = Tpg::new(tps.clone());
-                    let plans = plan_tour_with(&tpg, policy, request.tour_cap, &AutoSolver);
-                    tours_tried += plans.len();
-                    for plan in plans {
-                        let tour: Vec<TestPattern> = plan.order.iter().map(|&i| tps[i]).collect();
-                        if let Ok(test) = schedule_tour(&tour) {
-                            if test.check_consistency().is_ok() {
-                                candidates.push((test, tour));
-                            }
+                cases.push((faults, policy, 1, 0));
+            }
+        }
+        cases.push(("ADF, CFin, CFid<u,1>", StartPolicy::Uniform, 2, 0));
+        // The screen rejects six candidates before one verifies.
+        cases.push(("ADF, CFin, DRDF", StartPolicy::Uniform, 1, 4));
+        for (faults, policy, threads, cells) in cases {
+            let request = GenerateRequest::from_fault_list(faults)
+                .unwrap()
+                .with_start_policy(policy)
+                .with_search_threads(threads)
+                .with_verify_cells(cells);
+            let out = generate(&request).unwrap();
+            let requirements = requirements_for(&request.faults);
+            let mut seen: BTreeMap<Vec<TestPattern>, ()> = BTreeMap::new();
+            let mut tours_tried = 0;
+            let mut candidates: Vec<(MarchTest, Vec<TestPattern>)> = Vec::new();
+            for combo in ClassCombinations::new(&requirements) {
+                let mut tps = dedupe_subsumed(&combo);
+                tps.sort();
+                if seen.insert(tps.clone(), ()).is_some() {
+                    continue;
+                }
+                let tpg = Tpg::new(tps.clone());
+                let plans = plan_tour_with(&tpg, policy, request.tour_cap, &AutoSolver);
+                tours_tried += plans.len();
+                for plan in plans {
+                    let tour: Vec<TestPattern> = plan.order.iter().map(|&i| tps[i]).collect();
+                    if let Ok(test) = schedule_tour(&tour) {
+                        if test.check_consistency().is_ok() {
+                            candidates.push((test, tour));
                         }
                     }
                 }
-                let d = &out.diagnostics;
-                let ctx = format!("{faults} {policy:?}");
-                assert_eq!(d.unique_tp_sets, seen.len(), "{ctx}");
-                assert_eq!(d.shard_micros.len(), seen.len(), "{ctx}");
-                assert_eq!(d.tours_tried, tours_tried, "{ctx}");
-                assert_eq!(d.candidates, candidates.len(), "{ctx}");
-                candidates.sort_by_key(|(t, _)| (t.complexity(), t.element_count()));
-                candidates.dedup_by(|a, b| a.0 == b.0);
-                let complexities: Vec<usize> =
-                    candidates.iter().map(|(t, _)| t.complexity()).collect();
-                assert_eq!(d.candidate_complexities, complexities, "{ctx}");
-                assert_eq!((out.test, out.tour), candidates.swap_remove(0), "{ctx}");
             }
+            let d = &out.diagnostics;
+            let ctx = format!("{faults} {policy:?}, {threads} threads, {cells} cells");
+            assert_eq!(d.unique_tp_sets, seen.len(), "{ctx}");
+            assert_eq!(d.shard_micros.len(), seen.len(), "{ctx}");
+            assert_eq!(d.tours_tried, tours_tried, "{ctx}");
+            assert_eq!(d.candidates, candidates.len(), "{ctx}");
+            candidates.sort_by_key(|(t, _)| (t.complexity(), t.element_count()));
+            candidates.dedup_by(|a, b| a.0 == b.0);
+            let complexities: Vec<usize> = candidates.iter().map(|(t, _)| t.complexity()).collect();
+            assert_eq!(d.candidate_complexities, complexities, "{ctx}");
+            let Some(verifier) = verifier_for(&request) else {
+                assert_eq!((out.test, out.tour), candidates.swap_remove(0), "{ctx}");
+                continue;
+            };
+            let screened = candidates
+                .iter()
+                .position(|(t, _)| {
+                    verifier
+                        .verify_sharded(t, &request.faults, 1)
+                        .report
+                        .complete()
+                })
+                .expect("a candidate verifies");
+            assert!(screened > 0, "{ctx}: the first candidate verifies");
+            let (test, tour) = candidates.swap_remove(screened);
+            assert!(out.verified, "{ctx}");
+            assert_eq!(schedule_tour(&out.tour), Ok(test), "{ctx}");
+            assert_eq!(out.tour, tour, "{ctx}");
         }
     }
 

@@ -34,9 +34,21 @@
 //! `GTS_M = ŵ0 r̂0 [ŵ1]_R [r̂1]_B ŵ0 r̂0 [ŵ1]_R [r̂1]_B` and the final 8n
 //! test `⇑(w0) ⇑(r0,w1) ⇑(r1,w0) ⇓(r0,w1) ⇓(r1)` exactly (the leading
 //! background element is emitted as `⇕`, which subsumes the paper's `⇑`).
+//!
+//! # Two outputs of one scheduler
+//!
+//! [`schedule_tour`] returns the test as a [`MarchTest`]. The generator
+//! schedules every optimal tour of a request but screens only a few of
+//! them, so its search uses the same scheduler with a packed output
+//! instead: one byte per element header and one per operation, appended
+//! to an arena the caller owns, plus the test's complexity and element
+//! count. The scheduler keeps its state in flat buffers that it reuses
+//! from one tour to the next, so the search allocates nothing per tour.
+//! The generator rebuilds a [`MarchTest`] with [`schedule_tour`] only for
+//! the candidates it screens.
 
 use marchgen_faults::{Observation, TestPattern, TpKind};
-use marchgen_march::{Direction, MarchElement, MarchOp, MarchTest};
+use marchgen_march::{check_read_consistency, Direction, MarchElement, MarchOp, MarchTest};
 use marchgen_model::{Bit, Cell, MemOp};
 use std::fmt;
 
@@ -79,7 +91,7 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// One scheduled per-cell operation with its pre-value and color mark.
+/// One scheduled per-cell operation with its pre-value.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     op: MarchOp,
@@ -87,10 +99,11 @@ struct Slot {
     pre: Option<Bit>,
 }
 
-/// An element under construction.
+/// An element under construction; its operations are the builder's
+/// slots from `first` up to the next element's `first`.
 #[derive(Debug, Clone)]
 struct Elem {
-    ops: Vec<Slot>,
+    first: usize,
     /// Per-cell value when the element starts.
     start: Option<Bit>,
     /// Sweep-phase mark from Red/Blue colored operations.
@@ -98,22 +111,6 @@ struct Elem {
 }
 
 impl Elem {
-    fn new(start: Option<Bit>) -> Elem {
-        Elem {
-            ops: Vec::new(),
-            start,
-            mark: None,
-        }
-    }
-
-    fn first_op(&self) -> Option<MarchOp> {
-        self.ops.first().map(|s| s.op)
-    }
-
-    fn last_op(&self) -> Option<MarchOp> {
-        self.ops.last().map(|s| s.op)
-    }
-
     fn set_mark(&mut self, mark: Option<Direction>) -> Result<(), ScheduleError> {
         match (self.mark, mark) {
             (_, None) => Ok(()),
@@ -137,10 +134,17 @@ struct Pending {
     mark: Option<Direction>,
 }
 
+/// The scheduler state, stored flat so that one builder schedules tour
+/// after tour without allocating.
 #[derive(Debug)]
-struct Builder {
-    closed: Vec<Elem>,
-    open: Option<Elem>,
+pub(crate) struct Builder {
+    /// Every scheduled operation, element after element.
+    slots: Vec<Slot>,
+    /// The elements in order. When `open` is set the last one is still
+    /// being built; it always holds at least one operation, because an
+    /// element opens only to take one.
+    elems: Vec<Elem>,
+    open: bool,
     cur: Option<Bit>,
     phase: Direction,
     pendings: Vec<Pending>,
@@ -150,10 +154,11 @@ struct Builder {
 }
 
 impl Builder {
-    fn new() -> Builder {
+    pub(crate) fn new() -> Builder {
         Builder {
-            closed: Vec::new(),
-            open: None,
+            slots: Vec::new(),
+            elems: Vec::new(),
+            open: false,
             cur: None,
             phase: Direction::Up,
             pendings: Vec::new(),
@@ -161,34 +166,129 @@ impl Builder {
         }
     }
 
-    fn open_mut(&mut self) -> &mut Elem {
-        if self.open.is_none() {
-            self.open = Some(Elem::new(self.cur));
+    /// Runs the §4.1–4.3 phases over `tour`, leaving the test in the
+    /// buffers. Whatever a previous tour left, failed or not, is
+    /// cleared first.
+    fn schedule<'a>(
+        &mut self,
+        tour: impl IntoIterator<Item = &'a TestPattern>,
+    ) -> Result<(), ScheduleError> {
+        self.slots.clear();
+        self.elems.clear();
+        self.pendings.clear();
+        self.open = false;
+        self.cur = None;
+        self.phase = Direction::Up;
+        self.last_closed_sharable = false;
+        for tp in tour {
+            match tp.kind {
+                TpKind::SingleCell => place_single(self, tp)?,
+                TpKind::Pair => place_pair(self, tp)?,
+            }
         }
-        self.open.as_mut().expect("just ensured")
+        self.discharge_pendings()?;
+        self.close();
+        Ok(())
+    }
+
+    /// Schedules `tour` and appends the test to `arena` in packed form:
+    /// per element one header byte (its direction, 8–10), then one byte
+    /// per operation (0–4). Headers and operations use disjoint byte
+    /// values, so two packed tests are equal exactly when the tests
+    /// are. Returns the test's complexity and element count, or `None`
+    /// (appending nothing) when the tour does not schedule or the test
+    /// is not read-consistent.
+    pub(crate) fn pack<'a>(
+        &mut self,
+        tour: impl IntoIterator<Item = &'a TestPattern>,
+        arena: &mut Vec<u8>,
+    ) -> Option<(usize, usize)> {
+        self.schedule(tour).ok()?;
+        check_read_consistency(self.elements().map(|(_, ops)| ops.iter().map(|s| s.op))).ok()?;
+        let mut complexity = 0;
+        for (direction, ops) in self.elements() {
+            arena.push(match direction {
+                Direction::Up => 8,
+                Direction::Down => 9,
+                Direction::Any => 10,
+            });
+            for slot in ops {
+                complexity += usize::from(slot.op.accesses_cell());
+                arena.push(match slot.op {
+                    MarchOp::Read(Bit::Zero) => 0,
+                    MarchOp::Read(Bit::One) => 1,
+                    MarchOp::Write(Bit::Zero) => 2,
+                    MarchOp::Write(Bit::One) => 3,
+                    MarchOp::Delay => 4,
+                });
+            }
+        }
+        Some((complexity, self.elems.len()))
+    }
+
+    /// The scheduled test as a [`MarchTest`].
+    fn to_test(&self) -> MarchTest {
+        self.elements()
+            .map(|(direction, ops)| {
+                MarchElement::new(direction, ops.iter().map(|s| s.op).collect::<Vec<_>>())
+            })
+            .collect()
+    }
+
+    /// The elements with their directions (an unmarked element is
+    /// order-free) and operations.
+    fn elements(&self) -> impl Iterator<Item = (Direction, &[Slot])> + '_ {
+        (0..self.elems.len()).map(|k| {
+            let (e, ops) = self.elem(k);
+            (e.mark.unwrap_or(Direction::Any), ops)
+        })
+    }
+
+    fn elem(&self, k: usize) -> (&Elem, &[Slot]) {
+        let end = self.elems.get(k + 1).map_or(self.slots.len(), |e| e.first);
+        (&self.elems[k], &self.slots[self.elems[k].first..end])
+    }
+
+    /// The element being built, if any.
+    fn open_elem(&self) -> Option<(&Elem, &[Slot])> {
+        self.open.then(|| self.elem(self.elems.len() - 1))
+    }
+
+    /// The last element, open or closed.
+    fn last_elem(&self) -> Option<(&Elem, &[Slot])> {
+        self.elems.len().checked_sub(1).map(|k| self.elem(k))
     }
 
     fn close(&mut self) {
-        if let Some(e) = self.open.take() {
-            if !e.ops.is_empty() {
-                self.closed.push(e);
-                self.last_closed_sharable = true;
-            }
+        if self.open {
+            self.open = false;
+            self.last_closed_sharable = true;
         }
+    }
+
+    /// Appends `op` to the open element, opening one if needed.
+    fn append(&mut self, op: MarchOp, mark: Option<Direction>) -> Result<(), ScheduleError> {
+        if !self.open {
+            self.elems.push(Elem {
+                first: self.slots.len(),
+                start: self.cur,
+                mark: None,
+            });
+            self.open = true;
+        }
+        self.slots.push(Slot { op, pre: self.cur });
+        self.last_closed_sharable = false;
+        self.elems
+            .last_mut()
+            .expect("an element is open")
+            .set_mark(mark)
     }
 
     /// Appends a write, discharging pending observations first.
     fn push_write(&mut self, value: Bit, mark: Option<Direction>) -> Result<(), ScheduleError> {
         self.discharge_pendings()?;
-        let pre = self.cur;
-        let elem = self.open_mut();
-        elem.ops.push(Slot {
-            op: MarchOp::Write(value),
-            pre,
-        });
-        elem.set_mark(mark)?;
+        self.append(MarchOp::Write(value), mark)?;
         self.cur = Some(value);
-        self.last_closed_sharable = false;
         Ok(())
     }
 
@@ -202,21 +302,13 @@ impl Builder {
             });
         }
         let mut mark = mark;
-        for p in std::mem::take(&mut self.pendings) {
+        for p in self.pendings.drain(..) {
             debug_assert_eq!(p.expected, expected, "pending invariant");
             if mark.is_none() {
                 mark = p.mark;
             }
         }
-        let pre = self.cur;
-        let elem = self.open_mut();
-        elem.ops.push(Slot {
-            op: MarchOp::Read(expected),
-            pre,
-        });
-        elem.set_mark(mark)?;
-        self.last_closed_sharable = false;
-        Ok(())
+        self.append(MarchOp::Read(expected), mark)
     }
 
     /// Emits the pending observation reads (each opens a fresh element if
@@ -236,23 +328,6 @@ impl Builder {
             Some(v) if self.cur != Some(v) => self.push_write(v, None),
             _ => Ok(()),
         }
-    }
-
-    fn finish(mut self) -> Result<MarchTest, ScheduleError> {
-        self.discharge_pendings()?;
-        self.close();
-        let elements: Vec<MarchElement> = self
-            .closed
-            .into_iter()
-            .filter(|e| !e.ops.is_empty())
-            .map(|e| {
-                MarchElement::new(
-                    e.mark.unwrap_or(Direction::Any),
-                    e.ops.iter().map(|s| s.op).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        Ok(MarchTest::new(elements))
     }
 }
 
@@ -278,13 +353,8 @@ enum Placement {
 /// test (the pipeline then skips this tour).
 pub fn schedule_tour(tour: &[TestPattern]) -> Result<MarchTest, ScheduleError> {
     let mut b = Builder::new();
-    for tp in tour {
-        match tp.kind {
-            TpKind::SingleCell => place_single(&mut b, tp)?,
-            TpKind::Pair => place_pair(&mut b, tp)?,
-        }
-    }
-    b.finish()
+    b.schedule(tour)?;
+    Ok(b.to_test())
 }
 
 fn place_single(b: &mut Builder, tp: &TestPattern) -> Result<(), ScheduleError> {
@@ -299,7 +369,8 @@ fn place_single(b: &mut Builder, tp: &TestPattern) -> Result<(), ScheduleError> 
                 let Some(v) = x.or(b.cur) else {
                     return Err(ScheduleError::UnknownValue);
                 };
-                if b.open.as_ref().and_then(Elem::last_op) != Some(MarchOp::Read(v)) {
+                let open_last = b.open_elem().and_then(|(_, ops)| ops.last());
+                if open_last.map(|s| s.op) != Some(MarchOp::Read(v)) {
                     b.discharge_pendings()?;
                     b.push_read(v, None)?;
                 }
@@ -335,13 +406,15 @@ fn place_single(b: &mut Builder, tp: &TestPattern) -> Result<(), ScheduleError> 
             b.ensure_value(Some(v))?;
             b.discharge_pendings()?;
             b.close();
-            b.closed.push(Elem {
-                ops: vec![Slot {
-                    op: MarchOp::Delay,
-                    pre: b.cur,
-                }],
+            // A closed element of its own.
+            b.elems.push(Elem {
+                first: b.slots.len(),
                 start: b.cur,
                 mark: None,
+            });
+            b.slots.push(Slot {
+                op: MarchOp::Delay,
+                pre: b.cur,
             });
             b.last_closed_sharable = false;
             b.pendings.push(Pending {
@@ -410,27 +483,25 @@ fn place_pair(b: &mut Builder, tp: &TestPattern) -> Result<(), ScheduleError> {
             if fix_close {
                 b.push_write(x_v, None)?;
             }
-            // Mark the hosting element with the phase (it may have been
-            // built unmarked).
-            if let Some(e) = b.open.as_mut() {
-                e.set_mark(Some(phase))?;
-                b.close();
-            } else if let Some(e) = b.closed.last_mut() {
+            // Mark the hosting element, open or just closed, with the
+            // phase (it may have been built unmarked).
+            if let Some(e) = b.elems.last_mut() {
                 e.set_mark(Some(phase))?;
             }
+            b.close();
             register_observation(b, tp, x_v, phase);
         }
         Placement::Within { phase } => {
             let needs_leading_read = matches!(tp.observe, Observation::Read { .. });
             let host_ok = |b: &Builder| -> bool {
                 b.phase == phase
-                    && match (&b.open, needs_leading_read) {
-                        (Some(e), true) => {
-                            e.first_op() == Some(MarchOp::Read(x_v))
+                    && match (b.open_elem(), needs_leading_read) {
+                        (Some((e, ops)), true) => {
+                            ops.first().map(|s| s.op) == Some(MarchOp::Read(x_v))
                                 && e.start == Some(x_v)
                                 && (e.mark.is_none() || e.mark == Some(phase))
                         }
-                        (Some(e), false) => {
+                        (Some((e, _)), false) => {
                             e.start == Some(x_v) && (e.mark.is_none() || e.mark == Some(phase))
                         }
                         (None, _) => false,
@@ -543,9 +614,9 @@ fn choose_placement(
                 _ => false,
             }
         };
-        if let Some(e) = &b.open {
+        if let Some((e, ops)) = b.open_elem() {
             let mark_ok = e.mark.is_none() || e.mark == Some(phase);
-            if mark_ok && e.ops.iter().any(excite_matches) {
+            if mark_ok && ops.iter().any(excite_matches) {
                 let fix_close = b.cur != Some(x_v);
                 // A fixing write must not undo the shared excitation: the
                 // excite op's effect on the aggressor has already fired
@@ -558,11 +629,11 @@ fn choose_placement(
                 }
             }
         } else if b.last_closed_sharable {
-            if let Some(e) = b.closed.last() {
+            if let Some((e, ops)) = b.last_elem() {
                 let mark_ok = e.mark.is_none() || e.mark == Some(phase);
                 if mark_ok
                     && b.cur == Some(x_v)
-                    && e.ops.iter().any(excite_matches)
+                    && ops.iter().any(excite_matches)
                     && phase == b.phase
                 {
                     return Placement::ShareCross {
@@ -591,7 +662,10 @@ fn choose_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marchgen_faults::{parse_fault_list, requirements_for};
+    use crate::ClassCombinations;
+    use marchgen_faults::{dedupe_subsumed, parse_fault_list, requirements_for, FaultModel};
+    use marchgen_model::PairState;
+    use marchgen_tpg::{plan_tour, StartPolicy, Tpg};
 
     fn tps_for(list: &str) -> Vec<TestPattern> {
         let models = parse_fault_list(list).unwrap();
@@ -704,5 +778,107 @@ mod tests {
                 Err(e) => panic!("round {round}: unschedulable: {e}"),
             }
         }
+    }
+
+    /// The packed path agrees with the reference path (`schedule_tour`,
+    /// `check_consistency`, `MarchTest ==`) through one builder reused
+    /// for every tour, refused ones included. The tours are every
+    /// optimal tour, under both start policies, of the first unique TP
+    /// sets of each list, and deterministic permutations of those sets.
+    /// Every catalog tour schedules, so some permutations carry a pair
+    /// TP whose victim value is unknown, which does not.
+    #[test]
+    fn packed_tours_match_scheduled_tests() {
+        let mut lists: Vec<(String, usize)> = [
+            "SAF",
+            "SAF, TF",
+            "SAF, TF, ADF",
+            "SAF, TF, ADF, CFin",
+            "SAF, TF, ADF, CFin, CFid",
+            "CFid<u,1>, CFid<d,1>",
+            "SOF, ADF, CFin",
+        ]
+        .iter()
+        .map(|list| (list.to_string(), 8))
+        .collect();
+        let everything: Vec<String> = FaultModel::all_extended()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        // Its sets have 23 TPs or more: one tour each, by branch-and-bound.
+        lists.push((everything.join(", "), 2));
+        let mut unschedulable = tps_for("CFin")[0];
+        unschedulable.init = PairState::UNKNOWN;
+        let mut builder = Builder::new();
+        let mut arena = vec![0xFF];
+        let (mut refused, mut after_refusal) = (0, 0);
+        for (list, max_sets) in &lists {
+            let requirements = requirements_for(&parse_fault_list(list).unwrap());
+            let mut sets: Vec<Vec<TestPattern>> = Vec::new();
+            for combo in ClassCombinations::new(&requirements) {
+                let mut tps = dedupe_subsumed(&combo);
+                tps.sort();
+                if !sets.contains(&tps) {
+                    sets.push(tps);
+                }
+                if sets.len() == *max_sets {
+                    break;
+                }
+            }
+            let mut tours: Vec<Vec<TestPattern>> = Vec::new();
+            for tps in &sets {
+                let tpg = Tpg::new(tps.clone());
+                for policy in [StartPolicy::Uniform, StartPolicy::Free] {
+                    for plan in plan_tour(&tpg, policy, 64) {
+                        tours.push(plan.order.iter().map(|&i| tps[i]).collect());
+                    }
+                }
+                let mut order: Vec<usize> = (0..tps.len()).collect();
+                for round in 0..6 {
+                    let last = order.len() - 1;
+                    order.rotate_left((1 + round % 3) % (last + 1));
+                    order.swap((round % 2).min(last), last);
+                    let mut tour: Vec<TestPattern> = order.iter().map(|&k| tps[k]).collect();
+                    if round % 2 == 1 {
+                        tour.insert(round * 7 % (last + 2), unschedulable);
+                    }
+                    tours.push(tour);
+                }
+            }
+            let mut packed: Vec<(Vec<u8>, MarchTest)> = Vec::new();
+            let mut last_refused = false;
+            for tour in &tours {
+                let reference = schedule_tour(tour)
+                    .ok()
+                    .filter(|t| t.check_consistency().is_ok());
+                let offset = arena.len();
+                let got = builder.pack(tour, &mut arena);
+                match (reference, got) {
+                    (Some(test), Some(key)) => {
+                        assert_eq!(key, (test.complexity(), test.element_count()), "{test}");
+                        after_refusal += usize::from(last_refused);
+                        last_refused = false;
+                        packed.push((arena[offset..].to_vec(), test));
+                    }
+                    (None, None) => {
+                        assert_eq!(arena.len(), offset, "a refused tour appends nothing");
+                        refused += 1;
+                        last_refused = true;
+                    }
+                    (reference, got) => panic!("{list}: packed {got:?}, reference {reference:?}"),
+                }
+            }
+            for (k, (bytes, test)) in packed.iter().enumerate() {
+                for (other_bytes, other) in &packed[k + 1..] {
+                    assert_eq!(
+                        bytes == other_bytes,
+                        test == other,
+                        "{list}: {test} vs {other}"
+                    );
+                }
+            }
+        }
+        assert!(refused > 0, "some tours must not schedule");
+        assert!(after_refusal > 0, "some tours must follow a refused one");
     }
 }

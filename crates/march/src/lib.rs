@@ -37,4 +37,4 @@ mod test;
 pub use element::{Direction, MarchElement};
 pub use op::MarchOp;
 pub use parse::ParseMarchError;
-pub use test::{ConsistencyError, MarchTest};
+pub use test::{check_read_consistency, ConsistencyError, MarchTest};

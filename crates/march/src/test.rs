@@ -150,35 +150,7 @@ impl MarchTest {
     /// Returns the first [`ConsistencyError`] found, scanning elements
     /// left to right.
     pub fn check_consistency(&self) -> Result<(), ConsistencyError> {
-        let mut cur = Tri::X;
-        for (ei, element) in self.elements.iter().enumerate() {
-            if element.ops.is_empty() {
-                return Err(ConsistencyError::EmptyElement { element: ei });
-            }
-            for (oi, &op) in element.ops.iter().enumerate() {
-                match op {
-                    MarchOp::Read(expect) => match cur {
-                        Tri::X => {
-                            return Err(ConsistencyError::ReadOfUninitialized {
-                                element: ei,
-                                op: oi,
-                            })
-                        }
-                        _ if cur != Tri::from(expect) => {
-                            return Err(ConsistencyError::WrongExpectedValue {
-                                element: ei,
-                                op: oi,
-                                actual: cur.bit().expect("known value"),
-                            })
-                        }
-                        _ => {}
-                    },
-                    MarchOp::Write(d) => cur = Tri::from(d),
-                    MarchOp::Delay => {}
-                }
-            }
-        }
-        Ok(())
+        check_read_consistency(self.elements.iter().map(|e| e.ops.iter().copied()))
     }
 
     /// The data-polarity complement of the test (every `0 ↔ 1`). Coverage
@@ -256,6 +228,53 @@ impl MarchTest {
         }
         s
     }
+}
+
+/// The read-consistency rule of [`MarchTest::check_consistency`], over
+/// a test given as its elements' operation sequences, for callers that
+/// hold a test in another form than a [`MarchTest`].
+///
+/// # Errors
+///
+/// Returns the first [`ConsistencyError`] found, scanning elements left
+/// to right.
+pub fn check_read_consistency<E>(
+    elements: impl IntoIterator<Item = E>,
+) -> Result<(), ConsistencyError>
+where
+    E: IntoIterator<Item = MarchOp>,
+{
+    let mut cur = Tri::X;
+    for (ei, element) in elements.into_iter().enumerate() {
+        let mut empty = true;
+        for (oi, op) in element.into_iter().enumerate() {
+            empty = false;
+            match op {
+                MarchOp::Read(expect) => match cur {
+                    Tri::X => {
+                        return Err(ConsistencyError::ReadOfUninitialized {
+                            element: ei,
+                            op: oi,
+                        })
+                    }
+                    _ if cur != Tri::from(expect) => {
+                        return Err(ConsistencyError::WrongExpectedValue {
+                            element: ei,
+                            op: oi,
+                            actual: cur.bit().expect("known value"),
+                        })
+                    }
+                    _ => {}
+                },
+                MarchOp::Write(d) => cur = Tri::from(d),
+                MarchOp::Delay => {}
+            }
+        }
+        if empty {
+            return Err(ConsistencyError::EmptyElement { element: ei });
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for MarchTest {

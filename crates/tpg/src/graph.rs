@@ -77,15 +77,19 @@ impl Tpg {
         let Some(&first) = order.first() else {
             return 0;
         };
-        let mut ops = self.init_cost(first);
-        for &node in order {
-            let tp = &self.tps[node];
-            ops += 1; // excitation
-            if matches!(tp.observe, marchgen_faults::Observation::Read { .. }) {
-                ops += 1; // separate read-and-verify
-            }
-        }
-        ops + self.path_weight(order)
+        let ops: u32 = order.iter().map(|&node| self.tp_ops(node)).sum();
+        self.init_cost(first) + ops + self.path_weight(order)
+    }
+
+    /// The operations `node` contributes to any GTS through it: its
+    /// excitation, plus a separate read-and-verify when it observes by
+    /// reading.
+    pub(crate) fn tp_ops(&self, node: usize) -> u32 {
+        let separate_read = matches!(
+            self.tps[node].observe,
+            marchgen_faults::Observation::Read { .. }
+        );
+        1 + u32::from(separate_read)
     }
 
     /// Graphviz DOT rendering in the style of paper Figure 4.

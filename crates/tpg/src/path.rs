@@ -201,7 +201,11 @@ impl<'a> TourFamily<'a> {
             }
             solver.solve_family(instance, &nodes, cap, &mut |j, tours, stats| {
                 let member = &members[ids[j]];
-                let plans = tours.iter().map(|t| self.cut_at_dummy(member, t)).collect();
+                let tp_ops = member.iter().map(|&i| self.tpg.tp_ops(i)).sum();
+                let plans = tours
+                    .into_iter()
+                    .map(|t| self.cut_at_dummy(member, tp_ops, t))
+                    .collect();
                 visit(ids[j], plans, stats);
             });
         }
@@ -221,23 +225,33 @@ impl<'a> TourFamily<'a> {
     }
 
     /// The member's plan from a tour of its instance (whose last node is
-    /// the dummy).
-    fn cut_at_dummy(&self, member: &[usize], tour: &Tour) -> TourPlan {
+    /// the dummy). `tp_ops` is the member's fixed per-TP operation
+    /// count; a tour's cost adds its first TP's initialization writes
+    /// and the bridging writes, so the two sum to its GTS length.
+    fn cut_at_dummy(&self, member: &[usize], tp_ops: u32, tour: Tour) -> TourPlan {
         let dummy = member.len();
-        let pos = tour
-            .order
+        let mut order = tour.order;
+        let pos = order
             .iter()
             .position(|&n| n == dummy)
             .expect("dummy in tour");
-        let mut order = Vec::with_capacity(tour.order.len() - 1);
-        for k in 1..tour.order.len() {
-            order.push(tour.order[(pos + k) % tour.order.len()]);
-        }
-        let in_pool: Vec<usize> = order.iter().map(|&i| member[i]).collect();
-        TourPlan {
-            order,
-            gts_ops: self.tpg.gts_op_count(&in_pool),
-        }
+        order.rotate_left(pos + 1);
+        order.pop();
+        let counted = || {
+            let in_pool: Vec<usize> = order.iter().map(|&i| member[i]).collect();
+            self.tpg.gts_op_count(&in_pool)
+        };
+        // A tour through a forbidden start (only a custom solver returns
+        // one) has a cost that is no operation count.
+        let gts_ops = match u32::try_from(tour.cost) {
+            Ok(cost) => {
+                let ops = tp_ops + cost;
+                debug_assert_eq!(ops, counted(), "{order:?}");
+                ops
+            }
+            Err(_) => counted(),
+        };
+        TourPlan { order, gts_ops }
     }
 }
 
@@ -355,6 +369,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A custom solver may return a tour through a forbidden start; its
+    /// plan still counts the GTS operations of its order.
+    #[test]
+    fn forbidden_start_plans_count_their_operations() {
+        struct InOrder;
+        impl AtspSolver for InOrder {
+            fn name(&self) -> &str {
+                "in-order"
+            }
+            fn solve(&self, instance: &AtspInstance) -> Tour {
+                Tour::new(instance, (0..instance.len()).collect())
+            }
+            fn is_exact_for(&self, _instance: &AtspInstance) -> bool {
+                false
+            }
+        }
+        let tpg = Tpg::new(section4_tps());
+        assert!(!tpg.test_patterns()[0].init.is_uniform());
+        let plans = plan_tour_with(&tpg, StartPolicy::Uniform, 8, &InOrder);
+        let order = vec![0, 1, 2, 3];
+        let gts_ops = tpg.gts_op_count(&order);
+        assert_eq!(plans, vec![TourPlan { order, gts_ops }]);
     }
 
     #[test]

@@ -282,11 +282,11 @@ impl Metrics {
 /// Splits `search_micros` into the shares reported as `solve` and
 /// `schedule`. The names are older than what they measure: `solve` is
 /// Σ `shard_micros`, the per-set planning time (Held–Karp tables, tour
-/// enumeration *and* scheduling the tours into March candidates),
-/// clamped to the search wall time because sets planned on different
-/// threads overlap; `schedule` is the remainder of the search, which is
-/// combination enumeration, TP-set dedupe, and the candidate sort and
-/// dedupe.
+/// enumeration *and* scheduling every tour into a packed candidate
+/// record), clamped to the search wall time because sets planned on
+/// different threads overlap; `schedule` is the remainder of the
+/// search, which is combination enumeration, TP-set dedupe, and sorting
+/// and deduping the records.
 fn solve_schedule_split(diagnostics: &Diagnostics) -> (u64, u64) {
     let solve = diagnostics
         .shard_micros
