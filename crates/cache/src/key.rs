@@ -24,14 +24,17 @@ use std::fmt;
 ///
 /// History: v1 was the pre-primitive-layer encoding (classical fault
 /// taxonomy, no `setup` field in the TP wire schema); v2 covers the
-/// extended workload space (dynamic + linked faults). Entries persisted
-/// under v1 keys are clean misses for a v2 process — the stale-entry
-/// probe ([`previous_schema_key`]) lets the cache *count* them
-/// (`key_schema_stale`) instead of mistaking them for cold misses.
-pub const KEY_SCHEMA: u32 = 2;
+/// extended workload space (dynamic + linked faults); v3 stops counting
+/// a model the memory cannot host (a pair fault at `verify_cells` 1) as
+/// covered, so v2 entries for such requests hold a wrongly verified,
+/// empty test. Entries persisted under an older key are clean misses —
+/// the stale-entry probe ([`previous_schema_key`]) lets the cache
+/// *count* them (`key_schema_stale`) instead of mistaking them for cold
+/// misses.
+pub const KEY_SCHEMA: u32 = 3;
 
 /// The schema tag the previous release stamped into its keys.
-const PREVIOUS_KEY_SCHEMA: u32 = 1;
+const PREVIOUS_KEY_SCHEMA: u32 = 2;
 
 const FNV_OFFSET_128: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME_128: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -177,7 +180,7 @@ mod tests {
     fn schema_tag_is_stamped_and_versions_never_collide() {
         let request = GenerateRequest::from_fault_list("SAF, TF").unwrap();
         assert!(
-            canonical_key_text(&request).starts_with("marchgen-cache/v2;"),
+            canonical_key_text(&request).starts_with("marchgen-cache/v3;"),
             "{}",
             canonical_key_text(&request)
         );

@@ -508,7 +508,7 @@ mod tests {
         // Simulate a colliding request: same 128-bit key, different
         // canonical text (the attack/accident the key alone cannot
         // distinguish).
-        let impostor_text = "marchgen-cache/v2;faults=TF<u>;something-else";
+        let impostor_text = "marchgen-cache/v3;faults=TF<u>;something-else";
         assert!(
             cache.lookup(key, impostor_text).is_none(),
             "colliding lookup must miss"
@@ -547,7 +547,7 @@ mod tests {
     }
 
     /// A disk directory populated by the previous release (entries
-    /// keyed under schema v1) serves clean misses — and the probe
+    /// keyed under schema v2) serves clean misses — and the probe
     /// counts each one as `key_schema_stale`, so the recompute storm a
     /// schema bump causes is distinguishable from a cold cache.
     #[test]
@@ -561,21 +561,21 @@ mod tests {
         let outcome = generate(&request).unwrap();
         {
             // Simulate the previous release: its entry sits under the
-            // v1 key, with v1 canonical text.
+            // v2 key, with v2 canonical text.
             let cache = OutcomeCache::new(64).with_disk(&dir).unwrap();
-            let old_text = canonical_key_text(&request).replacen("/v2;", "/v1;", 1);
+            let old_text = canonical_key_text(&request).replacen("/v3;", "/v2;", 1);
             cache.insert(previous_schema_key(&request), &old_text, &outcome);
         }
         let cache = OutcomeCache::new(64).with_disk(&dir).unwrap();
         let replayed = cache.get_or_compute(&request, generate).unwrap();
-        assert!(!replayed.diagnostics.cache_hit, "v1 entry must not serve");
+        assert!(!replayed.diagnostics.cache_hit, "v2 entry must not serve");
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.key_schema_stale, 1);
         // A genuinely cold request does not count as schema-stale.
         let _ = cache.get_or_compute(&req("SOF"), generate).unwrap();
         assert_eq!(cache.stats().key_schema_stale, 1);
-        // Once recomputed under v2, the request hits normally again.
+        // Once recomputed under v3, the request hits normally again.
         assert!(
             cache
                 .get_or_compute(&request, generate)

@@ -868,6 +868,33 @@ mod tests {
         }
     }
 
+    /// A one-cell memory hosts no pair fault, so a pair-fault list is not
+    /// verified there: the outcome is the best candidate, unverified and
+    /// uncompacted, on both backends. A single-cell list still verifies.
+    #[test]
+    fn pair_faults_on_one_cell_are_not_verified() {
+        for faults in ["CFin", "CFid", "CFst", "LCF"] {
+            for choice in [VerifierChoice::Auto, VerifierChoice::Scalar] {
+                let request = GenerateRequest::from_fault_list(faults)
+                    .unwrap()
+                    .with_verify_cells(1)
+                    .with_verifier(choice);
+                let out = generate(&request).unwrap();
+                assert!(!out.verified, "{faults} with {choice}");
+                assert!(out.test.complexity() > 0, "{faults} with {choice}");
+                let report = out.report.expect("verification ran");
+                assert!(report.models.iter().all(|m| m.total_sites == 0));
+                assert_eq!(out.non_redundant, None);
+            }
+        }
+        let saf = GenerateRequest::from_fault_list("SAF")
+            .unwrap()
+            .with_verify_cells(1);
+        let out = generate(&saf).unwrap();
+        assert!(out.verified, "{:?}", out.report);
+        assert_eq!(out.test.complexity(), 4, "{}", out.test);
+    }
+
     #[test]
     fn unverified_mode_still_returns_a_candidate() {
         let request = GenerateRequest::from_fault_list("SAF")

@@ -19,17 +19,19 @@ pub struct ModelCoverage {
 }
 
 impl ModelCoverage {
-    /// `true` when every instance is caught.
+    /// `true` when every instance is caught. A model with no instance on
+    /// the swept memory (a pair fault on one cell) is not covered: there
+    /// was nothing to detect it on.
     #[must_use]
     pub fn complete(&self) -> bool {
-        self.detected_sites == self.total_sites
+        self.total_sites > 0 && self.detected_sites == self.total_sites
     }
 
-    /// Detected fraction in percent.
+    /// Detected fraction in percent; 0 for a model with no instance.
     #[must_use]
     pub fn percent(&self) -> f64 {
         if self.total_sites == 0 {
-            100.0
+            0.0
         } else {
             100.0 * self.detected_sites as f64 / self.total_sites as f64
         }
@@ -195,5 +197,20 @@ mod tests {
         let down = &report.models[1];
         assert!(!down.escapes.is_empty());
         assert!(down.percent() < 100.0);
+    }
+
+    /// A pair fault has no instance on one cell: nothing detects it, so
+    /// the model is not covered, whatever the test.
+    #[test]
+    fn a_model_without_instances_is_not_covered() {
+        let models = parse_fault_list("SAF, CFin").unwrap();
+        let report = coverage_report(&known::march_c_minus(), &models, 1);
+        assert!(report.models[0].complete());
+        let cfin = &report.models[2];
+        assert_eq!(cfin.total_sites, 0);
+        assert!(!cfin.complete());
+        assert_eq!(cfin.percent(), 0.0);
+        assert!(!report.complete());
+        assert!(!covers_all(&known::march_c_minus(), &models, 1));
     }
 }

@@ -42,14 +42,17 @@ pub fn single_deletions(test: &MarchTest) -> Vec<(usize, MarchTest)> {
     out
 }
 
-/// The fault sites of every listed model, enumerated once — hoisting
-/// this out of the per-candidate loop is what keeps the deletion sweeps
-/// allocation-free on the hot path.
-fn all_sites(models: &[FaultModel], n: usize) -> Vec<FaultSite> {
-    models
-        .iter()
-        .flat_map(|&m| FaultSite::enumerate(m, n))
-        .collect()
+/// The scalar coverage oracle over the fault sites of every listed
+/// model, enumerated once — hoisting this out of the per-candidate loop
+/// is what keeps the deletion sweeps allocation-free on the hot path. A
+/// model with no site on `n` cells is never covered, as in
+/// [`ModelCoverage::complete`](crate::coverage::ModelCoverage::complete).
+fn scalar_oracle(models: &[FaultModel], n: usize) -> impl Fn(&MarchTest) -> bool {
+    let site_lists: Vec<Vec<FaultSite>> =
+        models.iter().map(|&m| FaultSite::enumerate(m, n)).collect();
+    let hosted = site_lists.iter().all(|sites| !sites.is_empty());
+    let sites: Vec<FaultSite> = site_lists.into_iter().flatten().collect();
+    move |cand| hosted && sites.iter().all(|s| detects(cand, s, n))
 }
 
 /// [`redundant_ops`] with a caller-provided coverage oracle.
@@ -66,8 +69,7 @@ pub fn redundant_ops_with(test: &MarchTest, covers: &dyn Fn(&MarchTest) -> bool)
 /// — an empty result is the non-redundancy verdict.
 #[must_use]
 pub fn redundant_ops(test: &MarchTest, models: &[FaultModel], n: usize) -> Vec<usize> {
-    let sites = all_sites(models, n);
-    redundant_ops_with(test, &|cand| sites.iter().all(|s| detects(cand, s, n)))
+    redundant_ops_with(test, &scalar_oracle(models, n))
 }
 
 /// [`is_non_redundant`] with a caller-provided coverage oracle.
@@ -116,8 +118,7 @@ pub fn compact_with<'a>(
 /// otherwise.
 #[must_use]
 pub fn compact<'a>(test: &'a MarchTest, models: &[FaultModel], n: usize) -> Cow<'a, MarchTest> {
-    let sites = all_sites(models, n);
-    compact_with(test, &|cand| sites.iter().all(|s| detects(cand, s, n)))
+    compact_with(test, &scalar_oracle(models, n))
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //!   threads and reports per-shard timings.
 
 use crate::coverage::{coverage_report, CoverageReport};
-use crate::engine::FaultSite;
 use crate::pool::run_indexed;
 use crate::{redundancy, widesim};
 use marchgen_faults::FaultModel;
@@ -193,18 +192,13 @@ impl Verifier for WideSimVerifier {
 
     fn verify_sharded(&self, test: &MarchTest, models: &[FaultModel], workers: usize) -> VerifyRun {
         let n = self.cells;
-        let site_lists: Vec<Vec<FaultSite>> =
-            models.iter().map(|&m| FaultSite::enumerate(m, n)).collect();
-        let plan = widesim::shard_plan(models, n);
+        let site_lists = widesim::enumerate_sites(models, n);
+        let plan = widesim::plan_shards(&site_lists, n);
         let results = run_indexed(plan.len(), workers, |k| {
             let shard = &plan[k];
+            let (model, sites) = &site_lists[shard.model_index];
             let start = Instant::now();
-            let verdicts = widesim::site_verdicts(
-                test,
-                models[shard.model_index],
-                n,
-                &site_lists[shard.model_index][shard.sites.clone()],
-            );
+            let verdicts = widesim::site_verdicts(test, *model, n, &sites[shard.sites.clone()]);
             (verdicts, elapsed_micros(start))
         });
         // Shards of one model are contiguous ascending site ranges, so
@@ -217,10 +211,10 @@ impl Verifier for WideSimVerifier {
             shard_micros.push(micros);
         }
         let report = CoverageReport {
-            models: models
+            models: site_lists
                 .iter()
-                .enumerate()
-                .map(|(i, &m)| widesim::coverage_from_verdicts(m, &site_lists[i], &per_model[i]))
+                .zip(&per_model)
+                .map(|((m, sites), verdicts)| widesim::coverage_from_verdicts(*m, sites, verdicts))
                 .collect(),
             memory_size: n,
         };
@@ -272,6 +266,25 @@ mod tests {
             scalar.is_non_redundant(&test, &models)
         );
         assert_eq!(wide.name(), "widesim");
+    }
+
+    /// On one cell a pair fault has no site: both backends report it
+    /// uncovered, keep the test whole and agree on redundancy.
+    #[test]
+    fn backends_agree_on_a_memory_that_hosts_no_pair() {
+        let models = parse_fault_list("SAF, CFin").unwrap();
+        let test = known::march_c_minus();
+        let scalar = SimVerifier::new(1);
+        let wide = WideSimVerifier::new(1);
+        let report = scalar.verify(&test, &models);
+        assert!(!report.complete());
+        assert_eq!(wide.verify(&test, &models), report);
+        assert_eq!(wide.verify_sharded(&test, &models, 2).report, report);
+        assert!(!crate::widesim::covers_all(&test, &models, 1));
+        assert!(matches!(scalar.compact(&test, &models), Cow::Borrowed(_)));
+        assert!(matches!(wide.compact(&test, &models), Cow::Borrowed(_)));
+        assert!(scalar.is_non_redundant(&test, &models));
+        assert!(wide.is_non_redundant(&test, &models));
     }
 
     #[test]

@@ -22,8 +22,17 @@
 //! per-lane data, so `⇕` resolution vectors stay an outer loop.
 //!
 //! Lanes are enumerated site-major, then power-up pattern, then latch
-//! value — the scalar engine's scenario order. Fault semantics are a
-//! generic interpretation of the model's [`FaultBehavior`] rule table
+//! value — the scalar engine's scenario order. A lane is a few bits, not
+//! a power-up image: its site, the background every other cell powers
+//! up to, the values of the site's own cells, and the latch. A batch
+//! writes those bits straight into the lane words, so a sweep allocates
+//! nothing per lane, and the scalar engine's duplicate rule is kept by
+//! construction: a site that spans every cell gets no background-1
+//! patterns. The model's [`FaultBehavior`] is lowered once per sweep and
+//! shared by every batch of it; lane counts and the shard plan are
+//! arithmetic (patterns per site × latch values).
+//!
+//! Fault semantics are a generic interpretation of that rule table
 //! with **no per-variant matches** (the `fault-layer-lint` CI job keeps
 //! it that way). A site is **detected** only when every one of its lanes
 //! mismatches under every resolution vector — the guaranteed-detection
@@ -48,7 +57,7 @@
 //! byte-identical at any parallelism.
 
 use crate::coverage::{CoverageReport, ModelCoverage};
-use crate::engine::{latch_values, power_up_patterns, resolution_vectors, FaultSite};
+use crate::engine::{resolution_vectors, FaultSite};
 use crate::memory::SiteCells;
 use marchgen_faults::{
     lowering, FaultBehavior, FaultModel, ReadOutput, Role, StoreEffect, WriteEffect,
@@ -60,32 +69,82 @@ use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, N
 /// Target scenario lanes per verification shard: one full-width block.
 const SHARD_LANES: usize = 64 * 8;
 
-/// One scenario lane: which site it simulates and its power-up state.
-#[derive(Debug, Clone)]
+/// One scenario lane: what the scenario varies, and nothing more. Its
+/// power-up image is `background` in every cell outside the site and
+/// `site_bits` in the site's own cells; [`WideBatch::new`] packs it
+/// straight into the lane words.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     /// Index into the site list the sweep runs over.
     pub(crate) site_index: usize,
     /// Site placement (drives the address masks).
     pub(crate) cells: SiteCells,
-    /// Power-up pattern of the whole array.
-    pub(crate) pattern: Vec<Bit>,
+    /// Power-up value of every cell outside the site.
+    pub(crate) background: Bit,
+    /// Power-up values of the site's cells: bit `k` is the `k`-th of
+    /// [`SiteCells::addresses`] (the aggressor is bit 0).
+    pub(crate) site_bits: u8,
     /// Sense-amplifier latch power-up value.
     pub(crate) latch: Bit,
 }
 
+/// Cells a site occupies: 1, or 2 for a pair.
+fn site_width(cells: SiteCells) -> usize {
+    match cells {
+        SiteCells::Single(_) => 1,
+        SiteCells::Pair { .. } => 2,
+    }
+}
+
+/// The power-up backgrounds of a site of `width` cells on an `n`-cell
+/// memory, in [`power_up_patterns`](crate::engine::power_up_patterns)
+/// order. A site that spans every cell (a pair at n = 2, a single cell
+/// at n = 1) has no background-1 group: its patterns would repeat the
+/// background-0 ones.
+fn backgrounds(width: usize, n: usize) -> &'static [Bit] {
+    if width < n {
+        &Bit::ALL
+    } else {
+        &Bit::ALL[..1]
+    }
+}
+
+/// The latch power-up values a behaviour's scenarios take, as
+/// [`latch_values`](crate::engine::latch_values) gives them: both when
+/// it reads the latch, else 0.
+fn latches(behavior: &FaultBehavior) -> &'static [Bit] {
+    if behavior.uses_latch {
+        &Bit::ALL
+    } else {
+        &Bit::ALL[..1]
+    }
+}
+
+/// Scenario lanes per site of `model` on an `n`-cell memory: power-up
+/// patterns × latch values, counted without materializing either.
+fn site_lanes(model: FaultModel, n: usize) -> usize {
+    let width = if model.is_pair_fault() { 2 } else { 1 };
+    (backgrounds(width, n).len() << width) * latches(&lowering::behavior(model)).len()
+}
+
 /// Every scenario lane of a site sweep, in the scalar engine's
-/// enumeration order (site-major, then pattern, then latch).
-pub(crate) fn lanes_for(sites: &[FaultSite], n: usize) -> Vec<Lane> {
+/// enumeration order: site-major, then power-up pattern (background,
+/// then the site's cells counting up from all-0), then latch value.
+pub(crate) fn lanes_for(sites: &[FaultSite], n: usize, behavior: &FaultBehavior) -> Vec<Lane> {
     let mut lanes = Vec::new();
     for (site_index, site) in sites.iter().enumerate() {
-        for pattern in power_up_patterns(site, n) {
-            for &latch in latch_values(site) {
-                lanes.push(Lane {
-                    site_index,
-                    cells: site.cells,
-                    pattern: pattern.clone(),
-                    latch,
-                });
+        let width = site_width(site.cells);
+        for &background in backgrounds(width, n) {
+            for site_bits in 0..1u8 << width {
+                for &latch in latches(behavior) {
+                    lanes.push(Lane {
+                        site_index,
+                        cells: site.cells,
+                        background,
+                        site_bits,
+                        latch,
+                    });
+                }
             }
         }
     }
@@ -128,6 +187,15 @@ impl<const W: usize> LaneWord<W> {
 
     fn set(&mut self, lane: usize) {
         self.0[lane / 64] |= 1u64 << (lane % 64);
+    }
+
+    /// Sets or clears one lane.
+    fn put(&mut self, lane: usize, bit: Bit) {
+        let mask = 1u64 << (lane % 64);
+        match bit {
+            Bit::Zero => self.0[lane / 64] &= !mask,
+            Bit::One => self.0[lane / 64] |= mask,
+        }
     }
 
     fn get(self, lane: usize) -> bool {
@@ -201,14 +269,39 @@ impl<const W: usize> BitXorAssign for LaneWord<W> {
     }
 }
 
+/// The packed power-up image of `lanes` (at most `W × 64`) on an
+/// `n`-cell memory, before any fault acts on it: one lane word per
+/// address, and the latch word.
+fn power_up_words<const W: usize>(lanes: &[Lane], n: usize) -> (Vec<LaneWord<W>>, LaneWord<W>) {
+    let mut background = LaneWord::<W>::ZERO;
+    let mut latch = LaneWord::<W>::ZERO;
+    for (l, lane) in lanes.iter().enumerate() {
+        background.put(l, lane.background);
+        latch.put(l, lane.latch);
+    }
+    let mut words = vec![background; n];
+    for (l, lane) in lanes.iter().enumerate() {
+        let bit = |k: u8| Bit::from((lane.site_bits >> k) & 1 != 0);
+        match lane.cells {
+            SiteCells::Single(c) => words[c].put(l, bit(0)),
+            SiteCells::Pair { aggressor, victim } => {
+                words[aggressor].put(l, bit(0));
+                words[victim].put(l, bit(1));
+            }
+        }
+    }
+    (words, latch)
+}
+
 /// A packed batch of up to `W × 64` scenario lanes sharing one fault
 /// model. Like the scalar `FaultyMemory`, the batch is a generic
 /// interpreter over the model's [`FaultBehavior`] rule table: fault
 /// semantics are lane-word formulas derived from the rules, with no
 /// per-variant matches.
-struct WideBatch<const W: usize> {
+struct WideBatch<'b, const W: usize> {
     n: usize,
-    behavior: FaultBehavior,
+    /// The model's rule table, lowered once per sweep.
+    behavior: &'b FaultBehavior,
     /// Post-power-up packed contents, restored on every [`Self::reset`].
     init: Vec<LaneWord<W>>,
     latch_init: LaneWord<W>,
@@ -233,15 +326,15 @@ struct WideBatch<const W: usize> {
     mismatch: LaneWord<W>,
 }
 
-impl<const W: usize> WideBatch<W> {
-    /// Packs `lanes` (at most `W × 64`) into one batch.
-    fn new(model: FaultModel, n: usize, lanes: &[Lane]) -> WideBatch<W> {
+impl<'b, const W: usize> WideBatch<'b, W> {
+    /// Packs `lanes` (at most `W × 64`) of the model whose rule table is
+    /// `behavior` into one batch.
+    fn new(behavior: &'b FaultBehavior, n: usize, lanes: &[Lane]) -> WideBatch<'b, W> {
         assert!(lanes.len() <= 64 * W, "a batch holds at most 64·W lanes");
         let mut single_mask = vec![LaneWord::<W>::ZERO; n];
         let mut aggr_mask = vec![LaneWord::<W>::ZERO; n];
         let mut victims_of: Vec<Vec<(usize, LaneWord<W>)>> = vec![Vec::new(); n];
-        let mut init = vec![LaneWord::<W>::ZERO; n];
-        let mut latch_init = LaneWord::<W>::ZERO;
+        let (init, latch_init) = power_up_words::<W>(lanes, n);
         for (l, lane) in lanes.iter().enumerate() {
             match lane.cells {
                 SiteCells::Single(c) => single_mask[c].set(l),
@@ -256,14 +349,6 @@ impl<const W: usize> WideBatch<W> {
                         }
                     }
                 }
-            }
-            for (addr, &value) in lane.pattern.iter().enumerate() {
-                if value == Bit::One {
-                    init[addr].set(l);
-                }
-            }
-            if lane.latch == Bit::One {
-                latch_init.set(l);
             }
         }
         let aggr_groups: Vec<(usize, LaneWord<W>)> = aggr_mask
@@ -283,7 +368,7 @@ impl<const W: usize> WideBatch<W> {
         }
         let mut batch = WideBatch {
             n,
-            behavior: lowering::behavior(model),
+            behavior,
             init,
             latch_init,
             single_mask,
@@ -546,7 +631,7 @@ impl<const W: usize> WideBatch<W> {
 /// "every site detected" remains meaningful then.
 fn sweep_lanes<const W: usize>(
     test: &MarchTest,
-    model: FaultModel,
+    behavior: &FaultBehavior,
     n: usize,
     site_count: usize,
     lanes: &[Lane],
@@ -556,7 +641,7 @@ fn sweep_lanes<const W: usize>(
     let mut detected = vec![true; site_count];
     for chunk in lanes.chunks(64 * W) {
         let full = LaneWord::<W>::first_n(chunk.len());
-        let mut batch = WideBatch::<W>::new(model, n, chunk);
+        let mut batch = WideBatch::<W>::new(behavior, n, chunk);
         let mut all = full;
         for resolution in &resolutions {
             all &= batch.run(test, resolution);
@@ -615,11 +700,13 @@ fn sweep(
     sites: &[FaultSite],
     early_exit: bool,
 ) -> Vec<bool> {
-    let lanes = lanes_for(sites, n);
+    let behavior = lowering::behavior(model);
+    let lanes = lanes_for(sites, n, &behavior);
+    let count = sites.len();
     match width_for(lanes.len()) {
-        2 => sweep_lanes::<2>(test, model, n, sites.len(), &lanes, early_exit),
-        4 => sweep_lanes::<4>(test, model, n, sites.len(), &lanes, early_exit),
-        _ => sweep_lanes::<8>(test, model, n, sites.len(), &lanes, early_exit),
+        2 => sweep_lanes::<2>(test, &behavior, n, count, &lanes, early_exit),
+        4 => sweep_lanes::<4>(test, &behavior, n, count, &lanes, early_exit),
+        _ => sweep_lanes::<8>(test, &behavior, n, count, &lanes, early_exit),
     }
 }
 
@@ -642,8 +729,9 @@ pub fn model_coverage_w<const W: usize>(
     n: usize,
 ) -> ModelCoverage {
     let sites = FaultSite::enumerate(model, n);
-    let lanes = lanes_for(&sites, n);
-    let detected = sweep_lanes::<W>(test, model, n, sites.len(), &lanes, false);
+    let behavior = lowering::behavior(model);
+    let lanes = lanes_for(&sites, n, &behavior);
+    let detected = sweep_lanes::<W>(test, &behavior, n, sites.len(), &lanes, false);
     coverage_from_verdicts(model, &sites, &detected)
 }
 
@@ -714,16 +802,17 @@ pub fn enumerate_sites(models: &[FaultModel], n: usize) -> Vec<(FaultModel, Vec<
 }
 
 /// [`covers_all`] over pre-enumerated site lists (see
-/// [`enumerate_sites`]).
+/// [`enumerate_sites`]). A model with no site on `n` cells is not
+/// covered, as in [`ModelCoverage::complete`].
 #[must_use]
 pub fn covers_all_sites(
     test: &MarchTest,
     site_lists: &[(FaultModel, Vec<FaultSite>)],
     n: usize,
 ) -> bool {
-    site_lists
-        .iter()
-        .all(|(model, sites)| sweep(test, *model, n, sites, true).iter().all(|&ok| ok))
+    site_lists.iter().all(|(model, sites)| {
+        !sites.is_empty() && sweep(test, *model, n, sites, true).iter().all(|&ok| ok)
+    })
 }
 
 /// Per-resolution, per-lane mismatch verdicts at width `W`: `out[r][l]`
@@ -742,12 +831,13 @@ pub fn lane_mismatches_w<const W: usize>(
     n: usize,
 ) -> Vec<Vec<bool>> {
     let sites = FaultSite::enumerate(model, n);
-    let lanes = lanes_for(&sites, n);
+    let behavior = lowering::behavior(model);
+    let lanes = lanes_for(&sites, n, &behavior);
     let resolutions = resolution_vectors(test);
     let mut out = vec![vec![false; lanes.len()]; resolutions.len()];
     let mut base = 0usize;
     for chunk in lanes.chunks(64 * W) {
-        let mut batch = WideBatch::<W>::new(model, n, chunk);
+        let mut batch = WideBatch::<W>::new(&behavior, n, chunk);
         for (ri, resolution) in resolutions.iter().enumerate() {
             let mismatch = batch.run(test, resolution);
             for l in 0..chunk.len() {
@@ -760,14 +850,12 @@ pub fn lane_mismatches_w<const W: usize>(
 }
 
 /// Scenario lanes one instance sweep of `model` enumerates on an
-/// `n`-cell memory (sites × power-up patterns × latch values) — counted
-/// without materializing the lanes.
+/// `n`-cell memory: sites × power-up patterns × latch values, where
+/// every site of a model has the same patterns-per-site count, so the
+/// lanes are counted without materializing them or a single pattern.
 #[must_use]
 pub fn model_lanes(model: FaultModel, n: usize) -> usize {
-    FaultSite::enumerate(model, n)
-        .iter()
-        .map(|site| power_up_patterns(site, n).len() * latch_values(site).len())
-        .sum()
+    FaultSite::enumerate(model, n).len() * site_lanes(model, n)
 }
 
 /// The largest per-model scenario lane count across `models` — the
@@ -798,28 +886,31 @@ pub struct VerifyShard {
 /// the unsharded sweep exactly.
 #[must_use]
 pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
+    plan_shards(&enumerate_sites(models, n), n)
+}
+
+/// [`shard_plan`] over pre-enumerated site lists (see
+/// [`enumerate_sites`]). Every site of a model has the same lane count,
+/// so each shard takes as many sites as fit one block (at least one),
+/// and a model with no sites still gets one empty shard.
+pub(crate) fn plan_shards(
+    site_lists: &[(FaultModel, Vec<FaultSite>)],
+    n: usize,
+) -> Vec<VerifyShard> {
     let mut plan = Vec::new();
-    for (model_index, &model) in models.iter().enumerate() {
-        let sites = FaultSite::enumerate(model, n);
-        let mut lo = 0usize;
-        let mut lanes = 0usize;
-        for (k, site) in sites.iter().enumerate() {
-            let site_lanes = power_up_patterns(site, n).len() * latch_values(site).len();
-            if lanes + site_lanes > SHARD_LANES && lanes > 0 {
-                plan.push(VerifyShard {
-                    model_index,
-                    sites: lo..k,
-                });
-                lo = k;
-                lanes = 0;
-            }
-            lanes += site_lanes;
-        }
-        if lo < sites.len() || sites.is_empty() {
+    for (model_index, (model, sites)) in site_lists.iter().enumerate() {
+        let per_shard = (SHARD_LANES / site_lanes(*model, n)).max(1);
+        let mut lo = 0;
+        loop {
+            let hi = (lo + per_shard).min(sites.len());
             plan.push(VerifyShard {
                 model_index,
-                sites: lo..sites.len(),
+                sites: lo..hi,
             });
+            lo = hi;
+            if lo == sites.len() {
+                break;
+            }
         }
     }
     plan
@@ -829,6 +920,7 @@ pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
 mod tests {
     use super::*;
     use crate::coverage;
+    use crate::engine::{latch_values, power_up_patterns};
     use marchgen_faults::parse_fault_list;
     use marchgen_march::known;
     use marchgen_testkit::run_cases;
@@ -850,6 +942,9 @@ mod tests {
         let mut set = LaneWord::<8>::ZERO;
         set.set(300);
         assert!(set.get(300));
+        set.put(301, Bit::One);
+        set.put(300, Bit::Zero);
+        assert!(!set.get(300) && set.get(301));
         assert!(!(set & !set).get(300));
         assert!((set | !set) == LaneWord::<8>::ONES);
     }
@@ -864,19 +959,50 @@ mod tests {
         assert_eq!(width_for(448), 8);
     }
 
+    /// The scalar engine's scenarios of a site sweep, in its order:
+    /// (site index, power-up pattern, latch value).
+    fn scalar_scenarios(sites: &[FaultSite], n: usize) -> Vec<(usize, Vec<Bit>, Bit)> {
+        let mut out = Vec::new();
+        for (site_index, site) in sites.iter().enumerate() {
+            for pattern in power_up_patterns(site, n) {
+                for &latch in latch_values(site) {
+                    out.push((site_index, pattern.clone(), latch));
+                }
+            }
+        }
+        out
+    }
+
+    /// Lane `k` is the `k`-th scalar scenario: same site, the same
+    /// power-up image read back from the packed words cell by cell, and
+    /// the same latch — including where a site spans every cell and its
+    /// background-1 patterns are duplicates (n = 1, and pairs at n = 2).
     #[test]
     fn lane_enumeration_matches_scalar_scenario_order() {
-        let model = FaultModel::CouplingIdempotent(marchgen_faults::TransitionDir::Up, Bit::One);
-        let sites = FaultSite::enumerate(model, 4);
-        let lanes = lanes_for(&sites, 4);
-        // site-major: lanes of site k all precede lanes of site k+1.
-        let mut last = 0usize;
-        for lane in &lanes {
-            assert!(lane.site_index >= last);
-            last = lane.site_index;
+        for n in [1usize, 2, 3, 4, 8] {
+            for model in FaultModel::all_extended() {
+                let sites = FaultSite::enumerate(model, n);
+                let lanes = lanes_for(&sites, n, &lowering::behavior(model));
+                let scenarios = scalar_scenarios(&sites, n);
+                assert_eq!(lanes.len(), scenarios.len(), "{model} at n={n}");
+                for (chunk, expected) in lanes.chunks(512).zip(scenarios.chunks(512)) {
+                    let (words, latch) = power_up_words::<8>(chunk, n);
+                    for (l, (lane, (site_index, pattern, latch_value))) in
+                        chunk.iter().zip(expected).enumerate()
+                    {
+                        let image: Vec<Bit> = words.iter().map(|w| Bit::from(w.get(l))).collect();
+                        assert_eq!(lane.site_index, *site_index, "{model} at n={n}, lane {l}");
+                        assert_eq!(lane.cells, sites[*site_index].cells, "{model} at n={n}");
+                        assert_eq!(&image, pattern, "{model} at n={n}, lane {l}");
+                        assert_eq!(
+                            Bit::from(latch.get(l)),
+                            *latch_value,
+                            "{model} at n={n}, lane {l}"
+                        );
+                    }
+                }
+            }
         }
-        let per_site: usize = power_up_patterns(&sites[0], 4).len();
-        assert_eq!(lanes.len(), sites.len() * per_site);
     }
 
     #[test]
@@ -940,8 +1066,9 @@ mod tests {
             // A random contiguous site group, as the shard planner cuts.
             let lo = rng.range(0, sites.len());
             let hi = rng.range(lo + 1, sites.len() + 1);
-            let lanes = lanes_for(&sites[lo..hi], n);
-            let batch = WideBatch::<4>::new(model, n, &lanes);
+            let behavior = lowering::behavior(model);
+            let lanes = lanes_for(&sites[lo..hi], n, &behavior);
+            let batch = WideBatch::<4>::new(&behavior, n, &lanes);
             let full = LaneWord::<4>::first_n(lanes.len());
             let mut union = LaneWord::<4>::ZERO;
             for addr in 0..n {
@@ -997,9 +1124,10 @@ mod tests {
             let model = *rng.pick(&catalog);
             let sites = FaultSite::enumerate(model, n);
             let take = rng.range(1, sites.len() + 1);
-            let lanes = lanes_for(&sites[..take], n);
+            let behavior = lowering::behavior(model);
+            let lanes = lanes_for(&sites[..take], n, &behavior);
             let full = LaneWord::<8>::first_n(lanes.len());
-            let mut batch = WideBatch::<8>::new(model, n, &lanes);
+            let mut batch = WideBatch::<8>::new(&behavior, n, &lanes);
             let test = known::march_c_minus();
             for resolution in resolution_vectors(&test) {
                 let mismatch = batch.run(&test, &resolution);
@@ -1057,16 +1185,41 @@ mod tests {
         }
     }
 
+    /// The arithmetic lane counts against the scalar materialization:
+    /// `model_lanes` is the number of scalar scenarios, and `shard_plan`
+    /// is the greedy cut of the scalar per-site counts into blocks (n = 12
+    /// adds models that take several shards).
     #[test]
     fn lane_counts_match_materialized_enumeration() {
-        for n in [2usize, 4, 8] {
+        for n in [1usize, 2, 3, 4, 8, 12] {
             for model in FaultModel::all_extended() {
                 let sites = FaultSite::enumerate(model, n);
+                let per_site: Vec<usize> = sites
+                    .iter()
+                    .map(|s| power_up_patterns(s, n).len() * latch_values(s).len())
+                    .collect();
                 assert_eq!(
                     model_lanes(model, n),
-                    lanes_for(&sites, n).len(),
+                    per_site.iter().sum::<usize>(),
                     "{model} at n={n}"
                 );
+                let mut expected = Vec::new();
+                let (mut lo, mut lanes) = (0, 0);
+                for (k, &count) in per_site.iter().enumerate() {
+                    if lanes + count > SHARD_LANES && lanes > 0 {
+                        expected.push(VerifyShard {
+                            model_index: 0,
+                            sites: lo..k,
+                        });
+                        (lo, lanes) = (k, 0);
+                    }
+                    lanes += count;
+                }
+                expected.push(VerifyShard {
+                    model_index: 0,
+                    sites: lo..sites.len(),
+                });
+                assert_eq!(shard_plan(&[model], n), expected, "{model} at n={n}");
             }
         }
     }
