@@ -15,8 +15,10 @@
 //! exits non-zero if the packed verifier is slower than twice the scalar
 //! time on any pair-fault workload (2x noise margin over the ~10x
 //! measured advantage), if the two backends ever disagree on a coverage
-//! report, or if the local-search solver misses the exact optimum on an
-//! exact-range instance.
+//! report, if the local-search solver misses the exact optimum on an
+//! exact-range instance, or if the Table 3 `SAF` request verifies more
+//! than 3x slower at the default `search_threads: 0` than pinned to one
+//! thread (median over [`SAF_THREAD_RUNS`] runs each).
 //!
 //! ```sh
 //! cargo run --release -p marchgen-bench --bin repro -- --perf-json BENCH_pr10.json
@@ -248,13 +250,56 @@ fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
     ok
 }
 
+/// Runs of the Table 3 `SAF` request per thread setting in
+/// [`saf_thread_rows`].
+const SAF_THREAD_RUNS: usize = 101;
+
+/// The unpinned `SAF` row against the pinned one: the Table 3 `SAF`
+/// request [`SAF_THREAD_RUNS`] times at `search_threads` 0 and at 1,
+/// alternating, and the median `verify_micros` of each. Every coverage
+/// sweep runs on the calling thread whatever `search_threads` says, so
+/// the gate fails when the unpinned median exceeds 3x the pinned one
+/// (the margin absorbs shared-runner noise on a sweep of ~15 µs).
+fn saf_thread_rows(rows: &mut Vec<Json>) -> bool {
+    println!("== perf smoke: SAF verify µs, unpinned vs pinned ============");
+    let models = row_models(&TABLE3[0]);
+    let mut runs: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..SAF_THREAD_RUNS {
+        for (threads, micros) in runs.iter_mut().enumerate() {
+            let request = GenerateRequest::new(models.clone()).with_search_threads(threads);
+            let out = generate(&request).expect("the SAF row generates");
+            micros.push(out.diagnostics.verify_micros);
+        }
+    }
+    let [unpinned, pinned] = runs.map(|mut micros| {
+        micros.sort_unstable();
+        micros[micros.len() / 2]
+    });
+    let ok = unpinned <= pinned.max(1).saturating_mul(3);
+    println!(
+        "  {:<22} search_threads 0 {unpinned:>6} µs | 1 {pinned:>6} µs (median of {SAF_THREAD_RUNS})",
+        TABLE3[0].label
+    );
+    for (threads, median) in [(0usize, unpinned), (1, pinned)] {
+        rows.push(Json::object([
+            ("label", Json::from(TABLE3[0].label)),
+            ("search_threads", Json::from(threads)),
+            ("runs", Json::from(SAF_THREAD_RUNS)),
+            ("median_verify_micros", Json::from(median)),
+        ]));
+    }
+    ok
+}
+
 /// The offline perf smoke: per-phase pipeline timings on the Table 3
-/// workloads under both verification backends, verify-phase
-/// microbenchmarks (including the pair-fault CFin+CFid+CFst sweep at 8
-/// cells), and the per-solver cost/latency sweeps. Writes the record to
-/// `path`; non-zero exit when the packed backend exceeds twice the
-/// scalar time on a pair-fault workload (2x noise margin), the
-/// verification backends disagree, or a solver misses its cost gate.
+/// workloads under both verification backends, the `SAF` request
+/// unpinned against pinned, verify-phase microbenchmarks (including the
+/// pair-fault CFin+CFid+CFst sweep at 8 cells), and the per-solver
+/// cost/latency sweeps. Writes the record to `path`; non-zero exit when
+/// the packed backend exceeds twice the scalar time on a pair-fault
+/// workload (2x noise margin), the verification backends disagree, the
+/// unpinned `SAF` median verify time exceeds 3x the pinned one, or a
+/// solver misses its cost gate.
 fn perf_smoke(path: &str) -> ExitCode {
     let mut ok = true;
 
@@ -303,6 +348,9 @@ fn perf_smoke(path: &str) -> ExitCode {
             ]));
         }
     }
+
+    let mut thread_rows = Vec::new();
+    ok &= saf_thread_rows(&mut thread_rows);
 
     println!("== perf smoke: verify-phase sweeps, scalar vs wide ==========");
     let mut verify_rows = Vec::new();
@@ -354,6 +402,7 @@ fn perf_smoke(path: &str) -> ExitCode {
     let doc = Json::object([
         ("schema", Json::from("marchgen-bench/5")),
         ("pipeline_rows", Json::array(pipeline_rows)),
+        ("thread_rows", Json::array(thread_rows)),
         ("verify_phase", Json::array(verify_rows)),
         ("solver_phase", Json::array(solver_rows)),
         ("solver_pipeline", Json::array(solver_pipeline_rows)),
@@ -369,7 +418,8 @@ fn perf_smoke(path: &str) -> ExitCode {
     } else {
         eprintln!(
             "error: a perf gate failed — packed verify over 2x scalar on a pair-fault \
-             workload, verifier reports disagreed, or a solver missed its cost gate"
+             workload, verifier reports disagreed, unpinned SAF verify over 3x pinned, \
+             or a solver missed its cost gate"
         );
         ExitCode::FAILURE
     }

@@ -39,6 +39,7 @@ pub mod baseline;
 pub mod gts;
 mod outcome;
 mod pipeline;
+pub mod pool;
 mod request;
 pub mod schedule;
 #[cfg(feature = "serde")]

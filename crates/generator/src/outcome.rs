@@ -91,14 +91,15 @@ pub struct Diagnostics {
     /// was disabled (`verify_cells == 0`) or on documents predating the
     /// verifier diagnostics.
     pub verifier: String,
-    /// Per-shard verify times, µs: one entry per verification shard of
-    /// each coverage sweep the pipeline ran (candidate screening plus
-    /// the final or fallback re-verify), in deterministic shard-plan
-    /// order. The shard plan depends only on the fault list and memory
-    /// size, so the *length* is independent of the thread count; only
-    /// the values vary run to run. Shards run concurrently, so the sum
-    /// can exceed the wall-clock `verify_micros`. Empty on documents
-    /// predating the sharded verifier.
+    /// Per-sweep verify times, µs: one entry per coverage sweep the
+    /// pipeline ran — each screened candidate, then the final or
+    /// fallback re-verify — in the order they ran. The sweeps run on the
+    /// calling thread, so the *length* is independent of the thread
+    /// count and of the backend, and the sum is at most
+    /// `verify_micros`. Documents written before sweeps ran inline hold
+    /// one entry per shard of each sweep instead, and documents
+    /// predating the field an empty list. The field goes once
+    /// `perfbench`'s composed pipeline stops writing it.
     pub verify_shard_micros: Vec<u64>,
     /// `true` when this outcome was replayed from a content-addressed
     /// cache (`marchgen-cache`) rather than computed by the pipeline.

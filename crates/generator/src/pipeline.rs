@@ -8,12 +8,12 @@
 //! [`GenerateOutcome`].
 
 use crate::outcome::{Diagnostics, GenerateOutcome};
+use crate::pool::run_indexed;
 use crate::request::{GenerateRequest, VerifierChoice};
 use crate::schedule::{schedule_tour, Builder};
 use marchgen_atsp::{AtspSolver, SolveStats, SolverRegistry};
 use marchgen_faults::{dedupe_subsumed, requirements_for, CoverageRequirement, TestPattern};
 use marchgen_march::MarchTest;
-use marchgen_sim::pool::run_indexed;
 use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
 use marchgen_tpg::{StartPolicy, TourFamily, Tpg};
 use std::collections::BTreeMap;
@@ -127,34 +127,22 @@ pub fn generate_with(
 
     // Enumerate class combinations (paper §5: E = Π |Ci|), memoizing on
     // the post-subsumption TP set: choices that collapse to the same set
-    // solve the same ATSP. The search is sharded: the mixed-radix
-    // combination space is range-partitioned across workers for
-    // enumeration, and partitions of the unique TP sets are then planned
-    // from a shared work queue. Both passes collect results by index, so
-    // the outcome is identical for every thread count (including 1,
-    // which runs inline).
+    // solve the same ATSP. Only pass 2 runs on worker threads: its
+    // partitions of the unique TP sets are planned from a shared work
+    // queue and collected by index, so the outcome is identical for
+    // every thread count (including 1, which runs inline).
     let search_started = Instant::now();
-    let workers = search_workers(request);
     let limit = ClassCombinations::total(&requirements).min(request.max_combinations);
     diagnostics.combinations = limit;
 
-    // Pass 1: enumerate combinations and collapse them to their
-    // post-subsumption TP sets, keeping first-seen order.
+    // Pass 1, on the calling thread: enumerate combinations and collapse
+    // them to their post-subsumption TP sets, keeping first-seen order.
     let tp_sets: Vec<Vec<TestPattern>> = {
-        let shards = combination_shards(limit, workers);
-        let per_shard = run_indexed(shards.len(), workers, |s| {
-            let (lo, hi) = shards[s];
-            ClassCombinations::range(&requirements, lo, hi)
-                .map(|combo| {
-                    let mut tps = dedupe_subsumed(&combo);
-                    tps.sort();
-                    tps
-                })
-                .collect::<Vec<_>>()
-        });
         let mut seen: BTreeMap<Vec<TestPattern>, ()> = BTreeMap::new();
         let mut unique = Vec::new();
-        for tps in per_shard.into_iter().flatten() {
+        for combo in ClassCombinations::range(&requirements, 0, limit) {
+            let mut tps = dedupe_subsumed(&combo);
+            tps.sort();
             if seen.insert(tps.clone(), ()).is_none() {
                 unique.push(tps);
             }
@@ -167,10 +155,10 @@ pub fn generate_with(
     // `Candidate`). Every set is drawn from one union of TPs, so the
     // sets are planned as one `TourFamily`. Sets with the same first TP
     // and effective start policy share Held–Karp rows; each such
-    // partition is one unit of parallel work. A set's shard time runs
-    // from the end of the previous set's visit to the end of its own
-    // scheduling, so the first set of each shared table also carries
-    // the table's build.
+    // partition is one job for up to `search_threads` workers, the
+    // request's only threads. A set's shard time runs from the end of
+    // the previous set's visit to the end of its own scheduling, so the
+    // first set of each shared table also carries the table's build.
     let tpg = {
         let mut union: Vec<TestPattern> = tp_sets.iter().flatten().copied().collect();
         union.sort();
@@ -199,7 +187,7 @@ pub fn generate_with(
         partitions[p].push(k);
     }
     let union = tpg.test_patterns();
-    let mut solved = run_indexed(partitions.len(), workers, |p| {
+    let mut solved = run_indexed(partitions.len(), search_workers(request), |p| {
         let ids = &partitions[p];
         let members: Vec<Vec<usize>> = ids
             .iter()
@@ -307,16 +295,15 @@ pub fn generate_with(
         });
     };
 
-    // Every coverage sweep fans out through `verify_sharded`, reusing
-    // the search worker budget; per-shard timings accumulate in
-    // `verify_shard_micros` (shard counts are data-defined, so the
-    // vector's length is thread-count-invariant).
+    // Every coverage sweep runs on this thread and adds one timing to
+    // `verify_shard_micros`: one per screened candidate, plus the final
+    // or fallback re-verify.
     diagnostics.verifier = verifier.name().to_owned();
     let verify_started = Instant::now();
     let mut fallback: Option<(MarchTest, Vec<TestPattern>)> = None;
     for candidate in &candidates {
         let (test, tour) = materialize(candidate);
-        let run = verifier.verify_sharded(&test, &request.faults, workers);
+        let run = verifier.verify_sharded(&test, &request.faults, 1);
         diagnostics.verify_shard_micros.extend(run.shard_micros);
         if run.report.complete() {
             let final_test = if request.compact {
@@ -324,7 +311,7 @@ pub fn generate_with(
             } else {
                 test
             };
-            let run = verifier.verify_sharded(&final_test, &request.faults, workers);
+            let run = verifier.verify_sharded(&final_test, &request.faults, 1);
             diagnostics.verify_shard_micros.extend(run.shard_micros);
             let non_redundant = if request.compact || request.check_redundancy {
                 Some(verifier.is_non_redundant(&final_test, &request.faults))
@@ -348,7 +335,7 @@ pub fn generate_with(
 
     // No candidate verified — report the best one honestly.
     let (test, tour) = fallback.expect("candidates non-empty");
-    let run = verifier.verify_sharded(&test, &request.faults, workers);
+    let run = verifier.verify_sharded(&test, &request.faults, 1);
     diagnostics.verify_shard_micros.extend(run.shard_micros);
     diagnostics.verify_micros = as_micros(verify_started);
     Ok(GenerateOutcome {
@@ -420,7 +407,7 @@ fn as_micros(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Effective worker count for the in-request sharded search.
+/// Effective worker count for pass 2's partition jobs.
 fn search_workers(request: &GenerateRequest) -> usize {
     match request.search_threads {
         0 => std::thread::available_parallelism()
@@ -430,25 +417,12 @@ fn search_workers(request: &GenerateRequest) -> usize {
     }
 }
 
-/// Contiguous `[lo, hi)` index ranges covering `0..limit`, one per
-/// worker (empty trailing shards are dropped).
-fn combination_shards(limit: usize, workers: usize) -> Vec<(usize, usize)> {
-    let workers = workers.clamp(1, limit.max(1));
-    let chunk = limit.div_ceil(workers).max(1);
-    (0..workers)
-        .map(|w| ((w * chunk).min(limit), ((w + 1) * chunk).min(limit)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
 /// Iterator over the cartesian product of requirement alternatives —
 /// the paper's class combination space, `E = Π |Cᵢ|` entries.
 ///
 /// The counter is a **mixed-radix integer** (last requirement advances
 /// fastest), so any contiguous index range `[lo, hi)` of the enumeration
-/// can be produced independently via [`ClassCombinations::range`] — the
-/// primitive the sharded search uses to partition the space across
-/// worker threads without coordination.
+/// can be produced independently via [`ClassCombinations::range`].
 pub struct ClassCombinations<'a> {
     requirements: &'a [CoverageRequirement],
     indices: Vec<usize>,
@@ -477,7 +451,9 @@ impl<'a> ClassCombinations<'a> {
 
     /// The combinations with linear indices in `[lo, hi)` (clamped to
     /// the enumeration size). Concatenating adjacent ranges reproduces
-    /// the full enumeration exactly.
+    /// the full enumeration exactly. The search walks
+    /// `range(requirements, 0, max_combinations)` on the calling thread,
+    /// so a capped request takes the first combinations in this order.
     #[must_use]
     pub fn range(
         requirements: &'a [CoverageRequirement],
@@ -545,7 +521,6 @@ mod tests {
     use super::*;
     use marchgen_atsp::{AutoSolver, SolverChoice};
     use marchgen_faults::parse_fault_list;
-    use marchgen_sim::widesim;
     use marchgen_tpg::plan_tour_with;
 
     /// Generates `faults` with the default request.
@@ -585,19 +560,7 @@ mod tests {
         assert_eq!(ClassCombinations::range(&reqs, 3, 3).count(), 0);
     }
 
-    #[test]
-    fn combination_shards_cover_the_space() {
-        for (limit, workers) in [(1usize, 8usize), (10, 3), (4096, 8), (7, 1), (64, 64)] {
-            let shards = combination_shards(limit, workers);
-            assert_eq!(shards[0].0, 0);
-            assert_eq!(shards.last().unwrap().1, limit);
-            for pair in shards.windows(2) {
-                assert_eq!(pair[0].1, pair[1].0, "contiguous shards");
-            }
-        }
-    }
-
-    /// The sharded search is deterministic: 1, 2 and 8 workers produce
+    /// The search is deterministic: 1, 2 and 8 pass-2 workers produce
     /// identical outcomes (modulo wall-clock timings).
     #[test]
     fn sharded_search_is_deterministic() {
@@ -759,31 +722,42 @@ mod tests {
         }
     }
 
-    /// The resolved backend and per-shard verify timings land in the
-    /// diagnostics; inline (single-threaded) shard times sum to at most
-    /// the verify phase's wall clock.
+    /// The resolved backend and one verify timing per coverage sweep
+    /// land in the diagnostics: one per screened candidate plus the
+    /// final re-verify, at any thread count. The sweeps run on the
+    /// calling thread, so their times sum to at most the verify phase's
+    /// wall clock.
     #[test]
     fn verify_shard_diagnostics_are_recorded() {
-        let request = GenerateRequest::from_fault_list("SAF, CFin")
-            .unwrap()
-            .with_search_threads(1);
-        let out = generate(&request).unwrap();
-        let d = &out.diagnostics;
-        assert_eq!(d.verifier, "widesim");
-        assert!(!d.verify_shard_micros.is_empty());
-        // One plan's worth of shards per coverage sweep the pipeline ran.
-        let plan_len = widesim::shard_plan(&request.faults, request.verify_cells).len();
-        assert_eq!(d.verify_shard_micros.len() % plan_len, 0);
-        // Inline shards nest inside the verify phase: Σ shards ≤ wall
-        // clock (strictly concurrent runs could exceed it).
-        let total: u64 = d.verify_shard_micros.iter().sum();
-        assert!(
-            total <= d.verify_micros,
-            "Σ verify_shard_micros {total} > verify_micros {}",
-            d.verify_micros
-        );
-        // Verification disabled → no backend, no shards.
-        let off = generate(&request.with_verify_cells(0)).unwrap();
+        // The screen rejects six candidates of `ADF, CFin, DRDF` before
+        // the seventh verifies; the first `SAF, CFin` candidate verifies.
+        for (faults, sweeps) in [("ADF, CFin, DRDF", 8usize), ("SAF, CFin", 2)] {
+            for threads in [1usize, 8] {
+                let request = GenerateRequest::from_fault_list(faults)
+                    .unwrap()
+                    .with_verify_cells(4)
+                    .with_search_threads(threads);
+                let out = generate(&request).unwrap();
+                let d = &out.diagnostics;
+                let ctx = format!("{faults} at {threads} threads");
+                assert!(out.verified, "{ctx}");
+                assert_eq!(d.verifier, "widesim", "{ctx}");
+                assert_eq!(d.verify_shard_micros.len(), sweeps, "{ctx}");
+                let total: u64 = d.verify_shard_micros.iter().sum();
+                assert!(
+                    total <= d.verify_micros,
+                    "{ctx}: Σ verify_shard_micros {total} > verify_micros {}",
+                    d.verify_micros
+                );
+            }
+        }
+        // Verification disabled → no backend, no timings.
+        let off = generate(
+            &GenerateRequest::from_fault_list("SAF, CFin")
+                .unwrap()
+                .with_verify_cells(0),
+        )
+        .unwrap();
         assert_eq!(off.diagnostics.verifier, "");
         assert!(off.diagnostics.verify_shard_micros.is_empty());
     }

@@ -1,10 +1,12 @@
 //! The workspace's one worker pool: scoped threads claiming job indices
 //! from a shared counter, with results collected **by index**.
 //!
-//! The sharded verify phase ([`crate::verify`]), the generator's
-//! sharded candidate search and the batch service layer all run through
+//! Pass 2 of the search (one job per (first TP, start policy) partition
+//! of the TP sets) and the batch service layer run through
 //! [`run_indexed`], so each of them produces output identical to its
-//! inline single-worker path regardless of thread scheduling.
+//! inline single-worker path regardless of thread scheduling. They are
+//! its only callers: combination enumeration and every verification
+//! sweep run on the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -16,7 +18,7 @@ use std::sync::Mutex;
 /// caller's thread and no thread is spawned.
 ///
 /// ```
-/// use marchgen_sim::pool::run_indexed;
+/// use marchgen_generator::pool::run_indexed;
 ///
 /// let squares = run_indexed(5, 3, |k| k * k);
 /// assert_eq!(squares, [0, 1, 4, 9, 16]);

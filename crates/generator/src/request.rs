@@ -16,12 +16,11 @@ use std::fmt;
 pub enum VerifierChoice {
     /// The packed simulator
     /// ([`WideSimVerifier`](marchgen_sim::WideSimVerifier)): `[u64; W]`
-    /// lane blocks with W ∈ {2, 4, 8} picked by scenario count, sharding
-    /// the verify phase across `search_threads` workers. It supports
-    /// every model of the extended taxonomy, dynamic (`dRDF` / `dDRDF` /
-    /// `dIRF`) and linked (`LCF`) classes included. Exact agreement with
-    /// the scalar backend at every width is enforced by the differential
-    /// suite. The default.
+    /// lane blocks with W ∈ {2, 4, 8} picked by scenario count, run on
+    /// the calling thread. It supports every model of the extended
+    /// taxonomy, dynamic (`dRDF` / `dDRDF` / `dIRF`) and linked (`LCF`)
+    /// classes included. Exact agreement with the scalar backend at
+    /// every width is enforced by the differential suite. The default.
     #[default]
     Auto,
     /// The scalar behavioural simulator
@@ -98,12 +97,12 @@ pub struct GenerateRequest {
     /// Which verification backend to use (see [`VerifierChoice`]).
     pub verifier: VerifierChoice,
     /// Worker threads for the in-request candidate search; `0` means
-    /// one per available CPU. The class combination space is
-    /// range-partitioned across them, then the unique TP sets are
-    /// planned by partition: the sets with the same first TP and
-    /// effective start policy share one Held–Karp table (cut where
-    /// their union passes `held_karp::MAX_NODES`), so each partition is
-    /// one unit of parallel work. The thread count never changes the
+    /// one per available CPU. The unique TP sets are planned by
+    /// partition: the sets with the same first TP and effective start
+    /// policy share one Held–Karp table (cut where their union passes
+    /// `held_karp::MAX_NODES`), and each partition is one job for these
+    /// workers. Combination enumeration and every verification sweep
+    /// run on the calling thread. The thread count never changes the
     /// outcome — results are collected deterministically. JSON decoding
     /// rejects values above 64.
     pub search_threads: usize,

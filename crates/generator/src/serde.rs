@@ -32,8 +32,9 @@ const SCHEMA_VERSION: i64 = 1;
 const MAX_VERIFY_CELLS: usize = 64;
 
 /// The largest `search_threads` a decoded [`GenerateRequest`] may carry.
-/// Each search pass spawns up to that many threads, so without a bound
-/// one request body could make a daemon worker spawn thousands.
+/// Pass 2 of the search spawns up to that many partition threads, so
+/// without a bound one request body could make a daemon worker spawn
+/// thousands.
 const MAX_SEARCH_THREADS: usize = 64;
 
 fn check_schema(json: &Json) -> Result<(), JsonError> {

@@ -23,18 +23,17 @@
 //! * [`widesim`] — the packed sweep: `[u64; W]` lane blocks (W ∈
 //!   {2,4,8}, auto-vectorized) carrying 128–512 scenario lanes per
 //!   memory word, exact-agreement verified against the scalar engine,
-//!   plus the deterministic shard plan behind the thread-fanned
-//!   [`WideSimVerifier`],
 //! * [`verify`] — the [`Verifier`] trait and its two backends, scalar
 //!   [`SimVerifier`] and packed [`WideSimVerifier`],
-//! * [`pool`] — the index-ordered scoped worker pool shared by the
-//!   sharded verify phase, the generator's sharded search and the batch
-//!   service layer,
 //! * [`matrix`] — the Coverage Matrix over elementary blocks (Section 6),
 //! * [`set_cover`] — exact set covering over the matrix: the paper's
 //!   non-redundancy proof,
 //! * [`redundancy`] — the operational double-check: no operation can be
 //!   deleted without losing coverage.
+//!
+//! The crate starts no threads: every sweep runs on the caller's thread,
+//! and callers that want parallelism run whole requests or search jobs
+//! side by side.
 //!
 //! # Example
 //!
@@ -57,7 +56,6 @@ pub mod engine;
 pub mod linked;
 pub mod matrix;
 pub mod memory;
-pub mod pool;
 pub mod redundancy;
 pub mod set_cover;
 pub mod verify;

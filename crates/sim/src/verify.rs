@@ -11,30 +11,28 @@
 //!   a time), the oracle every fast path is held to, and
 //! * [`WideSimVerifier`] — the packed sweep of [`crate::widesim`]
 //!   (`[u64; W]` lane blocks, 128–512 lanes per word), exact-agreement
-//!   verified against the scalar backend, which also implements real
-//!   sharded verification: [`Verifier::verify_sharded`] fans the
-//!   deterministic [`crate::widesim::shard_plan`] across scoped worker
-//!   threads and reports per-shard timings.
+//!   verified against the scalar backend.
+//!
+//! Both backends verify on the calling thread.
 
 use crate::coverage::{coverage_report, CoverageReport};
-use crate::pool::run_indexed;
 use crate::{redundancy, widesim};
 use marchgen_faults::FaultModel;
 use marchgen_march::MarchTest;
 use std::borrow::Cow;
 use std::time::Instant;
 
-/// The result of a (possibly sharded) verification sweep: the coverage
-/// report plus per-shard wall-clock timings.
+/// The result of one timed coverage sweep: the coverage report plus its
+/// wall-clock time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyRun {
     /// Full per-model coverage, identical to what [`Verifier::verify`]
-    /// returns for the same inputs — sharding never changes verdicts.
+    /// returns for the same inputs.
     pub report: CoverageReport,
-    /// Wall-clock microseconds per verification shard, in shard-plan
-    /// order. Backends without real sharding report a single entry
-    /// covering the whole sweep. Shards run concurrently, so the sum can
-    /// exceed the phase's wall-clock time.
+    /// Wall-clock microseconds of the sweep: one entry, since the sweep
+    /// runs on the calling thread. The field goes, with the `workers`
+    /// argument of [`Verifier::verify_sharded`], once `perfbench`'s
+    /// composed pipeline stops reading them.
     pub shard_micros: Vec<u64>,
 }
 
@@ -67,27 +65,21 @@ pub trait Verifier: Send + Sync {
         false
     }
 
-    /// [`Verifier::verify`] with the sweep partitioned across up to
-    /// `workers` threads, reporting per-shard timings. The report must
-    /// be identical to the unsharded [`Verifier::verify`] at any worker
-    /// count, and the shard *count* must depend only on the inputs
-    /// (never on `workers`) so diagnostics stay deterministic. The
-    /// default runs the whole sweep as one timed shard — backends
-    /// without internal parallelism need nothing more.
+    /// [`Verifier::verify`]'s report plus one wall-clock timing of the
+    /// sweep, which runs on the calling thread. The pipeline records
+    /// that timing as one `verify_shard_micros` entry per coverage
+    /// sweep, so the entries sum to at most the verify phase's time.
+    /// No in-tree backend reads `workers`; it goes once `perfbench`'s
+    /// composed pipeline stops passing it.
     fn verify_sharded(&self, test: &MarchTest, models: &[FaultModel], workers: usize) -> VerifyRun {
         let _ = workers;
         let start = Instant::now();
         let report = self.verify(test, models);
         VerifyRun {
             report,
-            shard_micros: vec![elapsed_micros(start)],
+            shard_micros: vec![u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)],
         }
     }
-}
-
-/// Saturating whole-microsecond reading of a started clock.
-fn elapsed_micros(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// The built-in scalar behavioural fault simulator (paper §6) on an
@@ -140,12 +132,7 @@ impl Verifier for SimVerifier {
 /// Produces bit-identical [`CoverageReport`]s, compactions and
 /// non-redundancy verdicts to [`SimVerifier`] (enforced by the
 /// differential suite) at a fraction of the cost on pair-fault lists,
-/// where the scenario count grows as `n·(n−1)`. Unlike the scalar
-/// backend it implements *real* sharded verification:
-/// [`Verifier::verify_sharded`] fans the deterministic
-/// [`widesim::shard_plan`] across scoped worker threads, merging shard
-/// verdicts in plan order so the report is byte-identical at any worker
-/// count.
+/// where the scenario count grows as `n·(n−1)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WideSimVerifier {
     /// Memory size the sweeps run on.
@@ -188,40 +175,6 @@ impl Verifier for WideSimVerifier {
         redundancy::is_non_redundant_with(test, &|cand| {
             widesim::covers_all_sites(cand, &site_lists, self.cells)
         })
-    }
-
-    fn verify_sharded(&self, test: &MarchTest, models: &[FaultModel], workers: usize) -> VerifyRun {
-        let n = self.cells;
-        let site_lists = widesim::enumerate_sites(models, n);
-        let plan = widesim::plan_shards(&site_lists, n);
-        let results = run_indexed(plan.len(), workers, |k| {
-            let shard = &plan[k];
-            let (model, sites) = &site_lists[shard.model_index];
-            let start = Instant::now();
-            let verdicts = widesim::site_verdicts(test, *model, n, &sites[shard.sites.clone()]);
-            (verdicts, elapsed_micros(start))
-        });
-        // Shards of one model are contiguous ascending site ranges, so
-        // concatenating their verdicts in plan order reproduces the
-        // unsharded enumeration exactly.
-        let mut per_model: Vec<Vec<bool>> = vec![Vec::new(); models.len()];
-        let mut shard_micros = Vec::with_capacity(plan.len());
-        for (shard, (verdicts, micros)) in plan.iter().zip(results) {
-            per_model[shard.model_index].extend(verdicts);
-            shard_micros.push(micros);
-        }
-        let report = CoverageReport {
-            models: site_lists
-                .iter()
-                .zip(&per_model)
-                .map(|((m, sites), verdicts)| widesim::coverage_from_verdicts(*m, sites, verdicts))
-                .collect(),
-            memory_size: n,
-        };
-        VerifyRun {
-            report,
-            shard_micros,
-        }
     }
 }
 
@@ -287,32 +240,23 @@ mod tests {
         assert!(wide.is_non_redundant(&test, &models));
     }
 
+    /// Both backends' `verify_sharded` is `verify`'s report plus one
+    /// timing, whatever `workers` says.
     #[test]
-    fn default_verify_sharded_is_one_timed_shard() {
-        let models = parse_fault_list("SAF, TF").unwrap();
-        let test = known::march_c_minus();
-        let verifier = SimVerifier::new(4);
-        let run = verifier.verify_sharded(&test, &models, 4);
-        assert_eq!(run.report, verifier.verify(&test, &models));
-        assert_eq!(run.shard_micros.len(), 1);
-    }
-
-    #[test]
-    fn sharded_wide_verify_is_worker_invariant() {
-        let wide = WideSimVerifier::new(6);
-        for list in ["SAF, TF, ADF", "CFin, CFid, CFst", "dRDF, LCF", "SOF, DRF"] {
-            let models = parse_fault_list(list).unwrap();
-            for test in [known::march_c_minus(), known::mats(), known::march_g()] {
-                let unsharded = wide.verify(&test, &models);
-                let plan_len = crate::widesim::shard_plan(&models, 6).len();
-                let mut runs = Vec::new();
-                for workers in [1usize, 2, 8] {
-                    let run = wide.verify_sharded(&test, &models, workers);
-                    assert_eq!(run.report, unsharded, "{list} at {workers} workers");
-                    assert_eq!(run.shard_micros.len(), plan_len, "{list}: shard count");
-                    runs.push(run.report);
+    fn verify_sharded_is_verify_plus_one_timing() {
+        let backends: [&dyn Verifier; 2] = [&SimVerifier::new(4), &WideSimVerifier::new(4)];
+        for verifier in backends {
+            for list in ["SAF, TF, ADF", "CFin, CFid, CFst", "dRDF, LCF", "SOF, DRF"] {
+                let models = parse_fault_list(list).unwrap();
+                for test in [known::march_c_minus(), known::mats(), known::march_g()] {
+                    let report = verifier.verify(&test, &models);
+                    for workers in [1usize, 2, 8] {
+                        let run = verifier.verify_sharded(&test, &models, workers);
+                        let ctx = format!("{} on {list} at {workers} workers", verifier.name());
+                        assert_eq!(run.report, report, "{ctx}");
+                        assert_eq!(run.shard_micros.len(), 1, "{ctx}");
+                    }
                 }
-                assert!(runs.windows(2).all(|w| w[0] == w[1]));
             }
         }
     }

@@ -29,8 +29,8 @@
 //! nothing per lane, and the scalar engine's duplicate rule is kept by
 //! construction: a site that spans every cell gets no background-1
 //! patterns. The model's [`FaultBehavior`] is lowered once per sweep and
-//! shared by every batch of it; lane counts and the shard plan are
-//! arithmetic (patterns per site × latch values).
+//! shared by every batch of it; lane counts are arithmetic (patterns per
+//! site × latch values).
 //!
 //! Fault semantics are a generic interpretation of that rule table
 //! with **no per-variant matches** (the `fault-layer-lint` CI job keeps
@@ -45,16 +45,10 @@
 //! W = 2, ≤ 256 at W = 4, everything larger at W = 8 — so small
 //! workloads don't drag padding words through the interpreter.
 //!
-//! # Sharded verification
-//!
-//! [`shard_plan`] cuts a multi-model verification sweep into
-//! deterministic units — per fault model, contiguous site ranges sized
-//! to at most one 512-lane block — that
-//! [`WideSimVerifier`](crate::verify::WideSimVerifier) fans out across
-//! worker threads. The plan depends only on the fault list and memory
-//! size, never on the worker count, so the per-shard timing vector in
-//! `Diagnostics` has a reproducible length and the merged report is
-//! byte-identical at any parallelism.
+//! Every sweep runs on the calling thread, one fault model after
+//! another: a sweep of a typical 4-cell list takes tens of µs, less
+//! than spawning threads for it costs, so parallelism belongs a level
+//! up, in the generator's search jobs and the batch layer.
 
 use crate::coverage::{CoverageReport, ModelCoverage};
 use crate::engine::{resolution_vectors, FaultSite};
@@ -65,9 +59,6 @@ use marchgen_faults::{
 use marchgen_march::{Direction, MarchOp, MarchTest};
 use marchgen_model::Bit;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
-
-/// Target scenario lanes per verification shard: one full-width block.
-const SHARD_LANES: usize = 64 * 8;
 
 /// One scenario lane: what the scenario varies, and nothing more. Its
 /// power-up image is `background` in every cell outside the site and
@@ -680,19 +671,6 @@ pub fn width_for(lanes: usize) -> usize {
     }
 }
 
-/// Auto-width sweep over an explicit site list (no early exit) — the
-/// work unit of one verification shard. Verdicts are in `sites` order
-/// and independent of the chosen width.
-#[must_use]
-pub fn site_verdicts(
-    test: &MarchTest,
-    model: FaultModel,
-    n: usize,
-    sites: &[FaultSite],
-) -> Vec<bool> {
-    sweep(test, model, n, sites, false)
-}
-
 fn sweep(
     test: &MarchTest,
     model: FaultModel,
@@ -736,9 +714,8 @@ pub fn model_coverage_w<const W: usize>(
 }
 
 /// Assembles a [`ModelCoverage`] from per-site verdicts in enumeration
-/// order — the merge step shared by the inline and sharded sweeps.
-#[must_use]
-pub fn coverage_from_verdicts(
+/// order.
+fn coverage_from_verdicts(
     model: FaultModel,
     sites: &[FaultSite],
     detected: &[bool],
@@ -864,56 +841,6 @@ pub fn model_lanes(model: FaultModel, n: usize) -> usize {
 #[must_use]
 pub fn max_model_lanes(models: &[FaultModel], n: usize) -> usize {
     models.iter().map(|&m| model_lanes(m, n)).max().unwrap_or(0)
-}
-
-/// One unit of parallel verification work: a contiguous site range of
-/// one fault model, sized by [`shard_plan`] to at most one full-width
-/// lane block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyShard {
-    /// Index into the fault list the plan was built over.
-    pub model_index: usize,
-    /// Range into that model's [`FaultSite::enumerate`] site list.
-    pub sites: std::ops::Range<usize>,
-}
-
-/// The deterministic shard plan for a verification sweep over `models`
-/// on an `n`-cell memory: per model, contiguous site ranges whose lane
-/// counts stay within one 512-lane block. The plan depends only on the
-/// fault list and the memory size — never on the worker count — so the
-/// per-shard timing vector recorded in `Diagnostics` has a reproducible
-/// length, and concatenating shard verdicts in plan order reproduces
-/// the unsharded sweep exactly.
-#[must_use]
-pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
-    plan_shards(&enumerate_sites(models, n), n)
-}
-
-/// [`shard_plan`] over pre-enumerated site lists (see
-/// [`enumerate_sites`]). Every site of a model has the same lane count,
-/// so each shard takes as many sites as fit one block (at least one),
-/// and a model with no sites still gets one empty shard.
-pub(crate) fn plan_shards(
-    site_lists: &[(FaultModel, Vec<FaultSite>)],
-    n: usize,
-) -> Vec<VerifyShard> {
-    let mut plan = Vec::new();
-    for (model_index, (model, sites)) in site_lists.iter().enumerate() {
-        let per_shard = (SHARD_LANES / site_lanes(*model, n)).max(1);
-        let mut lo = 0;
-        loop {
-            let hi = (lo + per_shard).min(sites.len());
-            plan.push(VerifyShard {
-                model_index,
-                sites: lo..hi,
-            });
-            lo = hi;
-            if lo == sites.len() {
-                break;
-            }
-        }
-    }
-    plan
 }
 
 #[cfg(test)]
@@ -1063,7 +990,7 @@ mod tests {
             let n = rng.range(2, 7);
             let model = *rng.pick(&catalog);
             let sites = FaultSite::enumerate(model, n);
-            // A random contiguous site group, as the shard planner cuts.
+            // A random contiguous site group.
             let lo = rng.range(0, sites.len());
             let hi = rng.range(lo + 1, sites.len() + 1);
             let behavior = lowering::behavior(model);
@@ -1139,87 +1066,17 @@ mod tests {
         });
     }
 
-    /// The shard plan covers every site of every model exactly once, in
-    /// order, independent of anything but the fault list and memory
-    /// size.
-    #[test]
-    fn shard_plan_partitions_every_model() {
-        for (list, n) in [
-            ("SAF, TF", 4usize),
-            ("CFin, CFid, CFst", 8),
-            ("SAF, CFin", 12),
-        ] {
-            let models = parse_fault_list(list).unwrap();
-            let plan = shard_plan(&models, n);
-            for (model_index, &model) in models.iter().enumerate() {
-                let sites = FaultSite::enumerate(model, n);
-                let ranges: Vec<_> = plan
-                    .iter()
-                    .filter(|s| s.model_index == model_index)
-                    .collect();
-                assert!(!ranges.is_empty(), "{list}: model {model} unplanned");
-                assert_eq!(ranges[0].sites.start, 0);
-                assert_eq!(ranges.last().unwrap().sites.end, sites.len());
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].sites.end, pair[1].sites.start, "contiguous");
-                }
-                for shard in &ranges {
-                    let lanes: usize = sites[shard.sites.clone()]
-                        .iter()
-                        .map(|s| power_up_patterns(s, n).len() * latch_values(s).len())
-                        .sum();
-                    assert!(lanes <= SHARD_LANES, "{list}: shard over capacity");
-                }
-            }
-            // Sharded verdicts concatenated in plan order ≡ unsharded.
-            let test = known::march_c_minus();
-            for (model_index, &model) in models.iter().enumerate() {
-                let sites = FaultSite::enumerate(model, n);
-                let whole = site_verdicts(&test, model, n, &sites);
-                let mut stitched = Vec::new();
-                for shard in plan.iter().filter(|s| s.model_index == model_index) {
-                    stitched.extend(site_verdicts(&test, model, n, &sites[shard.sites.clone()]));
-                }
-                assert_eq!(stitched, whole, "{list} × {model} at n={n}");
-            }
-        }
-    }
-
     /// The arithmetic lane counts against the scalar materialization:
-    /// `model_lanes` is the number of scalar scenarios, and `shard_plan`
-    /// is the greedy cut of the scalar per-site counts into blocks (n = 12
-    /// adds models that take several shards).
+    /// `model_lanes` is the number of scalar scenarios.
     #[test]
     fn lane_counts_match_materialized_enumeration() {
         for n in [1usize, 2, 3, 4, 8, 12] {
             for model in FaultModel::all_extended() {
-                let sites = FaultSite::enumerate(model, n);
-                let per_site: Vec<usize> = sites
+                let scenarios: usize = FaultSite::enumerate(model, n)
                     .iter()
                     .map(|s| power_up_patterns(s, n).len() * latch_values(s).len())
-                    .collect();
-                assert_eq!(
-                    model_lanes(model, n),
-                    per_site.iter().sum::<usize>(),
-                    "{model} at n={n}"
-                );
-                let mut expected = Vec::new();
-                let (mut lo, mut lanes) = (0, 0);
-                for (k, &count) in per_site.iter().enumerate() {
-                    if lanes + count > SHARD_LANES && lanes > 0 {
-                        expected.push(VerifyShard {
-                            model_index: 0,
-                            sites: lo..k,
-                        });
-                        (lo, lanes) = (k, 0);
-                    }
-                    lanes += count;
-                }
-                expected.push(VerifyShard {
-                    model_index: 0,
-                    sites: lo..sites.len(),
-                });
-                assert_eq!(shard_plan(&[model], n), expected, "{model} at n={n}");
+                    .sum();
+                assert_eq!(model_lanes(model, n), scenarios, "{model} at n={n}");
             }
         }
     }

@@ -245,7 +245,8 @@ fn verifier_backends_agree_on_compaction() {
 }
 
 /// Random tests through both verifiers end to end (verify + compact),
-/// including the sharded packed path at several worker counts.
+/// and `verify_sharded` at random worker counts, which must return
+/// `verify`'s report (the benchmark's composed pipeline calls it).
 #[test]
 fn random_tests_match_through_verifier_trait() {
     let catalog = FaultModel::all_extended();
@@ -262,6 +263,9 @@ fn random_tests_match_through_verifier_trait() {
         assert_eq!(*packed.compact(&test, &models), *compacted, "{ctx}");
         let workers = rng.range(1, 5);
         let run = packed.verify_sharded(&test, &models, workers);
-        assert_eq!(run.report, expected, "sharded {ctx} at {workers} workers");
+        assert_eq!(
+            run.report, expected,
+            "verify_sharded {ctx} at {workers} workers"
+        );
     });
 }

@@ -85,11 +85,11 @@ usage:
                     LKH-style local search; the default), held-karp,
                     branch-bound, heuristic, or local-search
   --verifier        verification backend: auto (the packed multi-word-lane
-                    simulator with sharded verify; the default) or scalar
-                    (one scenario at a time, the reference oracle); the
-                    retired names bitsim and wide still mean auto
-  --search-threads  worker threads for the sharded in-request candidate
-                    search (0 = one per CPU; never changes the result)
+                    simulator; the default) or scalar (one scenario at a
+                    time, the reference oracle); the retired names bitsim
+                    and wide still mean auto
+  --search-threads  worker threads for the in-request tour planning
+                    (0 = one per CPU; never changes the result)
   --cache-dir       persistent content-addressed outcome cache: identical
                     requests (modulo fault-list order and execution knobs)
                     are replayed instead of recomputed, across processes

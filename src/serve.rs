@@ -545,13 +545,14 @@ impl App {
         tracer: &Tracer,
     ) -> Result<GenerateOutcome, Response> {
         // Same anti-oversubscription rule as `Batch::run_workers`: an
-        // auto-threaded request would spawn one shard worker per CPU
-        // inside a daemon that already runs one connection worker per
-        // CPU. Pin it to a single shard worker whenever another request
-        // is being served concurrently (the snapshot includes this
-        // request, so in-flight ≥ 2 means real contention); a lone
-        // request keeps the full machine. Never changes the outcome —
-        // sharding is deterministic — or the cache key.
+        // auto-threaded request would plan its search partitions on one
+        // thread per CPU inside a daemon that already runs one
+        // connection worker per CPU. Pin it to a single search thread
+        // whenever another request is being served concurrently (the
+        // snapshot includes this request, so in-flight ≥ 2 means real
+        // contention); a lone request keeps the full machine. Never
+        // changes the outcome — the search is deterministic — or the
+        // cache key.
         let contended = self
             .server_stats
             .get()

@@ -23,8 +23,8 @@ use crate::error::Error;
 use marchgen_atsp::SolverRegistry;
 #[cfg(feature = "serde")]
 use marchgen_cache::{canonical_key_text, key_for_text, OutcomeCache};
+use marchgen_generator::pool::run_indexed;
 use marchgen_generator::{generate_with_registry, GenerateOutcome, GenerateRequest};
-use marchgen_sim::pool::run_indexed;
 use std::num::NonZeroUsize;
 
 /// A progress event emitted while a batch runs. Events for different
@@ -218,12 +218,13 @@ impl Batch {
             let request = &requests[index];
             on_event(BatchEvent::Started { index, request });
             // Requests left on automatic search threading would each
-            // spawn one shard worker per CPU *inside* a batch that
-            // already runs one worker per CPU — pin them to a single
-            // shard worker instead. Explicit `search_threads` choices are
-            // honored as-is, and the pinning never changes an outcome
-            // (sharding is deterministic by construction) or a cache key
-            // (`search_threads` is excluded from hashing).
+            // plan their search partitions on one thread per CPU
+            // *inside* a batch that already runs one worker per CPU —
+            // pin them to a single search thread instead. Explicit
+            // `search_threads` choices are honored as-is, and the pinning
+            // never changes an outcome (the search is deterministic by
+            // construction) or a cache key (`search_threads` is excluded
+            // from hashing).
             let result = if workers > 1 && request.search_threads == 0 {
                 compute(&request.clone().with_search_threads(1))
             } else {

@@ -44,8 +44,8 @@ fn daemon_answers_bodies_errors_and_routes() {
         body.contains("invalid_request") && body.contains("verify_cells"),
         "{body}"
     );
-    // So is `search_threads`: each search pass spawns up to that many
-    // threads. The request is refused at decode; nothing runs.
+    // So is `search_threads`: pass 2 of the search spawns up to that
+    // many threads. The request is refused at decode; nothing runs.
     let (status, body) = call(
         &app,
         "POST",
