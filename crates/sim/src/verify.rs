@@ -240,25 +240,33 @@ mod tests {
         assert!(wide.is_non_redundant(&test, &models));
     }
 
-    /// Both backends' `verify_sharded` is `verify`'s report plus one
-    /// timing, whatever `workers` says.
-    #[test]
-    fn verify_sharded_is_verify_plus_one_timing() {
-        let backends: [&dyn Verifier; 2] = [&SimVerifier::new(4), &WideSimVerifier::new(4)];
-        for verifier in backends {
-            for list in ["SAF, TF, ADF", "CFin, CFid, CFst", "dRDF, LCF", "SOF, DRF"] {
-                let models = parse_fault_list(list).unwrap();
-                for test in [known::march_c_minus(), known::mats(), known::march_g()] {
-                    let report = verifier.verify(&test, &models);
-                    for workers in [1usize, 2, 8] {
-                        let run = verifier.verify_sharded(&test, &models, workers);
-                        let ctx = format!("{} on {list} at {workers} workers", verifier.name());
-                        assert_eq!(run.report, report, "{ctx}");
-                        assert_eq!(run.shard_micros.len(), 1, "{ctx}");
-                    }
+    /// `verify_sharded` is `verify`'s report plus one timing, whatever
+    /// `workers` says.
+    fn assert_verify_plus_one_timing(verifier: &dyn Verifier) {
+        for list in ["SAF, TF, ADF", "CFin, CFid, CFst", "dRDF, LCF", "SOF, DRF"] {
+            let models = parse_fault_list(list).unwrap();
+            for test in [known::march_c_minus(), known::mats(), known::march_g()] {
+                let report = verifier.verify(&test, &models);
+                for workers in [1usize, 2, 8] {
+                    let run = verifier.verify_sharded(&test, &models, workers);
+                    let ctx = format!("{} on {list} at {workers} workers", verifier.name());
+                    assert_eq!(run.report, report, "{ctx}");
+                    assert_eq!(run.shard_micros.len(), 1, "{ctx}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn default_verify_sharded_is_one_timed_shard() {
+        assert_verify_plus_one_timing(&SimVerifier::new(4));
+    }
+
+    /// The packed backend keeps the trait's default: one timed sweep on
+    /// the calling thread, the same report at every worker count.
+    #[test]
+    fn sharded_wide_verify_is_worker_invariant() {
+        assert_verify_plus_one_timing(&WideSimVerifier::new(6));
     }
 
     #[test]

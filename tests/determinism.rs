@@ -37,14 +37,11 @@ fn backend_normalized_json(mut outcome: GenerateOutcome) -> String {
 }
 
 /// The default `auto` verifier at 1, 2 and 8 search threads: the search
-/// partitions run on worker threads, the verify sweeps on the calling
-/// thread, and the JSON — `verify_shard_micros`' length included — is
-/// byte-identical.
+/// partitions run on worker threads, and the JSON is byte-identical.
 #[test]
 fn sharded_search_json_is_byte_identical_across_thread_counts() {
     for faults in [
         "SAF, TF",
-        "SAF, CFin",
         "SAF, TF, ADF, CFin",
         "CFid<u,1>, CFid<d,1>",
         "CFin, CFid",
@@ -59,6 +56,29 @@ fn sharded_search_json_is_byte_identical_across_thread_counts() {
             assert_eq!(
                 sharded, reference,
                 "{faults}: {threads} search threads diverged from serial"
+            );
+        }
+    }
+}
+
+/// The packed backend's verify phase is deterministic too: every
+/// coverage sweep runs on the calling thread and records one timing, so
+/// 1, 2 and 8 search threads produce byte-identical JSON — including the
+/// length of `verify_shard_micros`.
+#[test]
+fn sharded_verify_json_is_byte_identical_across_thread_counts() {
+    for faults in ["SAF, CFin", "SAF, TF, ADF, CFin", "CFin, CFid"] {
+        let base = GenerateRequest::from_fault_list(faults)
+            .unwrap()
+            .with_verifier(VerifierChoice::Auto)
+            .with_check_redundancy(true);
+        let reference = normalized_json(generate(&base.clone().with_search_threads(1)).unwrap());
+        for threads in [2usize, 8] {
+            let sharded =
+                normalized_json(generate(&base.clone().with_search_threads(threads)).unwrap());
+            assert_eq!(
+                sharded, reference,
+                "{faults}: verify at {threads} search threads diverged from serial"
             );
         }
     }
