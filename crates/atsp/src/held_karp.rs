@@ -13,8 +13,7 @@
 //!   `2ⁿ × n` entries (36 MiB at [`MAX_NODES`]). They take any arc
 //!   costs, and they are the reference the shared kernel is tested
 //!   against.
-//! * The family solve of [`HeldKarpSolver`](crate::HeldKarpSolver) and
-//!   [`AutoSolver`](crate::AutoSolver)
+//! * The family solve of [`AutoSolver`](crate::AutoSolver)
 //!   ([`AtspSolver::solve_family`](crate::AtspSolver::solve_family))
 //!   plans many sub-instances of one cost matrix at once. A row depends
 //!   only on the start node and the nodes in `mask`, so members that

@@ -3,10 +3,10 @@
 //! (segment relocation never reverses arc directions, so it is valid for
 //! ATSP where classic 2-opt is not).
 //!
-//! Heuristic tours provide the branch-and-bound upper bound and serve as
-//! the fallback for instances beyond the exact solvers' range.
+//! Heuristic tours provide the branch-and-bound upper bound and back the
+//! inexact `heuristic` backend.
 
-use crate::instance::{AtspInstance, Tour, INF};
+use crate::instance::{AtspInstance, Tour};
 
 /// Nearest-neighbour construction from the given start node.
 #[must_use]
@@ -160,14 +160,6 @@ pub fn construct(instance: &AtspInstance) -> Tour {
     } else {
         ge
     }
-}
-
-/// `true` when the tour uses no forbidden arc — heuristics on heavily
-/// constrained instances may fail to find a finite tour even when one
-/// exists, in which case an exact method must be used.
-#[must_use]
-pub fn is_finite(tour: &Tour) -> bool {
-    tour.cost < INF
 }
 
 #[cfg(test)]

@@ -14,17 +14,15 @@
 //! * [`hungarian`] — an `O(n³)` assignment-problem solver used as the
 //!   relaxation lower bound,
 //! * [`branch_bound`] — a CDT-style subtour-patching branch-and-bound
-//!   built on the AP relaxation, exact for the mid-size instances,
+//!   built on the AP relaxation, exact at any size,
 //! * [`heuristics`] — nearest-neighbour / greedy-edge construction and
-//!   asymmetric-safe Or-opt improvement, used for upper bounds and as
-//!   the local-search seed,
-//! * [`local_search`] — a Lin–Kernighan-style local search (candidate
-//!   lists, Or-opt/2-opt moves, don't-look bits, deterministic seeded
-//!   restarts) for instances beyond the exact solvers' range,
+//!   asymmetric-safe Or-opt improvement, used for branch-and-bound's
+//!   upper bound and as the inexact `heuristic` backend,
 //! * [`AtspSolver`] — the one seam the March generator solves through:
-//!   the built-in strategies, [`AutoSolver`] (which picks a method by
-//!   instance size: exact up to [`EXACT_THRESHOLD`] nodes, local search
-//!   beyond) and any strategy registered in a [`SolverRegistry`].
+//!   the built-in strategies, [`AutoSolver`] (exact at every size:
+//!   Held–Karp with tie enumeration up to [`held_karp::MAX_NODES`]
+//!   nodes, branch-and-bound beyond) and any strategy registered in a
+//!   [`SolverRegistry`].
 //!
 //! Costs use `u64` with [`INF`] marking forbidden arcs.
 //!
@@ -51,11 +49,10 @@ pub mod held_karp;
 pub mod heuristics;
 pub mod hungarian;
 mod instance;
-pub mod local_search;
 mod solver;
 
 pub use instance::{add_cost, AtspInstance, Tour, INF, MAX_DIMENSION};
 pub use solver::{
-    AtspSolver, AutoSolver, BranchBoundSolver, HeldKarpSolver, HeuristicSolver, LocalSearchSolver,
-    SolveStats, SolverChoice, SolverRegistry, UnknownSolverError, EXACT_THRESHOLD,
+    AtspSolver, AutoSolver, BranchBoundSolver, HeuristicSolver, SolveStats, SolverChoice,
+    SolverRegistry, UnknownSolverError,
 };

@@ -1,26 +1,22 @@
 //! The solver seam: the [`AtspSolver`] extension trait, the built-in
-//! implementations (with [`AutoSolver`] as the size dispatcher) and a
+//! implementations (with [`AutoSolver`] as the exact default) and a
 //! by-name [`SolverRegistry`].
 
 use crate::instance::{AtspInstance, Tour};
-use crate::{branch_bound, held_karp, heuristics, local_search};
+use crate::{branch_bound, held_karp, heuristics};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Largest instance the size-dispatching [`AutoSolver`] still solves
-/// *exactly* (Held–Karp up to its table limit, branch-and-bound up to
-/// here); beyond it the Lin–Kernighan-style local search takes over.
-pub const EXACT_THRESHOLD: usize = 40;
-
 /// Statistics of one solver invocation, surfaced by the request layer's
-/// diagnostics. Exact solvers report zeros; the local search counts its
-/// improving moves and perturbation rounds.
+/// diagnostics. The built-in strategies do no iterative search and
+/// report zeros; a strategy registered in a [`SolverRegistry`] reports
+/// its own work here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Improving local-search moves applied.
+    /// Improving moves (or other search iterations) the strategy applied.
     pub iterations: u64,
-    /// Perturbation restarts performed.
+    /// Restarts the strategy performed.
     pub restarts: u64,
 }
 
@@ -65,10 +61,10 @@ pub trait AtspSolver: Send + Sync {
     }
 
     /// [`AtspSolver::solve_all_optimal`] plus the invocation's
-    /// [`SolveStats`]. The default reports zeros (exact strategies do no
-    /// iterative search); the local-search backend overrides it so the
-    /// request layer can surface iteration and restart counts in its
-    /// diagnostics.
+    /// [`SolveStats`]. The default reports zeros, as every built-in
+    /// strategy does; a registered strategy that searches iteratively
+    /// overrides it so the request layer can surface its iteration and
+    /// restart counts in its diagnostics.
     fn solve_all_optimal_with_stats(
         &self,
         instance: &AtspInstance,
@@ -87,8 +83,8 @@ pub trait AtspSolver: Send + Sync {
     /// member-local indices. The order of the calls is the strategy's;
     /// a caller can time the gaps between them to charge each member its
     /// share of the work. The default solves each member on its own;
-    /// [`HeldKarpSolver`] and [`AutoSolver`] share Held–Karp tables
-    /// between the members that fit [`held_karp::MAX_NODES`].
+    /// [`AutoSolver`] shares Held–Karp tables between the members that
+    /// fit [`held_karp::MAX_NODES`].
     fn solve_family(
         &self,
         instance: &AtspInstance,
@@ -100,69 +96,6 @@ pub trait AtspSolver: Send + Sync {
             let (tours, stats) = self.solve_all_optimal_with_stats(&instance.induced(nodes), cap);
             visit(k, tours, stats);
         }
-    }
-}
-
-/// The family solve of the Held–Karp strategies: members within
-/// [`held_karp::MAX_NODES`] share tables, larger ones take `solver`'s
-/// own per-instance path.
-fn solve_family_shared(
-    solver: &dyn AtspSolver,
-    instance: &AtspInstance,
-    members: &[Vec<usize>],
-    cap: usize,
-    visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
-) {
-    held_karp::solve_family(instance, members, cap, &mut |k, tours| {
-        visit(k, tours, SolveStats::default());
-    });
-    for (k, nodes) in members.iter().enumerate() {
-        if nodes.len() > held_karp::MAX_NODES {
-            let (tours, stats) = solver.solve_all_optimal_with_stats(&instance.induced(nodes), cap);
-            visit(k, tours, stats);
-        }
-    }
-}
-
-/// Exact Held–Karp dynamic programming with all-optimal-tour
-/// enumeration; instances beyond [`held_karp::MAX_NODES`] fall back to
-/// branch-and-bound (which cannot enumerate).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeldKarpSolver;
-
-impl AtspSolver for HeldKarpSolver {
-    fn name(&self) -> &str {
-        "held-karp"
-    }
-
-    fn solve(&self, instance: &AtspInstance) -> Tour {
-        if instance.len() <= held_karp::MAX_NODES {
-            held_karp::solve(instance)
-        } else {
-            branch_bound::solve(instance)
-        }
-    }
-
-    fn is_exact_for(&self, _instance: &AtspInstance) -> bool {
-        true
-    }
-
-    fn solve_all_optimal(&self, instance: &AtspInstance, cap: usize) -> Vec<Tour> {
-        if instance.len() <= held_karp::MAX_NODES {
-            held_karp::solve_all(instance, cap)
-        } else {
-            vec![branch_bound::solve(instance)]
-        }
-    }
-
-    fn solve_family(
-        &self,
-        instance: &AtspInstance,
-        members: &[Vec<usize>],
-        cap: usize,
-        visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
-    ) {
-        solve_family_shared(self, instance, members, cap, visit);
     }
 }
 
@@ -202,42 +135,10 @@ impl AtspSolver for HeuristicSolver {
     }
 }
 
-/// Lin–Kernighan-style local search ([`local_search`]): candidate-list
-/// guided Or-opt/2-opt descent with don't-look bits and deterministic
-/// seeded restarts. Inexact but near-optimal, and the backend of choice
-/// for instances beyond the exact solvers' range.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalSearchSolver;
-
-impl AtspSolver for LocalSearchSolver {
-    fn name(&self) -> &str {
-        "local-search"
-    }
-
-    fn solve(&self, instance: &AtspInstance) -> Tour {
-        local_search::solve(instance)
-    }
-
-    fn is_exact_for(&self, _instance: &AtspInstance) -> bool {
-        false
-    }
-
-    fn solve_all_optimal_with_stats(
-        &self,
-        instance: &AtspInstance,
-        _cap: usize,
-    ) -> (Vec<Tour>, SolveStats) {
-        let (tour, stats) =
-            local_search::solve_with_stats(instance, &local_search::Config::default());
-        (vec![tour], stats)
-    }
-}
-
-/// Size-dispatching default: Held–Karp (with enumeration) up to its
-/// table limit [`held_karp::MAX_NODES`], branch-and-bound up to
-/// [`EXACT_THRESHOLD`] nodes, the Lin–Kernighan-style local search
-/// beyond. The exact path is retained as the cross-check oracle for the
-/// local search in the differential test suites.
+/// The exact default: Held–Karp with enumeration of every optimal tour
+/// up to its table limit [`held_karp::MAX_NODES`], branch-and-bound's
+/// single optimal tour beyond. A family solve shares Held–Karp tables
+/// between the members within [`held_karp::MAX_NODES`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AutoSolver;
 
@@ -247,37 +148,22 @@ impl AtspSolver for AutoSolver {
     }
 
     fn solve(&self, instance: &AtspInstance) -> Tour {
-        let n = instance.len();
-        if n <= held_karp::MAX_NODES {
+        if instance.len() <= held_karp::MAX_NODES {
             held_karp::solve(instance)
-        } else if n <= EXACT_THRESHOLD {
-            branch_bound::solve(instance)
         } else {
-            local_search::solve(instance)
+            branch_bound::solve(instance)
         }
     }
 
-    fn is_exact_for(&self, instance: &AtspInstance) -> bool {
-        instance.len() <= EXACT_THRESHOLD
+    fn is_exact_for(&self, _instance: &AtspInstance) -> bool {
+        true
     }
 
     fn solve_all_optimal(&self, instance: &AtspInstance, cap: usize) -> Vec<Tour> {
         if instance.len() <= held_karp::MAX_NODES {
             held_karp::solve_all(instance, cap)
         } else {
-            vec![self.solve(instance)]
-        }
-    }
-
-    fn solve_all_optimal_with_stats(
-        &self,
-        instance: &AtspInstance,
-        cap: usize,
-    ) -> (Vec<Tour>, SolveStats) {
-        if instance.len() > EXACT_THRESHOLD {
-            LocalSearchSolver.solve_all_optimal_with_stats(instance, cap)
-        } else {
-            (self.solve_all_optimal(instance, cap), SolveStats::default())
+            vec![branch_bound::solve(instance)]
         }
     }
 
@@ -288,7 +174,15 @@ impl AtspSolver for AutoSolver {
         cap: usize,
         visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
     ) {
-        solve_family_shared(self, instance, members, cap, visit);
+        held_karp::solve_family(instance, members, cap, &mut |k, tours| {
+            visit(k, tours, SolveStats::default());
+        });
+        for (k, nodes) in members.iter().enumerate() {
+            if nodes.len() > held_karp::MAX_NODES {
+                let tours = self.solve_all_optimal(&instance.induced(nodes), cap);
+                visit(k, tours, SolveStats::default());
+            }
+        }
     }
 }
 
@@ -296,17 +190,13 @@ impl AtspSolver for AutoSolver {
 /// resolved against a [`SolverRegistry`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum SolverChoice {
-    /// Size-dispatching default ([`AutoSolver`]).
+    /// The exact default ([`AutoSolver`]).
     #[default]
     Auto,
-    /// Exact with all-optimal enumeration ([`HeldKarpSolver`]).
-    HeldKarp,
     /// Exact, single tour ([`BranchBoundSolver`]).
     BranchBound,
     /// Inexact but fast ([`HeuristicSolver`]).
     Heuristic,
-    /// Lin–Kernighan-style local search ([`LocalSearchSolver`]).
-    LocalSearch,
     /// A custom strategy registered under this name.
     Custom(String),
 }
@@ -317,25 +207,23 @@ impl SolverChoice {
     pub fn key(&self) -> &str {
         match self {
             SolverChoice::Auto => "auto",
-            SolverChoice::HeldKarp => "held-karp",
             SolverChoice::BranchBound => "branch-bound",
             SolverChoice::Heuristic => "heuristic",
-            SolverChoice::LocalSearch => "local-search",
             SolverChoice::Custom(name) => name,
         }
     }
 
     /// Parses a registry key back into a choice (never fails: unknown
     /// names become [`SolverChoice::Custom`] and are validated at
-    /// resolution time).
+    /// resolution time). The retired backend names `"held-karp"` and
+    /// `"local-search"` decode as [`Auto`](Self::Auto), so requests
+    /// written for them keep working.
     #[must_use]
     pub fn from_key(key: &str) -> SolverChoice {
         match key {
-            "auto" => SolverChoice::Auto,
-            "held-karp" => SolverChoice::HeldKarp,
+            "auto" | "held-karp" | "local-search" => SolverChoice::Auto,
             "branch-bound" => SolverChoice::BranchBound,
             "heuristic" => SolverChoice::Heuristic,
-            "local-search" => SolverChoice::LocalSearch,
             other => SolverChoice::Custom(other.to_owned()),
         }
     }
@@ -364,9 +252,8 @@ impl std::error::Error for UnknownSolverError {}
 
 /// A by-name registry of [`AtspSolver`] strategies.
 ///
-/// [`SolverRegistry::default`] carries the five built-ins (`auto`,
-/// `held-karp`, `branch-bound`, `heuristic`, `local-search`); callers
-/// add their own with
+/// [`SolverRegistry::default`] carries the three built-ins (`auto`,
+/// `branch-bound`, `heuristic`); callers add their own with
 /// [`SolverRegistry::register`] and select them per request through
 /// [`SolverChoice::Custom`].
 ///
@@ -398,10 +285,8 @@ impl Default for SolverRegistry {
             solvers: BTreeMap::new(),
         };
         registry.register(AutoSolver);
-        registry.register(HeldKarpSolver);
         registry.register(BranchBoundSolver);
         registry.register(HeuristicSolver);
-        registry.register(LocalSearchSolver);
         registry
     }
 }
@@ -476,23 +361,23 @@ mod tests {
         })
     }
 
-    /// `AutoSolver` runs Held–Karp through [`held_karp::MAX_NODES`],
-    /// branch-and-bound through [`EXACT_THRESHOLD`] and the local search
-    /// beyond: on each side of both thresholds it returns the tour of
-    /// the method it names, and only the Held–Karp side enumerates ties.
+    /// `AutoSolver` runs Held–Karp through [`held_karp::MAX_NODES`] and
+    /// branch-and-bound beyond, past the old 40-node threshold too: on
+    /// each side it returns the tour of the method it names, it is
+    /// exact everywhere, and only the Held–Karp side enumerates ties.
     #[test]
     fn auto_dispatches_by_size() {
         type Method = fn(&AtspInstance) -> Tour;
         let sides: [(usize, Method); 4] = [
             (held_karp::MAX_NODES, held_karp::solve),
             (held_karp::MAX_NODES + 1, branch_bound::solve),
-            (EXACT_THRESHOLD, branch_bound::solve),
-            (EXACT_THRESHOLD + 1, local_search::solve),
+            (40, branch_bound::solve),
+            (41, branch_bound::solve),
         ];
         for (n, method) in sides {
             let inst = random_instance(n, 0x5eed_u64 + n as u64);
             assert_eq!(AutoSolver.solve(&inst), method(&inst), "n = {n}");
-            assert_eq!(AutoSolver.is_exact_for(&inst), n <= EXACT_THRESHOLD);
+            assert!(AutoSolver.is_exact_for(&inst), "n = {n}");
         }
         let ties = |n| AtspInstance::from_fn(n, |_, _| 1);
         let enumerated = AutoSolver.solve_all_optimal(&ties(held_karp::MAX_NODES), 3);
@@ -502,29 +387,37 @@ mod tests {
         assert_eq!(single[0].cost, held_karp::MAX_NODES as u64 + 1);
     }
 
+    /// The perf smoke's 48- and 60-node instances (seeded as its
+    /// `solver_bench_instance` seeds them): `auto` returns the
+    /// branch-and-bound optimum there and says it is exact.
+    #[test]
+    fn auto_is_exact_past_the_old_threshold() {
+        for (n, seed) in [(48usize, 23u64), (60, 5)] {
+            let inst = random_instance(n, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            assert!(AutoSolver.is_exact_for(&inst), "n = {n}");
+            let optimum = branch_bound::solve(&inst).cost;
+            assert_eq!(AutoSolver.solve(&inst).cost, optimum, "n = {n}");
+            let tours = AutoSolver.solve_all_optimal(&inst, 4);
+            assert_eq!(tours.len(), 1, "n = {n}");
+            assert_eq!(tours[0].cost, optimum, "n = {n}");
+        }
+    }
+
     #[test]
     fn registry_resolves_builtins() {
         let registry = SolverRegistry::default();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "auto",
-                "branch-bound",
-                "held-karp",
-                "heuristic",
-                "local-search"
-            ]
-        );
+        assert_eq!(registry.names(), vec!["auto", "branch-bound", "heuristic"]);
         for choice in [
             SolverChoice::Auto,
-            SolverChoice::HeldKarp,
             SolverChoice::BranchBound,
             SolverChoice::Heuristic,
-            SolverChoice::LocalSearch,
         ] {
             let solver = registry.resolve(&choice).expect("built-in resolves");
             assert_eq!(solver.name(), choice.key());
             assert_eq!(SolverChoice::from_key(choice.key()), choice);
+        }
+        for retired in ["held-karp", "local-search"] {
+            assert_eq!(SolverChoice::from_key(retired), SolverChoice::Auto);
         }
         let err = registry
             .resolve(&SolverChoice::Custom("nope".into()))
@@ -542,11 +435,7 @@ mod tests {
             vec![6, 3, 12, 0],
         ]);
         let opt = held_karp::solve(&inst).cost;
-        for choice in [
-            SolverChoice::Auto,
-            SolverChoice::HeldKarp,
-            SolverChoice::BranchBound,
-        ] {
+        for choice in [SolverChoice::Auto, SolverChoice::BranchBound] {
             let solver = SolverRegistry::default().resolve(&choice).unwrap();
             assert_eq!(solver.solve(&inst).cost, opt, "{choice}");
             assert!(solver.is_exact_for(&inst));
@@ -558,42 +447,65 @@ mod tests {
         let heuristic = HeuristicSolver;
         assert!(heuristic.solve(&inst).cost >= opt);
         assert!(!heuristic.is_exact_for(&inst));
-        let local = LocalSearchSolver;
-        assert!(local.solve(&inst).cost >= opt);
-        assert!(!local.is_exact_for(&inst));
     }
 
-    /// The local-search backend surfaces its work through the stats
-    /// variant; exact backends report zeros.
+    /// A registered strategy that reports its work: one restart and one
+    /// iteration per node of every instance it solves.
+    struct Counting;
+
+    impl AtspSolver for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn solve(&self, instance: &AtspInstance) -> Tour {
+            AutoSolver.solve(instance)
+        }
+
+        fn is_exact_for(&self, _instance: &AtspInstance) -> bool {
+            true
+        }
+
+        fn solve_all_optimal_with_stats(
+            &self,
+            instance: &AtspInstance,
+            _cap: usize,
+        ) -> (Vec<Tour>, SolveStats) {
+            let stats = SolveStats {
+                iterations: instance.len() as u64,
+                restarts: 1,
+            };
+            (vec![self.solve(instance)], stats)
+        }
+    }
+
+    /// A custom strategy's [`SolveStats`] reach every member through
+    /// the trait's default family solve and add up with `absorb`; the
+    /// built-ins report zeros.
     #[test]
     fn solve_stats_plumbing() {
-        let inst = random_instance(14, 0x1234_5678);
-        let (tours, stats) = LocalSearchSolver.solve_all_optimal_with_stats(&inst, 8);
-        assert_eq!(tours.len(), 1);
-        assert!(stats.restarts > 0);
-        let (_, exact_stats) = HeldKarpSolver.solve_all_optimal_with_stats(&inst, 8);
-        assert_eq!(exact_stats, SolveStats::default());
+        let inst = random_instance(9, 0x1234_5678);
+        let members = vec![vec![0, 1, 2], vec![1, 3, 5, 7, 8], (0..9).collect()];
+        let mut registry = SolverRegistry::default();
+        registry.register(Counting);
+        let counting = registry
+            .resolve(&SolverChoice::Custom("counting".into()))
+            .expect("registered");
         let mut sum = SolveStats::default();
-        sum.absorb(stats);
-        sum.absorb(stats);
-        assert_eq!(sum.restarts, 2 * stats.restarts);
-    }
-
-    /// `Auto` stays exact through [`EXACT_THRESHOLD`] and hands larger
-    /// instances to the local search (visible through its stats).
-    #[test]
-    fn auto_dispatches_to_local_search_beyond_the_exact_threshold() {
-        let big = random_instance(EXACT_THRESHOLD + 2, 0x9876);
-        assert!(!AutoSolver.is_exact_for(&big));
-        let (tours, stats) = AutoSolver.solve_all_optimal_with_stats(&big, 4);
-        assert_eq!(tours.len(), 1);
-        assert!(stats.restarts > 0, "local search ran");
-        assert!(big.is_valid_tour(&tours[0].order));
-
-        let small = AtspInstance::from_rows(vec![vec![0, 1, 9], vec![9, 0, 1], vec![1, 9, 0]]);
-        assert!(AutoSolver.is_exact_for(&small));
-        let (_, stats) = AutoSolver.solve_all_optimal_with_stats(&small, 4);
-        assert_eq!(stats, SolveStats::default(), "exact path reports zeros");
+        counting.solve_family(&inst, &members, 8, &mut |k, tours, stats| {
+            assert_eq!(tours.len(), 1);
+            assert_eq!(stats.iterations, members[k].len() as u64);
+            sum.absorb(stats);
+        });
+        assert_eq!((sum.iterations, sum.restarts), (3 + 5 + 9, 3));
+        for name in registry.names().into_iter().filter(|&n| n != "counting") {
+            let solver = registry.get(name).expect("built-in");
+            let (_, stats) = solver.solve_all_optimal_with_stats(&inst, 8);
+            assert_eq!(stats, SolveStats::default(), "{name}");
+            solver.solve_family(&inst, &members, 8, &mut |_, _, stats| {
+                assert_eq!(stats, SolveStats::default(), "{name}");
+            });
+        }
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! invariances across random instances (deterministic `marchgen-testkit`
 //! harness).
 
-use marchgen_atsp::{
-    branch_bound, brute, held_karp, heuristics, hungarian, local_search, AtspInstance,
-};
+use marchgen_atsp::{branch_bound, brute, held_karp, heuristics, hungarian, AtspInstance};
 use marchgen_testkit::{run_cases, Rng};
 
 fn random_instance(rng: &mut Rng, max_n: usize) -> AtspInstance {
@@ -58,39 +56,6 @@ fn heuristics_are_feasible() {
         assert!(inst.is_valid_tour(&h.order));
         let opt = held_karp::solve(&inst).cost;
         assert!(h.cost >= opt);
-    });
-}
-
-/// The local search returns valid tours whose cost is **never below the
-/// exact optimum** — the cross-check oracle for the inexact backend.
-#[test]
-fn local_search_never_beats_the_exact_optimum() {
-    run_cases("local_search_never_beats_the_exact_optimum", 48, |rng| {
-        let inst = random_instance(rng, 10);
-        let ls = local_search::solve(&inst);
-        assert!(inst.is_valid_tour(&ls.order));
-        assert_eq!(inst.cycle_cost(&ls.order), ls.cost);
-        let opt = held_karp::solve(&inst).cost;
-        assert!(
-            ls.cost >= opt,
-            "local search {0} below optimum {opt}",
-            ls.cost
-        );
-    });
-}
-
-/// The local search never loses to the one-shot construction heuristics
-/// it seeds from, and is deterministic per instance.
-#[test]
-fn local_search_dominates_construction_and_is_deterministic() {
-    run_cases("local_search_dominates_construction", 32, |rng| {
-        let inst = random_instance(rng, 14);
-        let (a, stats_a) = local_search::solve_with_stats(&inst, &local_search::Config::default());
-        let (b, stats_b) = local_search::solve_with_stats(&inst, &local_search::Config::default());
-        assert_eq!(a, b, "same instance, same tour");
-        assert_eq!(stats_a, stats_b);
-        let h = heuristics::construct(&inst);
-        assert!(a.cost <= h.cost);
     });
 }
 

@@ -15,8 +15,8 @@
 //! exits non-zero if the packed verifier is slower than twice the scalar
 //! time on any pair-fault workload (2x noise margin over the ~10x
 //! measured advantage), if the two backends ever disagree on a coverage
-//! report, if the local-search solver misses the exact optimum on an
-//! exact-range instance, or if the Table 3 `SAF` request verifies more
+//! report, if an exact ATSP backend misses the optimum on a sweep
+//! instance, or if the Table 3 `SAF` request verifies more
 //! than 3x slower at the default `search_threads: 0` than pinned to one
 //! thread (median over [`SAF_THREAD_RUNS`] runs each).
 //!
@@ -122,27 +122,24 @@ fn solver_bench_instance(n: usize, seed: u64) -> marchgen_atsp::AtspInstance {
 }
 
 /// The ATSP solver sweep: every registered backend over deterministic
-/// instances spanning the exact range (n = 12), the branch-and-bound
-/// range (n = 30) and the local-search range (n = 48). Emits
-/// per-solver tour-cost and latency columns; fails when the local
-/// search misses the exact optimum inside the exact range, or any
-/// backend returns an invalid tour.
+/// instances spanning Held–Karp's range (n = 12) and branch-and-bound's
+/// (n = 30 and 48). Emits per-solver tour-cost and latency columns
+/// against the exact optimum, which Held–Karp computes up to its table
+/// limit and branch-and-bound above; fails when an exact backend
+/// (`auto`, `branch-bound`) misses it at any n, or any backend returns
+/// an invalid tour.
 fn solver_sweep(rows: &mut Vec<Json>) -> bool {
-    use marchgen_atsp::SolverRegistry;
+    use marchgen_atsp::{branch_bound, held_karp, SolverRegistry};
     let mut ok = true;
     let registry = SolverRegistry::default();
     println!("== perf smoke: ATSP solver sweep (cost | latency) ============");
     for (n, seed) in [(12usize, 7u64), (30, 11), (48, 23)] {
         let inst = solver_bench_instance(n, seed);
-        // Exact reference where an exact backend is in range (the same
-        // thresholds the auto policy dispatches on).
-        let exact_cost = (n <= marchgen_atsp::EXACT_THRESHOLD).then(|| {
-            if n <= marchgen_atsp::held_karp::MAX_NODES {
-                marchgen_atsp::held_karp::solve(&inst).cost
-            } else {
-                marchgen_atsp::branch_bound::solve(&inst).cost
-            }
-        });
+        let exact_cost = if n <= held_karp::MAX_NODES {
+            held_karp::solve(&inst).cost
+        } else {
+            branch_bound::solve(&inst).cost
+        };
         for name in registry.names() {
             let solver = registry.get(name).expect("registered");
             let tour = solver.solve(&inst);
@@ -151,18 +148,14 @@ fn solver_sweep(rows: &mut Vec<Json>) -> bool {
             let micros = best_micros(3, || {
                 let _ = solver.solve(&inst);
             });
-            let exact_hit = exact_cost.map(|opt| tour.cost == opt);
-            if let (true, Some(opt)) = (
-                name == "local-search" && n <= marchgen_atsp::held_karp::MAX_NODES,
-                exact_cost,
-            ) {
-                // The acceptance gate: inside the exact range the local
-                // search must land on the optimum.
-                ok &= tour.cost == opt;
+            let exact_hit = tour.cost == exact_cost;
+            // The acceptance gate: an exact backend lands on the optimum.
+            if solver.is_exact_for(&inst) {
+                ok &= exact_hit;
             }
             println!(
-                "  n={n:<3} {name:<13} cost {:>6} | {micros:>8} µs | exact_hit={:?}",
-                tour.cost, exact_hit
+                "  n={n:<3} {name:<13} cost {:>6} | {micros:>8} µs | exact_hit={exact_hit}",
+                tour.cost
             );
             rows.push(Json::object([
                 ("n", Json::from(n)),
@@ -170,14 +163,8 @@ fn solver_sweep(rows: &mut Vec<Json>) -> bool {
                 ("solver", Json::from(name)),
                 ("tour_cost", Json::from(tour.cost)),
                 ("solve_micros", Json::from(micros)),
-                (
-                    "exact_optimum",
-                    exact_cost.map(Json::from).unwrap_or(Json::Null),
-                ),
-                (
-                    "matches_exact",
-                    exact_hit.map(Json::Bool).unwrap_or(Json::Null),
-                ),
+                ("exact_optimum", Json::from(exact_cost)),
+                ("matches_exact", Json::Bool(exact_hit)),
                 ("valid_tour", Json::Bool(valid)),
             ]));
         }
@@ -187,9 +174,9 @@ fn solver_sweep(rows: &mut Vec<Json>) -> bool {
 
 /// The pipeline solver sweep: two catalog workloads through `generate`
 /// once per backend, recording complexity (the tour-cost proxy the
-/// paper optimizes), search latency and the local-search counters.
-/// Fails when a backend other than the bounded one-shot heuristic
-/// misses the exact baseline complexity or fails verification.
+/// paper optimizes) and search latency. Fails when `auto` misses the
+/// baseline complexity, another backend exceeds it by more than one
+/// operation, or any outcome fails verification.
 fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
     use marchgen_atsp::SolverChoice;
     let mut ok = true;
@@ -198,13 +185,7 @@ fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
         let baseline = generate(&GenerateRequest::from_fault_list(faults).expect("parses"))
             .expect("generates")
             .complexity();
-        for key in [
-            "auto",
-            "held-karp",
-            "branch-bound",
-            "heuristic",
-            "local-search",
-        ] {
+        for key in ["auto", "branch-bound", "heuristic"] {
             let request = GenerateRequest::from_fault_list(faults)
                 .expect("parses")
                 .with_solver(SolverChoice::from_key(key));
@@ -213,26 +194,24 @@ fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
             let total = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             let d = &out.diagnostics;
             let matches = out.complexity() == baseline && out.verified;
-            // Gate by what each backend promises: the enumerating exact
-            // backends must hit the baseline complexity exactly; the
-            // single-tour backends (branch-and-bound, local search) may
-            // lose one operation to tour-enumeration — the March
-            // constructor tries every optimal tour only when the
-            // backend can enumerate them — and the one-shot heuristic
-            // gets the same slack. Everything must verify.
+            // Gate by what each backend promises: `auto` enumerates
+            // every optimal tour and must hit the baseline complexity
+            // exactly; single-tour branch-and-bound may lose one
+            // operation to tour enumeration — the March constructor
+            // tries every optimal tour only when the backend can
+            // enumerate them — and the one-shot heuristic gets the same
+            // slack. Everything must verify.
             ok &= out.verified;
-            if matches!(key, "auto" | "held-karp") {
+            if key == "auto" {
                 ok &= matches;
             } else {
                 ok &= out.complexity() <= baseline + 1;
             }
             println!(
-                "  {faults:<26} {key:<13} {:>2}n | search {:>8} µs | total {:>8} µs | ls {}it/{}re",
+                "  {faults:<26} {key:<13} {:>2}n | search {:>8} µs | total {:>8} µs",
                 out.complexity(),
                 d.search_micros,
                 total,
-                d.solver_iterations,
-                d.solver_restarts,
             );
             rows.push(Json::object([
                 ("faults", Json::from(faults)),
@@ -242,8 +221,6 @@ fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
                 ("matches_baseline", Json::Bool(matches)),
                 ("search_micros", Json::from(d.search_micros)),
                 ("total_micros", Json::from(total)),
-                ("solver_iterations", Json::from(d.solver_iterations)),
-                ("solver_restarts", Json::from(d.solver_restarts)),
             ]));
         }
     }

@@ -40,14 +40,17 @@ impl GenerateOutcome {
 pub struct Diagnostics {
     /// The ATSP solver backend the run resolved its
     /// [`SolverChoice`](marchgen_atsp::SolverChoice) to (the registry
-    /// name: `"auto"`, `"held-karp"`, `"local-search"`, ...). Empty on
-    /// documents predating the solver diagnostics.
+    /// name: `"auto"`, `"branch-bound"`, `"heuristic"`, or a custom
+    /// strategy's). Empty on documents predating the solver
+    /// diagnostics; older documents may name a retired backend.
     pub solver: String,
-    /// Improving local-search moves applied across all TP-set solves
-    /// (zero when only exact backends ran).
+    /// Search iterations across all TP-set solves, as the strategy's
+    /// [`SolveStats`](marchgen_atsp::SolveStats) report them. Zero for
+    /// every built-in backend; only a custom strategy counts here.
     pub solver_iterations: u64,
-    /// Local-search perturbation restarts across all TP-set solves
-    /// (zero when only exact backends ran).
+    /// Restarts across all TP-set solves, as the strategy's
+    /// [`SolveStats`](marchgen_atsp::SolveStats) report them. Zero for
+    /// every built-in backend; only a custom strategy counts here.
     pub solver_restarts: u64,
     /// Equivalence-class combinations examined (the paper's `E`).
     pub combinations: usize,

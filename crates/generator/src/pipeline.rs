@@ -519,7 +519,7 @@ impl ExactSizeIterator for ClassCombinations<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marchgen_atsp::{AutoSolver, SolverChoice};
+    use marchgen_atsp::{AtspInstance, AutoSolver, SolverChoice, Tour};
     use marchgen_faults::parse_fault_list;
     use marchgen_tpg::plan_tour_with;
 
@@ -880,44 +880,71 @@ mod tests {
         assert_eq!(out.test.complexity(), 4);
     }
 
-    /// All exact solver choices agree on the Table 3 workloads.
+    /// Both exact solver choices agree on the Table 3 workloads.
     #[test]
     fn exact_solver_choices_agree() {
         for faults in ["SAF", "SAF, TF", "CFid<u,0>, CFid<u,1>"] {
             let baseline = run(faults).complexity();
-            for choice in [SolverChoice::HeldKarp, SolverChoice::BranchBound] {
-                let request = GenerateRequest::from_fault_list(faults)
-                    .unwrap()
-                    .with_solver(choice.clone());
-                let out = generate(&request).unwrap();
-                assert!(out.verified, "{faults} with {choice}");
-                assert_eq!(out.complexity(), baseline, "{faults} with {choice}");
-            }
+            let request = GenerateRequest::from_fault_list(faults)
+                .unwrap()
+                .with_solver(SolverChoice::BranchBound);
+            let out = generate(&request).unwrap();
+            assert!(out.verified, "{faults}");
+            assert_eq!(out.complexity(), baseline, "{faults}");
         }
     }
 
-    /// The local-search backend generates verified tests end-to-end and
-    /// surfaces its work in the diagnostics.
+    /// A registered strategy that reports one restart and two
+    /// iterations per solve, planning with `auto`'s tours.
+    struct Counting;
+
+    impl AtspSolver for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn solve(&self, instance: &AtspInstance) -> Tour {
+            AutoSolver.solve(instance)
+        }
+
+        fn is_exact_for(&self, _instance: &AtspInstance) -> bool {
+            true
+        }
+
+        fn solve_all_optimal_with_stats(
+            &self,
+            instance: &AtspInstance,
+            cap: usize,
+        ) -> (Vec<Tour>, SolveStats) {
+            let stats = SolveStats {
+                iterations: 2,
+                restarts: 1,
+            };
+            (AutoSolver.solve_all_optimal(instance, cap), stats)
+        }
+    }
+
+    /// A custom strategy's [`SolveStats`] reach the outcome's
+    /// `solver_iterations` and `solver_restarts` through
+    /// [`generate_with_registry`], summed over the TP sets it solved;
+    /// the built-in default reports zeros.
     #[test]
-    fn local_search_choice_generates_and_reports() {
-        let request = GenerateRequest::from_fault_list("CFid<u,0>, CFid<u,1>")
+    fn solve_stats_reach_diagnostics() {
+        let mut registry = SolverRegistry::default();
+        registry.register(Counting);
+        let request = GenerateRequest::from_fault_list("SAF, TF, CFin")
             .unwrap()
-            .with_solver(SolverChoice::LocalSearch);
-        let out = generate(&request).unwrap();
-        assert!(out.verified, "local-search outcome verifies");
-        assert_eq!(out.diagnostics.solver, "local-search");
-        assert!(
-            out.diagnostics.solver_restarts > 0,
-            "the TPG here is large enough for the restart phase"
-        );
-        // The exact baseline: same complexity on this catalog workload.
-        let exact = run("CFid<u,0>, CFid<u,1>");
-        assert_eq!(out.complexity(), exact.complexity());
-        assert_eq!(exact.diagnostics.solver, "auto");
-        assert_eq!(
-            exact.diagnostics.solver_iterations, 0,
-            "exact path is search-free"
-        );
+            .with_solver(SolverChoice::Custom("counting".into()));
+        let out = generate_with_registry(&request, &registry).unwrap();
+        let d = &out.diagnostics;
+        assert_eq!(d.solver, "counting");
+        assert!(d.unique_tp_sets > 1, "{}", d.unique_tp_sets);
+        assert_eq!(d.solver_restarts, d.unique_tp_sets as u64);
+        assert_eq!(d.solver_iterations, 2 * d.solver_restarts);
+        let exact = run("SAF, TF, CFin");
+        assert_eq!(out.test, exact.test);
+        let e = &exact.diagnostics;
+        assert_eq!((e.solver_iterations, e.solver_restarts), (0, 0));
     }
 
     /// Diagnostics account for the search the engine performed.

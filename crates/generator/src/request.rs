@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn builder_chain() {
         let req = GenerateRequest::default()
-            .with_solver(SolverChoice::HeldKarp)
+            .with_solver(SolverChoice::BranchBound)
             .with_start_policy(StartPolicy::Free)
             .with_tour_cap(0)
             .with_verify_cells(6)
@@ -306,7 +306,7 @@ mod tests {
             .with_max_combinations(0)
             .with_verifier(VerifierChoice::Scalar)
             .with_search_threads(4);
-        assert_eq!(req.solver, SolverChoice::HeldKarp);
+        assert_eq!(req.solver, SolverChoice::BranchBound);
         assert_eq!(req.verifier, VerifierChoice::Scalar);
         assert_eq!(req.search_threads, 4);
         assert_eq!(req.start_policy, StartPolicy::Free);

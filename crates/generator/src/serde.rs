@@ -527,7 +527,7 @@ impl FromJson for Diagnostics {
         };
         // Optional and backward compatible: documents predating the
         // solver diagnostics decode with an empty backend name and
-        // zeroed local-search counters.
+        // zeroed solver counters.
         let solver = match json.get("solver") {
             None => String::new(),
             Some(_) => str_field(json, "solver")?.to_owned(),
@@ -653,7 +653,7 @@ mod tests {
     fn request_roundtrip_is_lossless() {
         let request = GenerateRequest::from_fault_list("SAF, TF, CFid<u,1>")
             .unwrap()
-            .with_solver(SolverChoice::HeldKarp)
+            .with_solver(SolverChoice::BranchBound)
             .with_start_policy(StartPolicy::Free)
             .with_tour_cap(7)
             .with_verify_cells(6)
@@ -688,6 +688,18 @@ mod tests {
             GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "quantum"}"#)
                 .is_err()
         );
+    }
+
+    /// The retired solver names decode as `auto` and re-encode as it,
+    /// so requests written for them keep working.
+    #[test]
+    fn retired_solver_names_decode_as_auto() {
+        for retired in ["held-karp", "local-search"] {
+            let doc = format!(r#"{{"faults": ["SAF"], "solver": "{retired}"}}"#);
+            let back = GenerateRequest::from_json_str(&doc).unwrap();
+            assert_eq!(back.solver, SolverChoice::Auto, "{retired}");
+            assert!(back.to_json_string().contains(r#""solver":"auto""#));
+        }
     }
 
     /// `verify_cells` is bounded at the wire: the maximum decodes, one

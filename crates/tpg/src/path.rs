@@ -95,8 +95,8 @@ pub fn plan_tour_with(
 }
 
 /// [`plan_tour_with`] plus the solver's [`SolveStats`] for this TPG —
-/// exact backends report zeros, the local search its iteration and
-/// restart counts. The request layer aggregates these per generation
+/// the built-in backends report zeros, a registered strategy whatever
+/// work it counts. The request layer aggregates these per generation
 /// run into its diagnostics. This is the one-member case of
 /// [`TourFamily::plan`].
 #[must_use]

@@ -17,7 +17,7 @@ fn main() {
         .map(|list| {
             GenerateRequest::from_fault_list(list)
                 .expect("catalog lists parse")
-                .with_solver(SolverChoice::HeldKarp)
+                .with_solver(SolverChoice::BranchBound)
         })
         .collect();
 

@@ -81,9 +81,11 @@ usage:
                     [--search-threads N] [--cache-dir DIR]
                                             one fault list per line through the batch service
 
-  --solver          ATSP backend: auto (exact up to 40 nodes, then the
-                    LKH-style local search; the default), held-karp,
-                    branch-bound, heuristic, or local-search
+  --solver          ATSP backend: auto (exact at every size: Held-Karp with
+                    every tied tour up to 18 nodes, branch-and-bound above;
+                    the default), branch-bound (exact, one tour per set) or
+                    heuristic (fast, inexact); the retired names held-karp
+                    and local-search still mean auto
   --verifier        verification backend: auto (the packed multi-word-lane
                     simulator; the default) or scalar (one scenario at a
                     time, the reference oracle); the retired names bitsim
@@ -248,13 +250,8 @@ fn print_outcome_text(outcome: &GenerateOutcome) {
         d.candidates,
         d.total_micros()
     );
-    if d.solver_iterations > 0 || d.solver_restarts > 0 {
-        println!(
-            "solver     : {} ({} iterations, {} restarts)",
-            d.solver, d.solver_iterations, d.solver_restarts
-        );
-    } else if !d.solver.is_empty() {
-        println!("solver     : {} (exact)", d.solver);
+    if !d.solver.is_empty() {
+        println!("solver     : {}", d.solver);
     }
 }
 

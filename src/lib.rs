@@ -7,8 +7,8 @@
 //! > Algorithm for the Automatic Generation of March Tests"*, DATE 2002,
 //! > pp. 938–943 (DOI 10.1109/DATE.2002.998412).
 //!
-//! Give it a memory fault list; it returns a minimal, non-redundant March
-//! test that is **proven** against a behavioural fault simulator:
+//! Give it a memory fault list; it returns a compacted, non-redundant
+//! March test that is **proven** against a behavioural fault simulator:
 //!
 //! ```
 //! use marchgen::{generate, GenerateRequest};
@@ -117,7 +117,7 @@ pub mod serve;
 pub mod service;
 
 pub use error::Error;
-pub use marchgen_atsp::{AtspSolver, LocalSearchSolver, SolveStats, SolverChoice, SolverRegistry};
+pub use marchgen_atsp::{AtspSolver, SolveStats, SolverChoice, SolverRegistry};
 pub use marchgen_faults::{parse_fault_list, FaultModel};
 pub use marchgen_generator::{
     generate, generate_with, generate_with_registry, Diagnostics, GenerateOutcome, GenerateRequest,

@@ -223,7 +223,7 @@ impl Metrics {
             .observe(micros);
     }
 
-    /// Phase histograms + solver counters for one *computed*
+    /// Phase histograms + backend outcome counters for one *computed*
     /// (non-cache-hit) outcome: one observation per phase per outcome.
     /// Cache hits contribute nothing. The `expand`, `search` and
     /// `verify` histograms are the source of `/v1/stats` `timing`.
@@ -252,20 +252,6 @@ impl Metrics {
                 &[("backend", backend)],
             )
             .inc();
-        self.registry
-            .counter(
-                "marchgend_solver_iterations_total",
-                "Improving local-search moves across computed outcomes, by backend.",
-                &[("backend", backend)],
-            )
-            .add(diagnostics.solver_iterations);
-        self.registry
-            .counter(
-                "marchgend_solver_restarts_total",
-                "Local-search perturbation restarts across computed outcomes, by backend.",
-                &[("backend", backend)],
-            )
-            .add(diagnostics.solver_restarts);
     }
 
     /// A per-request [`Tracer`]: its observer feeds the phase

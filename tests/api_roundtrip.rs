@@ -15,12 +15,10 @@ use marchgen_testkit::{run_cases, Rng};
 fn random_request(rng: &mut Rng) -> GenerateRequest {
     let all = FaultModel::all_classical();
     let faults = rng.vec(1, 6, |rng| *rng.pick(&all));
-    let solver = match rng.range(0, 6) {
+    let solver = match rng.range(0, 4) {
         0 => SolverChoice::Auto,
-        1 => SolverChoice::HeldKarp,
-        2 => SolverChoice::BranchBound,
-        3 => SolverChoice::Heuristic,
-        4 => SolverChoice::LocalSearch,
+        1 => SolverChoice::BranchBound,
+        2 => SolverChoice::Heuristic,
         _ => SolverChoice::Custom(format!("plugin-{}", rng.range(0, 100))),
     };
     let policy = if rng.flip() {
@@ -71,6 +69,8 @@ fn random_outcome(rng: &mut Rng) -> GenerateOutcome {
         tour,
         non_redundant: if rng.flip() { Some(rng.flip()) } else { None },
         diagnostics: Diagnostics {
+            // "held-karp" and "local-search" name retired backends that
+            // cached documents still carry.
             solver: ["auto", "held-karp", "local-search"][rng.range(0, 3)].to_owned(),
             solver_iterations: rng.next_u64() % 10_000,
             solver_restarts: rng.next_u64() % 64,

@@ -84,17 +84,17 @@ fn sharded_verify_json_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The inexact local-search backend is deterministic too: its restart
-/// RNG is fixed-seeded and per-instance, so outcomes (including the
-/// solver iteration/restart diagnostics) are byte-identical across
-/// search thread counts.
+/// The branch-and-bound backend, which plans through the trait's
+/// default per-set family solve rather than shared Held–Karp tables, is
+/// deterministic too: outcomes are byte-identical across search thread
+/// counts.
 #[test]
-fn local_search_solver_json_is_byte_identical_across_thread_counts() {
+fn branch_bound_solver_json_is_byte_identical_across_thread_counts() {
     use marchgen::SolverChoice;
     for faults in ["SAF, TF", "CFid<u,1>, CFid<d,1>", "CFin, CFid"] {
         let base = GenerateRequest::from_fault_list(faults)
             .unwrap()
-            .with_solver(SolverChoice::LocalSearch)
+            .with_solver(SolverChoice::BranchBound)
             .with_check_redundancy(true);
         let reference = normalized_json(generate(&base.clone().with_search_threads(1)).unwrap());
         for threads in [2usize, 8] {
@@ -102,7 +102,7 @@ fn local_search_solver_json_is_byte_identical_across_thread_counts() {
                 normalized_json(generate(&base.clone().with_search_threads(threads)).unwrap());
             assert_eq!(
                 sharded, reference,
-                "{faults}: local search with {threads} search threads diverged"
+                "{faults}: branch-and-bound with {threads} search threads diverged"
             );
         }
     }

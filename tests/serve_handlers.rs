@@ -91,10 +91,10 @@ fn daemon_answers_bodies_errors_and_routes() {
         &app,
         "POST",
         "/v1/generate",
-        r#"{"faults": ["SAF"], "solver": "local-search"}"#,
+        r#"{"faults": ["SAF"], "solver": "branch-bound"}"#,
     );
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"solver\":\"local-search\""), "{body}");
+    assert!(body.contains("\"solver\":\"branch-bound\""), "{body}");
     assert!(body.contains("\"verified\":true"), "{body}");
     let (status, body) = call(
         &app,
@@ -121,11 +121,23 @@ fn daemon_answers_bodies_errors_and_routes() {
     };
     assert_eq!((complexity(0), complexity(1)), (Some(10), Some(4)));
 
-    // SAF via local search, plain SAF, and the five-model list.
+    // SAF via branch-and-bound, plain SAF, and the five-model list.
     let (status, stats) = call(&app, "GET", "/v1/stats", "");
     assert_eq!(status, 200, "{stats}");
     assert_eq!(counter(&stats, "inserts"), 3, "{stats}");
     assert_eq!(counter(&stats, "hits"), 1, "{stats}");
+
+    // A retired backend name decodes as `auto`: it keys like plain SAF
+    // and is answered from that entry, naming `auto`.
+    let (status, body) = call(
+        &app,
+        "POST",
+        "/v1/generate",
+        r#"{"faults": ["SAF"], "solver": "local-search"}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"solver\":\"auto\""), "{body}");
+    assert!(body.contains("\"cache_hit\":true"), "{body}");
 }
 
 /// `POST /v1/rtl` serves the SystemVerilog BIST bundle for a march

@@ -7,15 +7,21 @@
 //! instead (it exists as a fast upper bound, not a tour planner).
 //!
 //! This is the cross-check that keeps the `SolverChoice::Auto` policy
-//! honest: above the exact threshold Auto trusts the local search, and
-//! this suite pins the local search to the exact optimum on the whole
-//! catalog range where both can run.
+//! honest: `auto` shares Held–Karp tables between the TP sets of a
+//! request and hands sets past the table limit to branch-and-bound, and
+//! this suite pins both paths to the per-instance `u64` table, to
+//! branch-and-bound and to brute force. The CLI's `--solver` flag is
+//! checked here too.
 
-use marchgen::atsp::{AtspInstance, AtspSolver, SolveStats, SolverRegistry, Tour};
+use marchgen::atsp::{
+    AtspInstance, AtspSolver, AutoSolver, BranchBoundSolver, HeuristicSolver, SolveStats,
+    SolverRegistry, Tour,
+};
 use marchgen::faults::{dedupe_subsumed, parse_fault_list, requirements_for, FaultModel};
 use marchgen::generator::ClassCombinations;
 use marchgen::prelude::TestPattern;
 use marchgen::tpg::{plan_tour_with, plan_tour_with_stats, StartPolicy, TourFamily, Tpg};
+use std::process::Command;
 
 /// Brute-force permutation oracle as an [`AtspSolver`], usable wherever
 /// the instance (TPG + dummy node) stays within its 10-node cap.
@@ -116,13 +122,9 @@ fn all_registered_solvers_agree_on_catalog_tpgs() {
             let tpg = Tpg::new(tps);
             for policy in [StartPolicy::Uniform, StartPolicy::Free] {
                 instances += 1;
-                // Reference: the exact Held–Karp backend.
-                let exact = plan_tour_with(
-                    &tpg,
-                    policy,
-                    64,
-                    registry.get("held-karp").expect("built-in").as_ref(),
-                );
+                // Reference: `auto` through the per-instance `u64`
+                // Held–Karp table.
+                let exact = plan_tour_with(&tpg, policy, 64, &PerInstance(&AutoSolver));
                 let optimum = exact
                     .iter()
                     .map(|p| p.gts_ops)
@@ -138,11 +140,11 @@ fn all_registered_solvers_agree_on_catalog_tpgs() {
                         .unwrap_or_else(|| panic!("{name} returned no plan ({faults})"));
                     if name == "heuristic" {
                         // The one-shot construction backend exists as a
-                        // fast upper bound (it seeds branch-and-bound
-                        // and the local search); it is optimal on
-                        // almost — but provably not all — catalog TPGs.
-                        // Its contract here: never below the optimum,
-                        // and within one operation of it.
+                        // fast upper bound (it seeds branch-and-bound);
+                        // it is optimal on almost — but provably not
+                        // all — catalog TPGs. Its contract here: never
+                        // below the optimum, and within one operation
+                        // of it.
                         assert!(
                             best >= optimum && best <= optimum + 1,
                             "heuristic planned {best} ops vs optimum {optimum} \
@@ -176,28 +178,51 @@ fn all_registered_solvers_agree_on_catalog_tpgs() {
     );
 }
 
-/// The full pipeline agrees too: for the paper's Table 3 workloads the
-/// local-search backend produces a verified test of the same complexity
-/// as the exact default.
+/// The largest TPG the catalog can form: all 40 distinct TPs of the
+/// extended vocabulary, 41 nodes with the dummy, far past Held–Karp's
+/// table limit. `auto` plans it under both start policies with the
+/// exact branch-and-bound tour, no longer than any tour the inexact
+/// `heuristic` backend finds.
 #[test]
-fn local_search_pipeline_matches_exact_on_table3_workloads() {
-    use marchgen::{generate, GenerateRequest, SolverChoice};
-    for faults in [
-        "SAF",
-        "SAF, TF",
-        "CFid<u,0>, CFid<u,1>",
-        "CFid<u,1>, CFid<d,1>",
+fn auto_plans_the_full_vocabulary_tpg_exactly() {
+    let mut tps: Vec<TestPattern> = requirements_for(&FaultModel::all_extended())
+        .into_iter()
+        .flat_map(|r| r.alternatives)
+        .collect();
+    tps.sort();
+    tps.dedup();
+    assert_eq!(tps.len(), 40, "the extended vocabulary's distinct TPs");
+    let tpg = Tpg::new(tps);
+    for policy in [StartPolicy::Uniform, StartPolicy::Free] {
+        let plans = plan_tour_with(&tpg, policy, 64, &AutoSolver);
+        let exact = plan_tour_with(&tpg, policy, 1, &BranchBoundSolver);
+        assert_eq!(plans, exact, "{policy:?}");
+        let heuristic = plan_tour_with(&tpg, policy, 1, &HeuristicSolver);
+        assert!(plans[0].gts_ops <= heuristic[0].gts_ops, "{policy:?}");
+    }
+}
+
+/// The `--solver` flag of the CLI: the outcome's `solver` line names the
+/// backend that ran, without claiming exactness for the inexact one,
+/// and a retired name runs `auto`.
+#[test]
+fn cli_solver_line_names_the_backend_that_ran() {
+    for (flag, ran) in [
+        ("heuristic", "heuristic"),
+        ("local-search", "auto"),
+        ("held-karp", "auto"),
     ] {
-        let exact = generate(&GenerateRequest::from_fault_list(faults).unwrap()).unwrap();
-        let local = generate(
-            &GenerateRequest::from_fault_list(faults)
-                .unwrap()
-                .with_solver(SolverChoice::LocalSearch),
-        )
-        .unwrap();
-        assert!(local.verified, "{faults}");
-        assert_eq!(local.complexity(), exact.complexity(), "{faults}");
-        assert_eq!(local.diagnostics.solver, "local-search");
+        let cli = Command::new(env!("CARGO_BIN_EXE_marchgen"))
+            .args(["generate", "SAF, TF", "--solver", flag])
+            .output()
+            .expect("run marchgen CLI");
+        let stdout = String::from_utf8(cli.stdout).expect("utf-8 output");
+        assert!(cli.status.success(), "--solver {flag}: {stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("solver"))
+            .unwrap_or_else(|| panic!("--solver {flag}: no solver line in {stdout}"));
+        assert_eq!(line, format!("solver     : {ran}"), "--solver {flag}");
     }
 }
 
@@ -231,10 +256,10 @@ impl AtspSolver for PerInstance<'_> {
 /// Planning a list's TP sets as one family gives every set exactly the
 /// plans (and solver statistics) `plan_tour_with_stats` gives its own
 /// TPG, under both start policies and caps 1 and 64: with the
-/// shared-table solvers (`auto`, `held-karp`) and with `local-search`,
-/// which has no family override and so runs the trait's default. For
-/// sets of at most 13 TPs, where the `u64` table stays small, the
-/// per-set plans are also held to that table.
+/// shared-table `auto` and with `branch-bound`, which has no family
+/// override and so runs the trait's default. For sets of at most 13
+/// TPs, where the `u64` table stays small, `auto`'s per-set plans are
+/// also held to that table.
 ///
 /// The lists are the catalog above (Table 3, the §4 example and every
 /// extended model), four `search_heavy` lists, `ADF, CFin, CFst` (sets
@@ -279,7 +304,7 @@ fn family_plans_match_per_set_plans() {
         let family = TourFamily::new(&union);
         sets_checked += sets.len();
         past_max_nodes += sets.iter().filter(|set| set.len() + 1 > max_nodes).count();
-        for name in ["auto", "held-karp", "local-search"] {
+        for name in ["auto", "branch-bound"] {
             let solver = registry.get(name).expect("built-in");
             for policy in [StartPolicy::Uniform, StartPolicy::Free] {
                 for cap in [1, 64] {
@@ -304,7 +329,7 @@ fn family_plans_match_per_set_plans() {
                             set.len()
                         );
                         assert_eq!(got.as_ref(), Some(&want), "{ctx}");
-                        if name != "local-search" && set.len() <= 13 {
+                        if name == "auto" && set.len() <= 13 {
                             let oracle = PerInstance(solver.as_ref());
                             let reference = plan_tour_with_stats(&tpg, policy, cap, &oracle);
                             assert_eq!(want, reference, "{ctx}: against the u64 table");
