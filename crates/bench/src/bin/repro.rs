@@ -6,8 +6,9 @@
 //! ```
 //!
 //! With `--perf-json <path>` it instead runs the offline **perf smoke**:
-//! the Table 3 workloads through the full pipeline under both
-//! verification backends (scalar and the packed `auto`), verify-phase
+//! the Table 3 workloads through the full pipeline verified by the
+//! scalar oracle (passed in through `generate_with`) and by the packed
+//! backend `generate` runs (the `auto` rows), verify-phase
 //! microbenchmarks of both, and a **solver phase**: every registered
 //! ATSP backend over deterministic instances and pipeline workloads,
 //! with per-solver tour-cost and latency columns. Written as a JSON
@@ -24,10 +25,11 @@
 //! cargo run --release -p marchgen-bench --bin repro -- --perf-json BENCH_pr10.json
 //! ```
 
+use marchgen_atsp::AutoSolver;
 use marchgen_bench::{row_models, section4_tps, TABLE3};
 use marchgen_faults::{bfe, catalog, parse_fault_list, FaultModel, TransitionDir};
 use marchgen_generator::{
-    baseline, generate, gts::Gts, schedule_tour, GenerateRequest, VerifierChoice,
+    baseline, generate, generate_with, gts::Gts, schedule_tour, GenerateRequest,
 };
 use marchgen_json::Json;
 use marchgen_march::{known, MarchTest};
@@ -269,7 +271,8 @@ fn saf_thread_rows(rows: &mut Vec<Json>) -> bool {
 }
 
 /// The offline perf smoke: per-phase pipeline timings on the Table 3
-/// workloads under both verification backends, the `SAF` request
+/// workloads verified by the scalar oracle and by the packed backend,
+/// the `SAF` request
 /// unpinned against pinned, verify-phase microbenchmarks (including the
 /// pair-fault CFin+CFid+CFst sweep at 8 cells), and the per-solver
 /// cost/latency sweeps. Writes the record to `path`; non-zero exit when
@@ -285,13 +288,16 @@ fn perf_smoke(path: &str) -> ExitCode {
     for row in TABLE3 {
         let models = row_models(row);
         let pair_fault = models.iter().any(FaultModel::is_pair_fault);
-        for (backend, choice) in [
-            ("scalar", VerifierChoice::Scalar),
-            ("auto", VerifierChoice::Auto),
-        ] {
-            let request = GenerateRequest::new(models.clone()).with_verifier(choice);
+        let request = GenerateRequest::new(models.clone());
+        for backend in ["scalar", "auto"] {
             let started = Instant::now();
-            let out = generate(&request).expect("table rows generate");
+            let out = if backend == "scalar" {
+                let oracle = SimVerifier::new(request.verify_cells);
+                generate_with(&request, &AutoSolver, Some(&oracle))
+            } else {
+                generate(&request)
+            }
+            .expect("table rows generate");
             let total = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             let d = &out.diagnostics;
             println!(

@@ -8,12 +8,12 @@
 //! defaults), and a schema tag so a future wire-format revision can
 //! never replay stale entries.
 //!
-//! Two request fields are deliberately **excluded** from the key:
-//! `verifier` and `search_threads`. Both are execution knobs proven
-//! outcome-invariant by the differential and determinism test suites
-//! (`crates/sim/tests/differential.rs`, `tests/determinism.rs`), so
-//! clients running with different thread counts or verification
-//! backends share cache entries for the same generation problem.
+//! One request field is deliberately **excluded** from the key:
+//! `search_threads`, an execution knob proven outcome-invariant by the
+//! determinism test suite (`tests/determinism.rs`), so clients running
+//! with different thread counts share cache entries for the same
+//! generation problem. The key never held the retired `verifier`
+//! choice, so documents that still carry it key as they always did.
 
 use marchgen_generator::GenerateRequest;
 use marchgen_tpg::StartPolicy;
@@ -139,7 +139,7 @@ pub fn request_key(request: &GenerateRequest) -> CacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marchgen_generator::VerifierChoice;
+    use marchgen_json::FromJson;
 
     #[test]
     fn hex_roundtrip() {
@@ -166,14 +166,23 @@ mod tests {
         assert_eq!(request_key(&a), request_key(&b));
     }
 
+    /// Neither the execution knob `search_threads` nor the retired
+    /// `verifier` key of a request document, whichever name it carries,
+    /// changes the key text.
     #[test]
     fn execution_knobs_do_not_change_the_key() {
         let base = GenerateRequest::from_fault_list("SAF, CFid").unwrap();
-        let tweaked = base
-            .clone()
-            .with_verifier(VerifierChoice::Scalar)
-            .with_search_threads(7);
+        let tweaked = base.clone().with_search_threads(7);
         assert_eq!(request_key(&base), request_key(&tweaked));
+        for name in ["auto", "scalar", "bitsim", "wide"] {
+            let doc = format!(r#"{{"faults": ["SAF", "CFid"], "verifier": "{name}"}}"#);
+            let carrying = GenerateRequest::from_json_str(&doc).unwrap();
+            assert_eq!(
+                canonical_key_text(&carrying),
+                canonical_key_text(&base),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property tests (deterministic `marchgen-testkit` harness) for the
 //! canonical cache key: permutation- and duplication-invariance over
-//! the fault list, default-field omission in JSON documents, and
-//! sensitivity to every semantic field.
+//! the fault list, default-field omission in JSON documents (the
+//! retired `verifier` key included), and sensitivity to every semantic
+//! field.
 
 use marchgen_cache::{canonical_key_text, request_key};
 use marchgen_faults::FaultModel;
-use marchgen_generator::{GenerateRequest, VerifierChoice};
+use marchgen_generator::GenerateRequest;
 use marchgen_json::{FromJson, ToJson};
 use marchgen_testkit::{run_cases, Rng};
 use marchgen_tpg::StartPolicy;
@@ -50,7 +51,8 @@ fn permutation_and_duplication_invariance() {
 
 /// A JSON document that spells out the defaults keys identically to
 /// one that omits them (the `Default`-consistency regression, driven
-/// through random fault lists).
+/// through random fault lists), whichever name the retired `verifier`
+/// key it also carries holds: the key text is byte-identical.
 #[test]
 fn default_field_omission_matches_explicit_defaults() {
     run_cases("cache_key_default_omission", 64, |rng| {
@@ -59,20 +61,26 @@ fn default_field_omission_matches_explicit_defaults() {
         let list = names.join(", ");
         let terse = GenerateRequest::from_json_str(&format!("{{\"faults\": [{list}]}}"))
             .expect("terse document decodes");
-        let spelled = GenerateRequest::from_json_str(&format!(
-            "{{\"faults\": [{list}], \"verifier\": \"auto\", \"search_threads\": 0, \
-              \"solver\": \"auto\", \"start_policy\": \"uniform\", \"tour_cap\": 64, \
-              \"verify_cells\": 4, \"compact\": true, \"check_redundancy\": false, \
-              \"max_combinations\": 4096}}"
-        ))
-        .expect("spelled-out document decodes");
-        assert_eq!(terse, spelled);
-        assert_eq!(request_key(&terse), request_key(&spelled));
+        for verifier in ["auto", "scalar", "bitsim", "wide"] {
+            let spelled = GenerateRequest::from_json_str(&format!(
+                "{{\"faults\": [{list}], \"verifier\": \"{verifier}\", \"search_threads\": 0, \
+                  \"solver\": \"auto\", \"start_policy\": \"uniform\", \"tour_cap\": 64, \
+                  \"verify_cells\": 4, \"compact\": true, \"check_redundancy\": false, \
+                  \"max_combinations\": 4096}}"
+            ))
+            .expect("spelled-out document decodes");
+            assert_eq!(terse, spelled, "{verifier}");
+            assert_eq!(
+                canonical_key_text(&terse),
+                canonical_key_text(&spelled),
+                "{verifier}"
+            );
+        }
     });
 }
 
-/// Every semantic field change moves the key; execution-knob changes
-/// (verifier backend, search threads) never do.
+/// Every semantic field change moves the key; the execution knob
+/// (search threads) never does.
 #[test]
 fn semantic_fields_move_the_key_execution_knobs_do_not() {
     run_cases("cache_key_semantic_sensitivity", 128, |rng| {
@@ -110,24 +118,11 @@ fn semantic_fields_move_the_key_execution_knobs_do_not() {
             );
         }
 
-        // The retired backend name `"bitsim"` still decodes (as `auto`)
-        // and keys like any other verifier choice.
-        let retired = base
-            .to_json_string()
-            .replace(r#""verifier":"auto""#, r#""verifier":"bitsim""#);
-        assert!(retired.contains("bitsim"));
-        let execution: Vec<GenerateRequest> = vec![
-            base.clone().with_verifier(VerifierChoice::Scalar),
-            GenerateRequest::from_json_str(&retired).expect("the retired verifier name decodes"),
-            base.clone().with_search_threads(rng.range(1, 16)),
-        ];
-        for variant in &execution {
-            assert_eq!(
-                request_key(variant),
-                key,
-                "execution knobs are outcome-invariant and must share the key"
-            );
-        }
+        assert_eq!(
+            request_key(&base.clone().with_search_threads(rng.range(1, 16))),
+            key,
+            "search threads are outcome-invariant and must share the key"
+        );
     });
 }
 

@@ -49,5 +49,5 @@ pub use outcome::{Diagnostics, GenerateOutcome};
 pub use pipeline::{
     generate, generate_with, generate_with_registry, verifier_for, ClassCombinations, GenerateError,
 };
-pub use request::{GenerateRequest, VerifierChoice};
+pub use request::GenerateRequest;
 pub use schedule::{schedule_tour, ScheduleError};

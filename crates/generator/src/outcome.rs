@@ -87,12 +87,13 @@ pub struct Diagnostics {
     /// work of the search. Entries planned on different threads overlap
     /// in wall time.
     pub shard_micros: Vec<u64>,
-    /// The verification backend the run resolved its
-    /// [`VerifierChoice`](crate::VerifierChoice) to (the trait name:
-    /// `"simulator"` or `"widesim"`; documents written before the 64-lane
-    /// backend was retired may carry `"bitsim"`). Empty when verification
+    /// The name of the verification backend that ran: `"widesim"` on
+    /// every built-in path, `"simulator"` only when a library caller
+    /// passes the scalar oracle to
+    /// [`generate_with`](crate::generate_with). Empty when verification
     /// was disabled (`verify_cells == 0`) or on documents predating the
-    /// verifier diagnostics.
+    /// verifier diagnostics; older documents may carry `"simulator"` or
+    /// the retired 64-lane backend's `"bitsim"`.
     pub verifier: String,
     /// Per-sweep verify times, µs: one entry per coverage sweep the
     /// pipeline ran — each screened candidate, then the final or

@@ -1,6 +1,7 @@
 //! The end-to-end generation pipeline (paper Sections 4–6): fault list →
 //! requirements → class combinations → TPG/ATSP tours → March
-//! construction → simulator verification → minimal verified test.
+//! construction → simulator verification → the shortest candidate that
+//! verifies, compacted by greedy operation deletion.
 //!
 //! The engine is the free function [`generate`] (and its
 //! dependency-injected variants [`generate_with_registry`] /
@@ -9,17 +10,16 @@
 
 use crate::outcome::{Diagnostics, GenerateOutcome};
 use crate::pool::run_indexed;
-use crate::request::{GenerateRequest, VerifierChoice};
+use crate::request::GenerateRequest;
 use crate::schedule::{schedule_tour, Builder};
 use marchgen_atsp::{AtspSolver, SolveStats, SolverRegistry};
 use marchgen_faults::{dedupe_subsumed, requirements_for, CoverageRequirement, TestPattern};
 use marchgen_march::MarchTest;
-use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
+use marchgen_sim::{Verifier, WideSimVerifier};
 use marchgen_tpg::{StartPolicy, TourFamily, Tpg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::time::Instant;
 
 /// Why generation failed outright (verification shortfalls are reported
@@ -51,8 +51,8 @@ impl fmt::Display for GenerateError {
 
 impl std::error::Error for GenerateError {}
 
-/// Runs a request with the default solver registry and the built-in
-/// simulator verifier — the standard entry point.
+/// Runs a request with the default solver registry and the packed
+/// simulator of [`verifier_for`] — the standard entry point.
 ///
 /// # Errors
 ///
@@ -66,8 +66,8 @@ pub fn generate(request: &GenerateRequest) -> Result<GenerateOutcome, GenerateEr
 
 /// Runs a request resolving its
 /// [`SolverChoice`](marchgen_atsp::SolverChoice) against a caller
-/// registry (custom strategies included), verifying with the built-in
-/// simulator.
+/// registry (custom strategies included), verifying with the packed
+/// simulator of [`verifier_for`].
 ///
 /// # Errors
 ///
@@ -83,20 +83,20 @@ pub fn generate_with_registry(
     generate_with(request, solver.as_ref(), verifier.as_deref())
 }
 
-/// Resolves the request's [`VerifierChoice`] into a concrete backend
-/// (`None` when `verify_cells == 0` disables verification): the packed
-/// simulator for `Auto` — it supports every model of the extended
-/// taxonomy, dynamic and linked classes included — and the scalar one
-/// for `Scalar`.
+/// The request's verification backend: the packed simulator
+/// ([`WideSimVerifier`]) on `verify_cells` cells, which supports every
+/// model of the extended taxonomy, dynamic and linked classes included;
+/// `None` when `verify_cells == 0` disables verification. A caller that
+/// wants the scalar oracle passes a
+/// [`SimVerifier`](marchgen_sim::SimVerifier) to [`generate_with`]; both
+/// compute the same coverage bits, so the outcome only differs in
+/// [`Diagnostics::verifier`].
 #[must_use]
 pub fn verifier_for(request: &GenerateRequest) -> Option<Box<dyn Verifier>> {
     if request.verify_cells == 0 {
         return None;
     }
-    Some(match request.verifier {
-        VerifierChoice::Auto => Box::new(WideSimVerifier::new(request.verify_cells)),
-        VerifierChoice::Scalar => Box::new(SimVerifier::new(request.verify_cells)),
-    })
+    Some(Box::new(WideSimVerifier::new(request.verify_cells)))
 }
 
 /// The fully dependency-injected engine: explicit solver strategy and
@@ -159,6 +159,9 @@ pub fn generate_with(
     // request's only threads. A set's shard time runs from the end of
     // the previous set's visit to the end of its own scheduling, so the
     // first set of each shared table also carries the table's build.
+    // The outcome does not depend on which job ran when: each job's
+    // totals are summed, shard times land by set index, and the sort
+    // below breaks ties by set.
     let tpg = {
         let mut union: Vec<TestPattern> = tp_sets.iter().flatten().copied().collect();
         union.sort();
@@ -168,26 +171,21 @@ pub fn generate_with(
     let family = TourFamily::new(&tpg);
     let mut keys: Vec<(Option<TestPattern>, StartPolicy)> = Vec::new();
     let mut partitions: Vec<Vec<usize>> = Vec::new();
-    // Where each set is planned: its partition and its place in it.
-    let mut placed: Vec<(usize, usize)> = Vec::with_capacity(tp_sets.len());
     for (k, tps) in tp_sets.iter().enumerate() {
         let key = (
             tps.first().copied(),
             request.start_policy.effective_for(tps),
         );
-        let p = keys
-            .iter()
-            .position(|seen| *seen == key)
-            .unwrap_or_else(|| {
+        match keys.iter().position(|seen| *seen == key) {
+            Some(p) => partitions[p].push(k),
+            None => {
                 keys.push(key);
-                partitions.push(Vec::new());
-                partitions.len() - 1
-            });
-        placed.push((p, partitions[p].len()));
-        partitions[p].push(k);
+                partitions.push(vec![k]);
+            }
+        }
     }
     let union = tpg.test_patterns();
-    let mut solved = run_indexed(partitions.len(), search_workers(request), |p| {
+    let jobs = run_indexed(partitions.len(), search_workers(request), |p| {
         let ids = &partitions[p];
         let members: Vec<Vec<usize>> = ids
             .iter()
@@ -201,7 +199,9 @@ pub fn generate_with(
         let mut job = Job {
             arena: Vec::new(),
             candidates: Vec::new(),
-            planned: vec![None; ids.len()],
+            tours_tried: 0,
+            solve_stats: SolveStats::default(),
+            shard_micros: Vec::with_capacity(ids.len()),
         };
         let mut builder = Builder::new();
         let mut since = Instant::now();
@@ -213,7 +213,6 @@ pub fn generate_with(
             &mut |j, plans, solve_stats| {
                 let set = ids[j];
                 let tps = &tp_sets[set];
-                let first = job.candidates.len();
                 for plan in &plans {
                     let offset = job.arena.len();
                     let tour = plan.order.iter().map(|&i| &tps[i]);
@@ -233,40 +232,39 @@ pub fn generate_with(
                         });
                     }
                 }
-                job.planned[j] = Some(SetRun {
-                    candidates: first..job.candidates.len(),
-                    tours_tried: plans.len(),
-                    solve_stats,
-                    micros: as_micros(since),
-                });
+                job.tours_tried += plans.len();
+                job.solve_stats.absorb(solve_stats);
+                job.shard_micros.push((set, as_micros(since)));
                 since = Instant::now();
             },
         );
         job
     });
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut solver_stats = SolveStats::default();
-    // Candidates are kept in first-seen set order: the stable sort and
-    // the dedupe below pick among equal-complexity tests by it.
-    for &(p, j) in &placed {
-        let run = solved[p].planned[j].take().expect("every set is planned");
-        diagnostics.tours_tried += run.tours_tried;
-        diagnostics.candidates += run.candidates.len();
-        diagnostics.shard_micros.push(run.micros);
-        solver_stats.absorb(run.solve_stats);
-        candidates.extend_from_slice(&solved[p].candidates[run.candidates]);
+    let mut arenas: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
+    diagnostics.shard_micros = vec![0; tp_sets.len()];
+    for job in jobs {
+        diagnostics.tours_tried += job.tours_tried;
+        diagnostics.candidates += job.candidates.len();
+        diagnostics.solver_iterations += job.solve_stats.iterations;
+        diagnostics.solver_restarts += job.solve_stats.restarts;
+        for (set, micros) in job.shard_micros {
+            diagnostics.shard_micros[set] = micros;
+        }
+        candidates.extend(job.candidates);
+        arenas.push(job.arena);
     }
-    let arenas: Vec<Vec<u8>> = solved.into_iter().map(|job| job.arena).collect();
-    diagnostics.solver_iterations = solver_stats.iterations;
-    diagnostics.solver_restarts = solver_stats.restarts;
     if candidates.is_empty() {
         diagnostics.search_micros = as_micros(search_started);
         return Err(GenerateError::NoCandidate);
     }
 
-    // Shortest first; drop a test equal to the one just before it
-    // (repeats that are not adjacent after the sort stay).
-    candidates.sort_by_key(|c| (c.complexity, c.elements));
+    // Shortest first; ties go to the first-seen TP set, then to the
+    // order a set's tours were scheduled in, since the sort is stable and
+    // a set's candidates sit together in its job. Drop a test equal to
+    // the one just before it (repeats that are not adjacent after the
+    // sort stay).
+    candidates.sort_by_key(|c| (c.complexity, c.elements, c.set));
     candidates.dedup_by(|a, b| a.test_bytes(&arenas) == b.test_bytes(&arenas));
     diagnostics.candidate_complexities =
         candidates.iter().map(|c| to_usize(c.complexity)).collect();
@@ -355,7 +353,7 @@ pub fn generate_with(
 struct Candidate {
     complexity: u32,
     elements: u32,
-    /// The TP set, in first-seen order.
+    /// The TP set's index in first-seen order; the sort's tie-break.
     set: u32,
     partition: u32,
     offset: usize,
@@ -376,22 +374,14 @@ impl Candidate {
     }
 }
 
-/// One partition job's scheduled candidates, their arena, and each of
-/// its sets' share of them.
+/// One partition job's scheduled candidates and their arena, its
+/// totals, and each of its sets' shard time by set index.
 struct Job {
     arena: Vec<u8>,
     candidates: Vec<Candidate>,
-    planned: Vec<Option<SetRun>>,
-}
-
-/// One TP set's candidates within its job, tours tried, solver
-/// statistics and shard time.
-#[derive(Clone)]
-struct SetRun {
-    candidates: Range<usize>,
     tours_tried: usize,
     solve_stats: SolveStats,
-    micros: u64,
+    shard_micros: Vec<(usize, u64)>,
 }
 
 /// A count or index of the search as a [`Candidate`] field.
@@ -521,11 +511,19 @@ mod tests {
     use super::*;
     use marchgen_atsp::{AtspInstance, AutoSolver, SolverChoice, Tour};
     use marchgen_faults::parse_fault_list;
+    use marchgen_sim::SimVerifier;
     use marchgen_tpg::plan_tour_with;
 
     /// Generates `faults` with the default request.
     fn run(faults: &str) -> GenerateOutcome {
         generate(&GenerateRequest::from_fault_list(faults).unwrap()).unwrap()
+    }
+
+    /// Generates `request` verified by the scalar oracle instead of the
+    /// packed backend.
+    fn run_scalar(request: &GenerateRequest) -> GenerateOutcome {
+        let oracle = SimVerifier::new(request.verify_cells);
+        generate_with(request, &AutoSolver, Some(&oracle)).unwrap()
     }
 
     #[test]
@@ -585,9 +583,9 @@ mod tests {
         }
     }
 
-    /// `Auto` resolves to the packed backend for every list the
-    /// extended taxonomy can express — single-cell, pair, dynamic and
-    /// linked, at any memory size — and `Scalar` to the scalar one.
+    /// Every list the extended taxonomy can express — single-cell, pair,
+    /// dynamic and linked, at any memory size — verifies on the packed
+    /// backend; 0 cells turns verification off.
     #[test]
     fn verifier_resolution_rules() {
         for faults in [
@@ -608,8 +606,6 @@ mod tests {
                     .with_verify_cells(cells);
                 let ctx = format!("{faults} at {cells} cells");
                 assert_eq!(verifier_for(&request).unwrap().name(), "widesim", "{ctx}");
-                let scalar = request.with_verifier(VerifierChoice::Scalar);
-                assert_eq!(verifier_for(&scalar).unwrap().name(), "simulator", "{ctx}");
             }
         }
         let off = GenerateRequest::from_fault_list("SAF, CFin")
@@ -705,16 +701,18 @@ mod tests {
         }
     }
 
-    /// Both verification backends produce the same outcome on the paper
-    /// workloads (end-to-end pipeline agreement).
+    /// The scalar oracle, passed in through `generate_with`, produces
+    /// the same outcome as the packed backend on the paper workloads
+    /// (end-to-end pipeline agreement).
     #[test]
     fn verifier_backends_agree_end_to_end() {
         for faults in ["SAF, TF", "CFid<u,0>, CFid<u,1>", "SAF, TF, ADF, CFin"] {
             let base = GenerateRequest::from_fault_list(faults)
                 .unwrap()
                 .with_check_redundancy(true);
-            let scalar = generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap();
+            let scalar = run_scalar(&base);
             let packed = generate(&base).unwrap();
+            assert_eq!(scalar.diagnostics.verifier, "simulator", "{faults}");
             assert_eq!(scalar.test, packed.test, "{faults}");
             assert_eq!(scalar.report, packed.report, "{faults}");
             assert_eq!(scalar.non_redundant, packed.non_redundant, "{faults}");
@@ -829,12 +827,12 @@ mod tests {
     }
 
     /// Mixed classical + dynamic + linked workloads verify identically on
-    /// the scalar and packed backends.
+    /// the packed backend and the scalar oracle.
     #[test]
     fn extended_workload_backends_agree() {
         for faults in ["SAF, dRDF, dIRF", "TF, LCF<1>", "SAF, TF, dDRDF, LCF"] {
             let base = GenerateRequest::from_fault_list(faults).unwrap();
-            let scalar = generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap();
+            let scalar = run_scalar(&base);
             let packed = generate(&base).unwrap();
             assert_eq!(scalar.test, packed.test, "{faults}");
             assert_eq!(scalar.report, packed.report, "{faults}");
@@ -844,18 +842,18 @@ mod tests {
 
     /// A one-cell memory hosts no pair fault, so a pair-fault list is not
     /// verified there: the outcome is the best candidate, unverified and
-    /// uncompacted, on both backends. A single-cell list still verifies.
+    /// uncompacted, on the packed backend and the scalar oracle. A
+    /// single-cell list still verifies.
     #[test]
     fn pair_faults_on_one_cell_are_not_verified() {
         for faults in ["CFin", "CFid", "CFst", "LCF"] {
-            for choice in [VerifierChoice::Auto, VerifierChoice::Scalar] {
-                let request = GenerateRequest::from_fault_list(faults)
-                    .unwrap()
-                    .with_verify_cells(1)
-                    .with_verifier(choice);
-                let out = generate(&request).unwrap();
-                assert!(!out.verified, "{faults} with {choice}");
-                assert!(out.test.complexity() > 0, "{faults} with {choice}");
+            let request = GenerateRequest::from_fault_list(faults)
+                .unwrap()
+                .with_verify_cells(1);
+            for out in [generate(&request).unwrap(), run_scalar(&request)] {
+                let backend = &out.diagnostics.verifier;
+                assert!(!out.verified, "{faults} with {backend}");
+                assert!(out.test.complexity() > 0, "{faults} with {backend}");
                 let report = out.report.expect("verification ran");
                 assert!(report.models.iter().all(|m| m.total_sites == 0));
                 assert_eq!(out.non_redundant, None);

@@ -8,55 +8,6 @@
 use marchgen_atsp::SolverChoice;
 use marchgen_faults::{parse_fault_list, FaultModel, ParseFaultError};
 use marchgen_tpg::StartPolicy;
-use std::fmt;
-
-/// Which verification backend runs the coverage, compaction and
-/// redundancy checks of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifierChoice {
-    /// The packed simulator
-    /// ([`WideSimVerifier`](marchgen_sim::WideSimVerifier)): `[u64; W]`
-    /// lane blocks with W ∈ {2, 4, 8} picked by scenario count, run on
-    /// the calling thread. It supports every model of the extended
-    /// taxonomy, dynamic (`dRDF` / `dDRDF` / `dIRF`) and linked (`LCF`)
-    /// classes included. Exact agreement with the scalar backend at
-    /// every width is enforced by the differential suite. The default.
-    #[default]
-    Auto,
-    /// The scalar behavioural simulator
-    /// ([`SimVerifier`](marchgen_sim::SimVerifier)), one scenario at a
-    /// time — the oracle the packed backend is held to.
-    Scalar,
-}
-
-impl VerifierChoice {
-    /// The stable serialization key (`"auto"` / `"scalar"`).
-    #[must_use]
-    pub fn key(self) -> &'static str {
-        match self {
-            VerifierChoice::Auto => "auto",
-            VerifierChoice::Scalar => "scalar",
-        }
-    }
-
-    /// Parses a serialization key; `None` for unknown names. The retired
-    /// backend names `"bitsim"` and `"wide"` decode as [`Auto`](Self::Auto),
-    /// so requests written for them keep working.
-    #[must_use]
-    pub fn from_key(key: &str) -> Option<VerifierChoice> {
-        match key {
-            "auto" | "bitsim" | "wide" => Some(VerifierChoice::Auto),
-            "scalar" => Some(VerifierChoice::Scalar),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for VerifierChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.key())
-    }
-}
 
 /// A complete, self-contained description of one March-test generation
 /// run: target fault models plus engine configuration.
@@ -94,8 +45,6 @@ pub struct GenerateRequest {
     pub check_redundancy: bool,
     /// Cap on equivalence-class combinations examined (the paper's `E`).
     pub max_combinations: usize,
-    /// Which verification backend to use (see [`VerifierChoice`]).
-    pub verifier: VerifierChoice,
     /// Worker threads for the in-request candidate search; `0` means
     /// one per available CPU. The unique TP sets are planned by
     /// partition: the sets with the same first TP and effective start
@@ -122,7 +71,6 @@ impl GenerateRequest {
             compact: true,
             check_redundancy: false,
             max_combinations: 4096,
-            verifier: VerifierChoice::Auto,
             search_threads: 0,
         }
     }
@@ -188,13 +136,6 @@ impl GenerateRequest {
         self
     }
 
-    /// Builder-style override of the verification backend.
-    #[must_use]
-    pub fn with_verifier(mut self, verifier: VerifierChoice) -> GenerateRequest {
-        self.verifier = verifier;
-        self
-    }
-
     /// Builder-style override of the search worker count (`0` = one per
     /// available CPU).
     #[must_use]
@@ -249,22 +190,7 @@ mod tests {
         assert!(req.compact);
         assert!(!req.check_redundancy);
         assert_eq!(req.max_combinations, 4096);
-        assert_eq!(req.verifier, VerifierChoice::Auto);
         assert_eq!(req.search_threads, 0, "0 = one worker per CPU");
-    }
-
-    #[test]
-    fn verifier_choice_keys_roundtrip() {
-        for choice in [VerifierChoice::Auto, VerifierChoice::Scalar] {
-            assert_eq!(VerifierChoice::from_key(choice.key()), Some(choice));
-        }
-        // The retired backend names decode as `auto`.
-        for alias in ["bitsim", "wide"] {
-            assert_eq!(VerifierChoice::from_key(alias), Some(VerifierChoice::Auto));
-        }
-        assert_eq!(VerifierChoice::from_key("bogus"), None);
-        assert_eq!(VerifierChoice::Auto.to_string(), "auto");
-        assert_eq!(VerifierChoice::Scalar.to_string(), "scalar");
     }
 
     #[test]
@@ -304,10 +230,8 @@ mod tests {
             .with_compact(false)
             .with_check_redundancy(true)
             .with_max_combinations(0)
-            .with_verifier(VerifierChoice::Scalar)
             .with_search_threads(4);
         assert_eq!(req.solver, SolverChoice::BranchBound);
-        assert_eq!(req.verifier, VerifierChoice::Scalar);
         assert_eq!(req.search_threads, 4);
         assert_eq!(req.start_policy, StartPolicy::Free);
         assert_eq!(req.tour_cap, 1, "tour cap clamps to 1");

@@ -12,7 +12,7 @@
 //!   structurally, so outcomes survive a round-trip bit-for-bit.
 
 use crate::outcome::{Diagnostics, GenerateOutcome};
-use crate::request::{GenerateRequest, VerifierChoice};
+use crate::request::GenerateRequest;
 use marchgen_atsp::SolverChoice;
 use marchgen_faults::{parse_fault_list, FaultModel, Observation, TestPattern, TpKind};
 use marchgen_json::{bool_field, field, str_field, usize_field, FromJson, Json, JsonError, ToJson};
@@ -351,7 +351,6 @@ impl ToJson for GenerateRequest {
             ("compact", Json::Bool(self.compact)),
             ("check_redundancy", Json::Bool(self.check_redundancy)),
             ("max_combinations", Json::from(self.max_combinations)),
-            ("verifier", Json::Str(self.verifier.key().to_owned())),
             ("search_threads", Json::from(self.search_threads)),
         ])
     }
@@ -363,6 +362,8 @@ impl FromJson for GenerateRequest {
         let defaults = GenerateRequest::default();
         // Everything but `faults` is optional and falls back to the
         // paper defaults, so terse hand-written requests stay valid.
+        // Unknown keys are ignored, among them the retired `verifier`
+        // choice: every request verifies on the packed backend.
         let start_policy = match json.get("start_policy") {
             None => defaults.start_policy,
             Some(v) => match v.as_str() {
@@ -381,19 +382,6 @@ impl FromJson for GenerateRequest {
                 v.as_str()
                     .ok_or_else(|| JsonError::decode("field \"solver\" must be a string"))?,
             ),
-        };
-        // `verifier` is optional and backward compatible: schema v1
-        // documents written before the packed backend existed omit it,
-        // and those naming a retired backend (`"bitsim"`, `"wide"`) decode
-        // as the auto choice.
-        let verifier = match json.get("verifier") {
-            None => defaults.verifier,
-            Some(v) => v
-                .as_str()
-                .and_then(VerifierChoice::from_key)
-                .ok_or_else(|| {
-                    JsonError::decode("field \"verifier\" must be \"auto\" or \"scalar\"")
-                })?,
         };
         let opt_usize = |key: &str, fallback: usize| -> Result<usize, JsonError> {
             match json.get(key) {
@@ -426,7 +414,6 @@ impl FromJson for GenerateRequest {
             faults: faults_from_json(field(json, "faults")?)?,
             start_policy,
             solver,
-            verifier,
             verify_cells,
             compact: opt_bool("compact", defaults.compact)?,
             check_redundancy: opt_bool("check_redundancy", defaults.check_redundancy)?,
@@ -660,34 +647,24 @@ mod tests {
             .with_compact(false)
             .with_check_redundancy(true)
             .with_max_combinations(99)
-            .with_verifier(VerifierChoice::Scalar)
             .with_search_threads(3);
         let text = request.to_json_string();
         let back = GenerateRequest::from_json_str(&text).unwrap();
         assert_eq!(back, request);
     }
 
-    /// The `verifier` key is optional (schema v1 documents predating the
-    /// packed backend omit it) and validated when present; the retired
-    /// backend names decode as `auto`.
+    /// Documents that still carry the retired `verifier` key decode,
+    /// whatever its value, to the same request as without it, and the
+    /// key does not come back on encode.
     #[test]
-    fn verifier_key_is_optional_and_checked() {
-        let back = GenerateRequest::from_json_str(r#"{"faults": ["SAF"]}"#).unwrap();
-        assert_eq!(back.verifier, VerifierChoice::Auto);
-        assert_eq!(back.search_threads, 0);
-        let back =
-            GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "scalar"}"#).unwrap();
-        assert_eq!(back.verifier, VerifierChoice::Scalar);
-        for alias in ["bitsim", "wide"] {
-            let doc = format!(r#"{{"faults": ["SAF"], "verifier": "{alias}"}}"#);
+    fn retired_verifier_key_is_ignored() {
+        let terse = GenerateRequest::from_json_str(r#"{"faults": ["SAF"]}"#).unwrap();
+        for value in [r#""auto""#, r#""scalar""#, r#""bitsim""#, r#""wide""#, "7"] {
+            let doc = format!(r#"{{"faults": ["SAF"], "verifier": {value}}}"#);
             let back = GenerateRequest::from_json_str(&doc).unwrap();
-            assert_eq!(back.verifier, VerifierChoice::Auto, "{alias}");
-            assert!(back.to_json_string().contains(r#""verifier":"auto""#));
+            assert_eq!(back, terse, "{value}");
+            assert!(!back.to_json_string().contains("verifier"), "{value}");
         }
-        assert!(
-            GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "quantum"}"#)
-                .is_err()
-        );
     }
 
     /// The retired solver names decode as `auto` and re-encode as it,
@@ -782,14 +759,14 @@ mod tests {
         );
     }
 
-    /// Regression (default consistency): spelling out the `verifier` and
-    /// `search_threads` defaults must decode — and therefore normalize
-    /// and cache-key — identically to omitting the keys entirely.
+    /// Regression (default consistency): spelling out the defaults must
+    /// decode — and therefore normalize and cache-key — identically to
+    /// omitting the keys entirely.
     #[test]
     fn explicit_defaults_equal_omitted_keys() {
         let terse = GenerateRequest::from_json_str(r#"{"faults": ["SAF"]}"#).unwrap();
         let spelled = GenerateRequest::from_json_str(
-            r#"{"faults": ["SAF"], "verifier": "auto", "search_threads": 0,
+            r#"{"faults": ["SAF"], "search_threads": 0,
                 "solver": "auto", "start_policy": "uniform"}"#,
         )
         .unwrap();

@@ -47,11 +47,14 @@ pub trait Verifier: Send + Sync {
     /// Full per-model coverage of `test` over the fault list.
     fn verify(&self, test: &MarchTest, models: &[FaultModel]) -> CoverageReport;
 
-    /// A minimal sub-test that still covers the fault list (the paper's
-    /// Table 2 minimization role). The default returns the test borrowed
-    /// and unchanged (no compaction capability) — implementations should
-    /// likewise return [`Cow::Borrowed`] when nothing was deleted, so
-    /// the already-minimal common case never clones the test.
+    /// A sub-test that still covers the fault list, from greedy
+    /// one-operation deletion (the paper's Table 2 minimization role;
+    /// see [`redundancy`]): operationally non-redundant, but not
+    /// necessarily the shortest covering test. The default returns the
+    /// test borrowed and unchanged (no compaction capability) —
+    /// implementations should likewise return [`Cow::Borrowed`] when
+    /// nothing was deleted, so a test with no deletable operation is
+    /// never cloned.
     fn compact<'a>(&self, test: &'a MarchTest, models: &[FaultModel]) -> Cow<'a, MarchTest> {
         let _ = models;
         Cow::Borrowed(test)

@@ -15,6 +15,7 @@
 use marchgen::march::analysis;
 use marchgen::march::codegen;
 use marchgen::prelude::*;
+use marchgen::{Verifier, WideSimVerifier};
 use std::process::ExitCode;
 
 #[path = "shared/args.rs"]
@@ -25,8 +26,8 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json = take_flag(&mut args, "--json");
     // Engine knobs are only meaningful for the generating subcommands;
-    // leaving them in `args` elsewhere makes a stray `--verifier` on
-    // e.g. `validate` a loud usage error instead of a silent no-op.
+    // leaving them in `args` elsewhere makes a stray `--solver` on e.g.
+    // `validate` a loud error instead of a silent no-op.
     let generating = matches!(args.first().map(String::as_str), Some("generate" | "batch"));
     let (threads, knobs) = if generating {
         match take_global_options(&mut args) {
@@ -64,8 +65,8 @@ const USAGE: &str = "\
 marchgen — automatic generation of optimal March tests (Benso et al., DATE 2002)
 
 usage:
-  marchgen generate <fault-list> [--json] [--solver NAME] [--verifier auto|scalar]
-                    [--search-threads N] [--cache-dir DIR]
+  marchgen generate <fault-list> [--json] [--solver NAME] [--search-threads N]
+                    [--cache-dir DIR]
                                             e.g. marchgen generate \"SAF, TF, CFin\"
   marchgen validate <march> <fault-list> [--json]
                                             e.g. marchgen validate \"m(w0); u(r0,w1); d(r1)\" SAF
@@ -77,7 +78,7 @@ usage:
                                             testbench bundle (see docs/RTL notes)
                                             e.g. marchgen codegen \"March C-\" --lang sv
   marchgen known    [name]                  list/show the classical test library
-  marchgen batch    <file> [--json] [--threads N] [--solver NAME] [--verifier auto|scalar]
+  marchgen batch    <file> [--json] [--threads N] [--solver NAME]
                     [--search-threads N] [--cache-dir DIR]
                                             one fault list per line through the batch service
 
@@ -86,10 +87,6 @@ usage:
                     the default), branch-bound (exact, one tour per set) or
                     heuristic (fast, inexact); the retired names held-karp
                     and local-search still mean auto
-  --verifier        verification backend: auto (the packed multi-word-lane
-                    simulator; the default) or scalar (one scenario at a
-                    time, the reference oracle); the retired names bitsim
-                    and wide still mean auto
   --search-threads  worker threads for the in-request tour planning
                     (0 = one per CPU; never changes the result)
   --cache-dir       persistent content-addressed outcome cache: identical
@@ -106,7 +103,6 @@ fault lists:        families SAF TF SOF ADF CFin CFid CFst RDF DRDF IRF
 #[derive(Clone, Default)]
 struct RequestKnobs {
     solver: Option<marchgen::SolverChoice>,
-    verifier: Option<VerifierChoice>,
     search_threads: Option<usize>,
     cache_dir: Option<String>,
 }
@@ -138,7 +134,9 @@ impl RequestKnobs {
 }
 
 /// Parses the options shared by `generate` and `batch`: `--threads`,
-/// `--search-threads`, `--solver`, `--verifier` and `--cache-dir`.
+/// `--search-threads`, `--solver` and `--cache-dir`. Both subcommands
+/// take one positional argument, so anything left after it — a
+/// mistyped or retired option — is an error, not silently dropped.
 fn take_global_options(args: &mut Vec<String>) -> Result<(Option<usize>, RequestKnobs), String> {
     let threads = take_option(args, "--threads")?;
     let search_threads = take_option(args, "--search-threads")?;
@@ -159,18 +157,13 @@ fn take_global_options(args: &mut Vec<String>) -> Result<(Option<usize>, Request
             Some(choice)
         }
     };
-    let verifier = match take_str_option(args, "--verifier")? {
-        None => None,
-        Some(name) => Some(
-            VerifierChoice::from_key(&name)
-                .ok_or_else(|| format!("--verifier must be auto or scalar, got {name:?}"))?,
-        ),
-    };
+    if let Some(extra) = args.get(2) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
     Ok((
         threads,
         RequestKnobs {
             solver,
-            verifier,
             search_threads,
             cache_dir,
         },
@@ -181,9 +174,6 @@ impl RequestKnobs {
     fn apply(&self, mut request: GenerateRequest) -> GenerateRequest {
         if let Some(solver) = &self.solver {
             request = request.with_solver(solver.clone());
-        }
-        if let Some(verifier) = self.verifier {
-            request = request.with_verifier(verifier);
         }
         if let Some(threads) = self.search_threads {
             request = request.with_search_threads(threads);
@@ -281,7 +271,7 @@ fn validate(args: &[String], json: bool) -> Result<(), String> {
     test.check_consistency()
         .map_err(|e| format!("inconsistent march test: {e}"))?;
     let models = parse_fault_list(faults).map_err(|e| e.to_string())?;
-    let report = marchgen::sim::coverage::coverage_report(&test, &models, 6);
+    let report = WideSimVerifier::new(6).verify(&test, &models);
     if json {
         print_report_json(&test, &report)?;
     } else {
@@ -613,28 +603,4 @@ fn error_chain(error: &Error) -> String {
         source = cause.source();
     }
     text
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn verifier_option(name: &str) -> Result<Option<VerifierChoice>, String> {
-        let mut args: Vec<String> = ["generate", "SAF", "--verifier", name]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        take_global_options(&mut args).map(|(_, knobs)| knobs.verifier)
-    }
-
-    /// `--verifier` takes `auto` and `scalar`; the retired backend names
-    /// `bitsim` and `wide` still parse, as `auto`.
-    #[test]
-    fn verifier_option_keeps_the_retired_names_as_auto() {
-        assert_eq!(verifier_option("auto"), Ok(Some(VerifierChoice::Auto)));
-        assert_eq!(verifier_option("scalar"), Ok(Some(VerifierChoice::Scalar)));
-        assert_eq!(verifier_option("bitsim"), Ok(Some(VerifierChoice::Auto)));
-        assert_eq!(verifier_option("wide"), Ok(Some(VerifierChoice::Auto)));
-        assert!(verifier_option("quantum").is_err());
-    }
 }

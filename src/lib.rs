@@ -34,8 +34,9 @@
 //!    [`json`] kit), and every failure folds into the unified
 //!    [`Error`] taxonomy. Extension points are trait-based: the ATSP
 //!    solver is an [`atsp::AtspSolver`] selected per request via
-//!    [`SolverChoice`] against a [`SolverRegistry`], and verification
-//!    backends implement [`sim::Verifier`].
+//!    [`SolverChoice`] against a [`SolverRegistry`]. [`generate`]
+//!    verifies on the packed simulator; [`generate_with`] takes any
+//!    [`sim::Verifier`], the scalar oracle [`SimVerifier`] included.
 //! 2. **Batch service layer.** [`service::Batch`] executes a vector of
 //!    requests across worker threads with progress events — the
 //!    in-process core a network service wraps. [`cache::OutcomeCache`]
@@ -121,7 +122,6 @@ pub use marchgen_atsp::{AtspSolver, SolveStats, SolverChoice, SolverRegistry};
 pub use marchgen_faults::{parse_fault_list, FaultModel};
 pub use marchgen_generator::{
     generate, generate_with, generate_with_registry, Diagnostics, GenerateOutcome, GenerateRequest,
-    VerifierChoice,
 };
 pub use marchgen_march::{known, Direction, MarchElement, MarchOp, MarchTest};
 pub use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
@@ -129,9 +129,7 @@ pub use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
 /// Convenience prelude for examples and downstream quick starts.
 pub mod prelude {
     pub use crate::faults::{parse_fault_list, FaultModel, TestPattern};
-    pub use crate::generator::{
-        generate, Diagnostics, GenerateOutcome, GenerateRequest, VerifierChoice,
-    };
+    pub use crate::generator::{generate, Diagnostics, GenerateOutcome, GenerateRequest};
     pub use crate::march::{known, Direction, MarchElement, MarchOp, MarchTest};
     pub use crate::service::Batch;
     pub use crate::sim::coverage::{coverage_report, covers_all};

@@ -155,15 +155,16 @@ impl Metrics {
             .set(1);
         // Fixed label vocabularies: every series exists from the first
         // scrape (zeros, not gaps), and cardinality is bounded by the
-        // taxonomy and the in-tree verification backends ("none" for
-        // verification-disabled requests) rather than by traffic.
+        // taxonomy and the one verification backend a request can reach
+        // ("none" for verification-disabled requests) rather than by
+        // traffic.
         for label in FAULT_CLASS_LABELS {
             let _ = metrics.fault_class_requests(label);
             for outcome in ["verified", "unverified"] {
                 let _ = metrics.fault_class_verify(label, outcome);
             }
         }
-        for backend in ["simulator", "widesim", "none"] {
+        for backend in ["widesim", "none"] {
             let _ = metrics.verifier_outcomes(backend);
         }
         metrics

@@ -34,11 +34,6 @@ fn random_request(rng: &mut Rng) -> GenerateRequest {
         .with_compact(rng.flip())
         .with_check_redundancy(rng.flip())
         .with_max_combinations(rng.range(1, 10_000))
-        .with_verifier(if rng.flip() {
-            VerifierChoice::Auto
-        } else {
-            VerifierChoice::Scalar
-        })
         .with_search_threads(rng.range(0, 9))
 }
 
@@ -83,8 +78,9 @@ fn random_outcome(rng: &mut Rng) -> GenerateOutcome {
             search_micros: rng.next_u64() % 1_000_000,
             verify_micros: rng.next_u64() % 1_000_000,
             shard_micros: rng.vec(0, 6, |rng| rng.next_u64() % 1_000_000),
-            // "bitsim" names a retired backend that cached documents
-            // still carry.
+            // Cached documents still carry "simulator", which only a
+            // library caller's injected scalar oracle writes now, and the
+            // retired "bitsim".
             verifier: ["", "simulator", "bitsim", "widesim"][rng.range(0, 4)].to_owned(),
             verify_shard_micros: rng.vec(0, 8, |rng| rng.next_u64() % 1_000_000),
             cache_hit: rng.flip(),

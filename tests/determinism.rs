@@ -3,14 +3,15 @@
 //! 8 search threads must yield **byte-identical** `GenerateOutcome` JSON
 //! once the (inherently run-varying) wall-clock timings are normalized —
 //! every other field, down to the per-set and per-sweep timing *counts*
-//! and the candidate-complexity frontier, is exact. Likewise, swapping
-//! the verification backend (packed `auto` / `scalar`) must never change
+//! and the candidate-complexity frontier, is exact. Likewise, verifying
+//! with the scalar oracle instead of the packed backend must never change
 //! what the pipeline computes, only how fast.
 
 #![cfg(feature = "serde")]
 
 use marchgen::json::ToJson;
 use marchgen::prelude::*;
+use marchgen::{generate_with, SimVerifier};
 
 /// Zeroes the wall-clock fields; everything else must match exactly.
 /// The *number* of search shard timings is preserved — it equals the
@@ -36,7 +37,7 @@ fn backend_normalized_json(mut outcome: GenerateOutcome) -> String {
     normalized_json(outcome)
 }
 
-/// The default `auto` verifier at 1, 2 and 8 search threads: the search
+/// The default request at 1, 2 and 8 search threads: the search
 /// partitions run on worker threads, and the JSON is byte-identical.
 #[test]
 fn sharded_search_json_is_byte_identical_across_thread_counts() {
@@ -70,7 +71,6 @@ fn sharded_verify_json_is_byte_identical_across_thread_counts() {
     for faults in ["SAF, CFin", "SAF, TF, ADF, CFin", "CFin, CFid"] {
         let base = GenerateRequest::from_fault_list(faults)
             .unwrap()
-            .with_verifier(VerifierChoice::Auto)
             .with_check_redundancy(true);
         let reference = normalized_json(generate(&base.clone().with_search_threads(1)).unwrap());
         for threads in [2usize, 8] {
@@ -108,19 +108,20 @@ fn branch_bound_solver_json_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The verifier backend is *not* supposed to leak into the outcome:
-/// scalar and packed verification serialize identically once the
-/// backend's name is blanked, with one verify timing per sweep on both.
+/// The verifier backend is *not* supposed to leak into the outcome: the
+/// scalar oracle, passed in through `generate_with`, and the packed
+/// backend serialize identically once the backend's name is blanked,
+/// with one verify timing per sweep on both.
 #[test]
 fn verifier_backend_does_not_change_outcome_json() {
     for faults in ["SAF, CFin", "CFid<u,0>, CFid<u,1>"] {
         let base = GenerateRequest::from_fault_list(faults)
             .unwrap()
             .with_check_redundancy(true);
-        let scalar = backend_normalized_json(
-            generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap(),
-        );
+        let oracle = SimVerifier::new(base.verify_cells);
+        let scalar = generate_with(&base, &marchgen::atsp::AutoSolver, Some(&oracle)).unwrap();
+        assert_eq!(scalar.diagnostics.verifier, "simulator", "{faults}");
         let packed = backend_normalized_json(generate(&base).unwrap());
-        assert_eq!(packed, scalar, "{faults}");
+        assert_eq!(packed, backend_normalized_json(scalar), "{faults}");
     }
 }

@@ -420,13 +420,18 @@ fn live_daemon_exposition_is_lint_clean_and_covers_key_families() {
         assert!(text.contains(&series), "missing phase {phase}:\n{text}");
     }
     // The verifier-outcome family carries the full fixed backend
-    // vocabulary from the first scrape (zeros, not gaps), and the
-    // computed SAF+TF requests above actually landed on the packed
-    // backend `auto` resolves to.
-    for backend in ["simulator", "widesim", "none"] {
+    // vocabulary from the first scrape (zeros, not gaps): the packed
+    // backend every request verifies on, and "none". No request can
+    // reach the scalar simulator, so it has no series. The computed
+    // SAF+TF requests above landed on the packed backend.
+    for backend in ["widesim", "none"] {
         let series = format!("marchgend_verifier_outcomes_total{{backend=\"{backend}\"}}");
         assert!(text.contains(&series), "missing backend {backend}:\n{text}");
     }
+    assert!(
+        !text.contains("marchgend_verifier_outcomes_total{backend=\"simulator\"}"),
+        "no request reaches the scalar simulator:\n{text}"
+    );
     let widesim_count = text
         .lines()
         .find_map(|line| {
