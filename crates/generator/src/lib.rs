@@ -42,7 +42,6 @@ mod pipeline;
 pub mod pool;
 mod request;
 pub mod schedule;
-#[cfg(feature = "serde")]
 pub mod serde;
 
 pub use outcome::{Diagnostics, GenerateOutcome};

@@ -2,7 +2,7 @@
 //! generation run.
 //!
 //! Every engine knob is captured here as plain data, so a request can be
-//! built with the `with_*` methods, decoded from JSON (`serde` feature),
+//! built with the `with_*` methods, decoded from JSON ([`crate::serde`]),
 //! queued through the batch service layer, and replayed byte-for-byte.
 
 use marchgen_atsp::SolverChoice;

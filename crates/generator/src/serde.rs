@@ -1,6 +1,7 @@
-//! JSON codecs for the typed API surface (`serde` feature): lossless
-//! [`GenerateRequest`] / [`GenerateOutcome`] round-trips built on the
-//! in-tree [`marchgen_json`] kit.
+//! JSON codecs for the typed API surface: lossless [`GenerateRequest`] /
+//! [`GenerateOutcome`] round-trips built on the in-tree [`marchgen_json`]
+//! kit, in the schema-v1 documents of `marchgen --json`, the outcome
+//! cache and `marchgend`.
 //!
 //! Encoding conventions:
 //!
@@ -427,33 +428,41 @@ impl FromJson for GenerateRequest {
 
 impl ToJson for Diagnostics {
     fn to_json(&self) -> Json {
-        Json::object([
-            ("solver", Json::Str(self.solver.clone())),
-            ("solver_iterations", Json::from(self.solver_iterations)),
-            ("solver_restarts", Json::from(self.solver_restarts)),
-            ("combinations", Json::from(self.combinations)),
-            ("unique_tp_sets", Json::from(self.unique_tp_sets)),
-            ("tours_tried", Json::from(self.tours_tried)),
-            ("candidates", Json::from(self.candidates)),
-            (
-                "candidate_complexities",
-                Json::array(self.candidate_complexities.iter().map(|&c| Json::from(c))),
-            ),
-            ("expand_micros", Json::from(self.expand_micros)),
-            ("search_micros", Json::from(self.search_micros)),
-            ("verify_micros", Json::from(self.verify_micros)),
-            (
-                "shard_micros",
-                Json::array(self.shard_micros.iter().map(|&m| Json::from(m))),
-            ),
-            ("verifier", Json::Str(self.verifier.clone())),
-            (
-                "verify_shard_micros",
-                Json::array(self.verify_shard_micros.iter().map(|&m| Json::from(m))),
-            ),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-        ])
+        diagnostics_to_json(self, true)
     }
+}
+
+/// Encodes `d`; with `arrays` false, without the members whose length
+/// grows with the search (`candidate_complexities`, `shard_micros`,
+/// `verify_shard_micros`).
+fn diagnostics_to_json(d: &Diagnostics, arrays: bool) -> Json {
+    let micros =
+        |values: &[u64]| arrays.then(|| Json::array(values.iter().map(|&m| Json::from(m))));
+    let members = [
+        ("solver", Some(Json::Str(d.solver.clone()))),
+        ("solver_iterations", Some(Json::from(d.solver_iterations))),
+        ("solver_restarts", Some(Json::from(d.solver_restarts))),
+        ("combinations", Some(Json::from(d.combinations))),
+        ("unique_tp_sets", Some(Json::from(d.unique_tp_sets))),
+        ("tours_tried", Some(Json::from(d.tours_tried))),
+        ("candidates", Some(Json::from(d.candidates))),
+        (
+            "candidate_complexities",
+            arrays.then(|| Json::array(d.candidate_complexities.iter().map(|&c| Json::from(c)))),
+        ),
+        ("expand_micros", Some(Json::from(d.expand_micros))),
+        ("search_micros", Some(Json::from(d.search_micros))),
+        ("verify_micros", Some(Json::from(d.verify_micros))),
+        ("shard_micros", micros(&d.shard_micros)),
+        ("verifier", Some(Json::Str(d.verifier.clone()))),
+        ("verify_shard_micros", micros(&d.verify_shard_micros)),
+        ("cache_hit", Some(Json::Bool(d.cache_hit))),
+    ];
+    Json::object(
+        members
+            .into_iter()
+            .filter_map(|(key, value)| Some((key, value?))),
+    )
 }
 
 impl FromJson for Diagnostics {
@@ -548,13 +557,15 @@ impl FromJson for Diagnostics {
 impl GenerateOutcome {
     /// Compact single-object encoding for streaming progress frames:
     /// the headline results (test, complexity, verification verdicts)
-    /// plus the full per-phase [`Diagnostics`] block, *without* the
-    /// tour and the per-site coverage report that dominate the full
-    /// [`ToJson`] document. This is the per-item payload of the
+    /// plus every scalar of the per-phase [`Diagnostics`] block,
+    /// *without* the tour, the per-site coverage report and the
+    /// diagnostics arrays whose length grows with the search
+    /// (`candidate_complexities`, `shard_micros`,
+    /// `verify_shard_micros`). This is the per-item payload of the
     /// daemon's `/v1/stream` endpoint — each frame must stay one short
-    /// JSON line; clients wanting the complete outcome re-request it
-    /// through `/v1/generate`, which the outcome cache answers without
-    /// recomputing.
+    /// JSON line whatever the request; clients wanting the complete
+    /// outcome re-request it through `/v1/generate`, which the outcome
+    /// cache answers without recomputing.
     #[must_use]
     pub fn to_summary_json(&self) -> Json {
         Json::object([
@@ -568,7 +579,7 @@ impl GenerateOutcome {
                     None => Json::Null,
                 },
             ),
-            ("diagnostics", self.diagnostics.to_json()),
+            ("diagnostics", diagnostics_to_json(&self.diagnostics, false)),
         ])
     }
 }
@@ -812,12 +823,13 @@ mod tests {
         assert_eq!(back, outcome);
     }
 
-    /// The streaming summary carries the headline results and the full
-    /// diagnostics block but drops the heavyweight tour/report members,
-    /// and always renders as a single line.
+    /// The streaming summary carries the headline results and every
+    /// scalar diagnostics field, but none of the request-sized members
+    /// (the tour, the report, the three diagnostics arrays), so it
+    /// renders as one short line.
     #[test]
     fn summary_json_is_compact_and_consistent() {
-        let request = GenerateRequest::from_fault_list("SAF, TF").unwrap();
+        let request = GenerateRequest::from_fault_list("SAF, TF, ADF, CFin, CFid").unwrap();
         let outcome = generate(&request).unwrap();
         let summary = outcome.to_summary_json();
         assert_eq!(
@@ -828,13 +840,28 @@ mod tests {
             summary.get("complexity").and_then(Json::as_int),
             Some(outcome.complexity() as i64)
         );
-        assert_eq!(
-            summary.get("diagnostics"),
-            Some(&outcome.diagnostics.to_json())
-        );
+        let full = outcome.diagnostics.to_json();
+        let Json::Object(members) = &full else {
+            panic!("diagnostics encode as an object")
+        };
+        let scalars: Vec<_> = members
+            .iter()
+            .filter(|(_, value)| !matches!(value, Json::Array(_)))
+            .cloned()
+            .collect();
+        assert_eq!(summary.get("diagnostics"), Some(&Json::Object(scalars)));
+        for key in [
+            "candidate_complexities",
+            "shard_micros",
+            "verify_shard_micros",
+        ] {
+            assert!(full.get(key).is_some(), "{key}");
+        }
         assert!(summary.get("tour").is_none(), "summaries omit the tour");
         assert!(summary.get("report").is_none(), "summaries omit the report");
-        assert!(!summary.render().contains('\n'), "one frame, one line");
+        let line = summary.render();
+        assert!(!line.contains('\n'), "one frame, one line");
+        assert!(line.len() < 512, "{} B: {line}", line.len());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A minimal, dependency-free JSON document model with a strict parser
 //! and a writer, backing the serializable request/outcome API of the
-//! `marchgen` workspace (the `serde` cargo feature of the facade).
+//! `marchgen` workspace: the schema-v1 documents of `marchgen --json`,
+//! the outcome cache and the `marchgend` wire format.
 //!
 //! The crate intentionally mirrors the shape of a `serde_json::Value`
 //! workflow — build a [`Json`] tree, [`Json::render`] it, [`Json::parse`]

@@ -26,13 +26,3 @@ mod trace;
 
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use trace::{Span, SpanNode, Tracer};
-
-/// Opens an RAII span on a [`Tracer`] for the rest of the enclosing
-/// scope: `span!(tracer, "verify");` is shorthand for binding the
-/// guard returned by [`Tracer::span`] to a scope-local.
-#[macro_export]
-macro_rules! span {
-    ($tracer:expr, $name:expr) => {
-        let _span = $tracer.span($name);
-    };
-}

@@ -97,7 +97,7 @@ impl Tracer {
     }
 
     /// Opens a wall-clock span; it closes (and reports) when the
-    /// returned guard drops. See also the [`crate::span!`] macro.
+    /// returned guard drops.
     #[must_use = "dropping the guard immediately records a zero-length span"]
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span {
@@ -228,7 +228,7 @@ mod tests {
         let tracer = Tracer::disabled();
         assert!(!tracer.enabled());
         {
-            crate::span!(tracer, "noop");
+            let _span = tracer.span("noop");
         }
         assert!(tracer.finish().is_empty());
     }
@@ -239,7 +239,7 @@ mod tests {
         {
             let _request = tracer.span("request");
             {
-                crate::span!(tracer, "decode");
+                let _span = tracer.span("decode");
             }
             tracer.record("generate", 120, |t| {
                 t.record("expand", 30, |_| {});
@@ -274,7 +274,7 @@ mod tests {
             seen_in.fetch_add(1, Ordering::Relaxed);
         });
         {
-            crate::span!(tracer, "live");
+            let _span = tracer.span("live");
         }
         tracer.record("synthesized", 10, |_| {});
         assert_eq!(seen.load(Ordering::Relaxed), 1);

@@ -1,5 +1,7 @@
-//! Structured knobs for the SystemVerilog backend.
+//! Structured knobs for the SystemVerilog backend, and their JSON codec
+//! (the `"rtl"` object of a `/v1/rtl` request).
 
+use marchgen_json::{bool_field, str_field, FromJson, Json, JsonError, ToJson};
 use marchgen_march::codegen::sanitize_ident;
 
 /// Knobs of the SystemVerilog emitters, shared by the library API, the
@@ -116,59 +118,52 @@ impl RtlOptions {
     }
 }
 
-#[cfg(feature = "serde")]
-mod codec {
-    use super::RtlOptions;
-    use marchgen_json::{bool_field, str_field, FromJson, Json, JsonError, ToJson};
+impl ToJson for RtlOptions {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("name", Json::Str(self.name.clone())),
+            ("addr_width", Json::Int(i64::from(self.addr_width))),
+            ("data_width", Json::Int(i64::from(self.data_width))),
+            ("delay_cycles", Json::Int(i64::from(self.delay_cycles))),
+            ("testbench", Json::Bool(self.testbench)),
+        ])
+    }
+}
 
-    impl ToJson for RtlOptions {
-        fn to_json(&self) -> Json {
-            Json::object([
-                ("name", Json::Str(self.name.clone())),
-                ("addr_width", Json::Int(i64::from(self.addr_width))),
-                ("data_width", Json::Int(i64::from(self.data_width))),
-                ("delay_cycles", Json::Int(i64::from(self.delay_cycles))),
-                ("testbench", Json::Bool(self.testbench)),
-            ])
+fn u32_field(json: &Json, key: &str, default: u32) -> Result<u32, JsonError> {
+    match json.get(key) {
+        None => Ok(default),
+        Some(value) => {
+            let n = value
+                .as_int()
+                .ok_or_else(|| JsonError::decode(format!("\"{key}\" must be an integer")))?;
+            u32::try_from(n).map_err(|_| JsonError::decode(format!("\"{key}\" out of range: {n}")))
         }
     }
+}
 
-    fn u32_field(json: &Json, key: &str, default: u32) -> Result<u32, JsonError> {
-        match json.get(key) {
-            None => Ok(default),
-            Some(value) => {
-                let n = value
-                    .as_int()
-                    .ok_or_else(|| JsonError::decode(format!("\"{key}\" must be an integer")))?;
-                u32::try_from(n)
-                    .map_err(|_| JsonError::decode(format!("\"{key}\" out of range: {n}")))
-            }
+impl FromJson for RtlOptions {
+    /// Decodes an options object; every key is optional and defaults
+    /// per [`RtlOptions::default`]. Unknown keys are ignored (the
+    /// same forward-compatibility contract as `GenerateRequest`).
+    fn from_json(json: &Json) -> Result<RtlOptions, JsonError> {
+        if !matches!(json, Json::Object(_)) {
+            return Err(JsonError::decode("rtl options must be an object"));
         }
-    }
-
-    impl FromJson for RtlOptions {
-        /// Decodes an options object; every key is optional and defaults
-        /// per [`RtlOptions::default`]. Unknown keys are ignored (the
-        /// same forward-compatibility contract as `GenerateRequest`).
-        fn from_json(json: &Json) -> Result<RtlOptions, JsonError> {
-            if !matches!(json, Json::Object(_)) {
-                return Err(JsonError::decode("rtl options must be an object"));
-            }
-            let defaults = RtlOptions::default();
-            Ok(RtlOptions {
-                name: match json.get("name") {
-                    None => defaults.name,
-                    Some(_) => str_field(json, "name")?.to_owned(),
-                },
-                addr_width: u32_field(json, "addr_width", defaults.addr_width)?,
-                data_width: u32_field(json, "data_width", defaults.data_width)?,
-                delay_cycles: u32_field(json, "delay_cycles", defaults.delay_cycles)?,
-                testbench: match json.get("testbench") {
-                    None => defaults.testbench,
-                    Some(_) => bool_field(json, "testbench")?,
-                },
-            })
-        }
+        let defaults = RtlOptions::default();
+        Ok(RtlOptions {
+            name: match json.get("name") {
+                None => defaults.name,
+                Some(_) => str_field(json, "name")?.to_owned(),
+            },
+            addr_width: u32_field(json, "addr_width", defaults.addr_width)?,
+            data_width: u32_field(json, "data_width", defaults.data_width)?,
+            delay_cycles: u32_field(json, "delay_cycles", defaults.delay_cycles)?,
+            testbench: match json.get("testbench") {
+                None => defaults.testbench,
+                Some(_) => bool_field(json, "testbench")?,
+            },
+        })
     }
 }
 
@@ -206,10 +201,8 @@ mod tests {
         assert_eq!(b, c);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn json_round_trip_and_defaults() {
-        use marchgen_json::{FromJson, Json, ToJson};
         let opts = RtlOptions::default()
             .with_name("demo")
             .with_addr_width(4)

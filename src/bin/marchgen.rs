@@ -12,9 +12,11 @@
 //!                                             run one fault list per line
 //! ```
 
+use marchgen::json::{Json, ToJson};
 use marchgen::march::analysis;
 use marchgen::march::codegen;
 use marchgen::prelude::*;
+use marchgen::rtl::RtlOptions;
 use marchgen::{Verifier, WideSimVerifier};
 use std::process::ExitCode;
 
@@ -23,36 +25,14 @@ mod args;
 use args::{take_flag, take_option, take_str_option};
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag(&mut args, "--json");
-    // Engine knobs are only meaningful for the generating subcommands;
-    // leaving them in `args` elsewhere makes a stray `--solver` on e.g.
-    // `validate` a loud error instead of a silent no-op.
-    let generating = matches!(args.first().map(String::as_str), Some("generate" | "batch"));
-    let (threads, knobs) = if generating {
-        match take_global_options(&mut args) {
-            Ok(options) => options,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        (None, RequestKnobs::default())
-    };
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => generate_cmd(&args[1..], json, knobs),
-        Some("validate") => validate(&args[1..], json),
-        Some("analyze") => analyze_cmd(&args[1..], json),
-        Some("codegen") => codegen_cmd(&args[1..], json),
-        Some("known") => known_cmd(&args[1..]),
-        Some("batch") => batch_cmd(&args[1..], json, threads, knobs),
-        _ => {
-            eprint!("{USAGE}");
+    let run = match parse(std::env::args().skip(1).collect()) {
+        Ok(run) => run,
+        Err(msg) => {
+            eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-    match result {
+    match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -99,46 +79,90 @@ fault lists:        families SAF TF SOF ADF CFin CFid CFst RDF DRDF IRF
                     CFid<u,0>, dRDF<1>, LCF<0>
 ";
 
+/// A parsed command, ready to run; it can fail only at run time (exit 1).
+type Run = Box<dyn FnOnce() -> Result<(), String>>;
+
+/// Parses a command line (without the program name) into the command to
+/// run, rejecting every argument problem (exit 2) before anything runs.
+/// Each command takes its own options, then exactly its positional
+/// arguments: a missing one, an extra one, or an option the command
+/// does not take (`--threads` outside `batch`, `--json` on `known`) is
+/// an error, not silently dropped.
+fn parse(mut args: Vec<String>) -> Result<Run, String> {
+    if args.is_empty() {
+        return Err(format!("missing command\n\n{USAGE}"));
+    }
+    let name = args.remove(0);
+    let run: Run = match name.as_str() {
+        "generate" => {
+            let json = take_flag(&mut args, "--json");
+            let knobs = take_knobs(&mut args)?;
+            let [list] = positionals(args, "generate needs a fault list")?;
+            Box::new(move || generate_cmd(&list, json, &knobs))
+        }
+        "validate" => {
+            let json = take_flag(&mut args, "--json");
+            let [march, faults] = positionals(args, "validate needs <march> and <fault-list>")?;
+            Box::new(move || validate(&march, &faults, json))
+        }
+        "analyze" => {
+            let json = take_flag(&mut args, "--json");
+            let [march] = positionals(args, "analyze needs a march test")?;
+            Box::new(move || analyze_cmd(&march, json))
+        }
+        "codegen" => {
+            let json = take_flag(&mut args, "--json");
+            let (lang, options) = take_codegen_options(&mut args)?;
+            let [march] = positionals(args, "codegen needs a march test")?;
+            Box::new(move || codegen_cmd(&march, json, &lang, &options))
+        }
+        "known" => {
+            check_leftovers(&args, 1)?;
+            Box::new(move || known_cmd(args.first().map(String::as_str)))
+        }
+        "batch" => {
+            let json = take_flag(&mut args, "--json");
+            let threads = take_option(&mut args, "--threads")?;
+            let knobs = take_knobs(&mut args)?;
+            let [path] = positionals(args, "batch needs a file of fault lists (one per line)")?;
+            Box::new(move || batch_cmd(&path, json, threads, &knobs))
+        }
+        other => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    };
+    Ok(run)
+}
+
+/// Rejects what is left of a command line once the command's options
+/// are taken: an option the command does not take (`--...`), or an
+/// argument past the `max`-th positional one.
+fn check_leftovers(args: &[String], max: usize) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|arg| arg.starts_with("--"))
+        .or_else(|| args.get(max))
+    {
+        Some(arg) => Err(format!("unexpected argument {arg:?}")),
+        None => Ok(()),
+    }
+}
+
+/// The `N` positional arguments of a command whose options are taken;
+/// fewer is the `missing` error.
+fn positionals<const N: usize>(args: Vec<String>, missing: &str) -> Result<[String; N], String> {
+    check_leftovers(&args, N)?;
+    args.try_into().map_err(|_| missing.to_owned())
+}
+
 /// Request-level knobs applied uniformly by `generate` and `batch`.
-#[derive(Clone, Default)]
 struct RequestKnobs {
     solver: Option<marchgen::SolverChoice>,
     search_threads: Option<usize>,
     cache_dir: Option<String>,
 }
 
-impl RequestKnobs {
-    /// Opens the persistent outcome cache when `--cache-dir` was given.
-    #[cfg(feature = "serde")]
-    fn open_cache(&self) -> Result<Option<marchgen::cache::OutcomeCache>, String> {
-        match &self.cache_dir {
-            None => Ok(None),
-            Some(dir) => marchgen::cache::OutcomeCache::new(1024)
-                .with_disk(dir)
-                .map(Some)
-                .map_err(|e| format!("cannot open cache dir {dir:?}: {e}")),
-        }
-    }
-
-    /// Without the `serde` feature there is no cache (entries are JSON
-    /// documents); `--cache-dir` is a loud error rather than a no-op.
-    #[cfg(not(feature = "serde"))]
-    fn reject_cache_dir(&self) -> Result<(), String> {
-        match self.cache_dir {
-            None => Ok(()),
-            Some(_) => {
-                Err("this build has no cache support (rebuild with the `serde` feature)".into())
-            }
-        }
-    }
-}
-
-/// Parses the options shared by `generate` and `batch`: `--threads`,
-/// `--search-threads`, `--solver` and `--cache-dir`. Both subcommands
-/// take one positional argument, so anything left after it — a
-/// mistyped or retired option — is an error, not silently dropped.
-fn take_global_options(args: &mut Vec<String>) -> Result<(Option<usize>, RequestKnobs), String> {
-    let threads = take_option(args, "--threads")?;
+/// Takes the request options shared by `generate` and `batch`:
+/// `--search-threads`, `--solver` and `--cache-dir`.
+fn take_knobs(args: &mut Vec<String>) -> Result<RequestKnobs, String> {
     let search_threads = take_option(args, "--search-threads")?;
     let cache_dir = take_str_option(args, "--cache-dir")?;
     let solver = match take_str_option(args, "--solver")? {
@@ -157,17 +181,11 @@ fn take_global_options(args: &mut Vec<String>) -> Result<(Option<usize>, Request
             Some(choice)
         }
     };
-    if let Some(extra) = args.get(2) {
-        return Err(format!("unexpected argument {extra:?}"));
-    }
-    Ok((
-        threads,
-        RequestKnobs {
-            solver,
-            search_threads,
-            cache_dir,
-        },
-    ))
+    Ok(RequestKnobs {
+        solver,
+        search_threads,
+        cache_dir,
+    })
 }
 
 impl RequestKnobs {
@@ -180,36 +198,71 @@ impl RequestKnobs {
         }
         request
     }
-}
 
-#[cfg(feature = "serde")]
-fn generate_maybe_cached(
-    knobs: &RequestKnobs,
-    request: &GenerateRequest,
-) -> Result<GenerateOutcome, String> {
-    match knobs.open_cache()? {
-        Some(cache) => cache
-            .get_or_compute(request, generate)
-            .map_err(|e| e.to_string()),
-        None => generate(request).map_err(|e| e.to_string()),
+    /// Opens the persistent outcome cache when `--cache-dir` was given.
+    fn open_cache(&self) -> Result<Option<marchgen::cache::OutcomeCache>, String> {
+        match &self.cache_dir {
+            None => Ok(None),
+            Some(dir) => marchgen::cache::OutcomeCache::new(1024)
+                .with_disk(dir)
+                .map(Some)
+                .map_err(|e| format!("cannot open cache dir {dir:?}: {e}")),
+        }
     }
 }
 
-#[cfg(not(feature = "serde"))]
-fn generate_maybe_cached(
-    knobs: &RequestKnobs,
-    request: &GenerateRequest,
-) -> Result<GenerateOutcome, String> {
-    knobs.reject_cache_dir()?;
-    generate(request).map_err(|e| e.to_string())
+/// Takes `codegen`'s options: the language (`c` by default), and the
+/// module name and RTL knobs, which only `sv` reads besides the name.
+fn take_codegen_options(args: &mut Vec<String>) -> Result<(String, RtlOptions), String> {
+    let lang = take_str_option(args, "--lang")?.unwrap_or_else(|| "c".to_owned());
+    let name = take_str_option(args, "--name")?;
+    let addr_width = take_option(args, "--addr-width")?;
+    let data_width = take_option(args, "--data-width")?;
+    let delay_cycles = take_option(args, "--delay-cycles")?;
+    let no_testbench = take_flag(args, "--no-testbench");
+    if !matches!(lang.as_str(), "c" | "rust" | "sv") {
+        return Err(format!("unknown language {lang:?} (use c, rust or sv)"));
+    }
+    // The RTL knobs only shape SystemVerilog; reject them elsewhere so a
+    // stray `--addr-width` on `--lang c` is a loud error, not a no-op.
+    if lang != "sv" {
+        for (flag, given) in [
+            ("--addr-width", addr_width.is_some()),
+            ("--data-width", data_width.is_some()),
+            ("--delay-cycles", delay_cycles.is_some()),
+            ("--no-testbench", no_testbench),
+        ] {
+            if given {
+                return Err(format!("{flag} only applies to --lang sv"));
+            }
+        }
+    }
+    let width = |w: usize| u32::try_from(w).unwrap_or(u32::MAX);
+    let mut options = RtlOptions::default().with_testbench(!no_testbench);
+    if let Some(name) = name {
+        options = options.with_name(name);
+    }
+    if let Some(w) = addr_width {
+        options = options.with_addr_width(width(w));
+    }
+    if let Some(w) = data_width {
+        options = options.with_data_width(width(w));
+    }
+    if let Some(cycles) = delay_cycles {
+        options = options.with_delay_cycles(width(cycles));
+    }
+    Ok((lang, options))
 }
 
-fn generate_cmd(args: &[String], json: bool, knobs: RequestKnobs) -> Result<(), String> {
-    let list = args.first().ok_or("generate needs a fault list")?;
+fn generate_cmd(list: &str, json: bool, knobs: &RequestKnobs) -> Result<(), String> {
     let request = knobs.apply(GenerateRequest::from_fault_list(list).map_err(|e| e.to_string())?);
-    let outcome = generate_maybe_cached(&knobs, &request)?;
+    let outcome = match knobs.open_cache()? {
+        Some(cache) => cache.get_or_compute(&request, generate),
+        None => generate(&request),
+    }
+    .map_err(|e| e.to_string())?;
     if json {
-        print_outcome_json(&outcome)?;
+        print!("{}", outcome.to_json_pretty());
     } else {
         print_outcome_text(&outcome);
     }
@@ -245,35 +298,29 @@ fn print_outcome_text(outcome: &GenerateOutcome) {
     }
 }
 
-#[cfg(feature = "serde")]
-fn print_outcome_json(outcome: &GenerateOutcome) -> Result<(), String> {
-    use marchgen::json::ToJson;
-    print!("{}", outcome.to_json_pretty());
-    Ok(())
-}
-
-#[cfg(not(feature = "serde"))]
-fn print_outcome_json(_outcome: &GenerateOutcome) -> Result<(), String> {
-    Err("this build has no JSON support (rebuild with the `serde` feature)".into())
-}
-
 fn parse_march_arg(s: &str) -> Result<MarchTest, String> {
-    known::by_name(s)
+    let test = known::by_name(s)
         .map(Ok)
-        .unwrap_or_else(|| s.parse::<MarchTest>().map_err(|e| e.to_string()))
-}
-
-fn validate(args: &[String], json: bool) -> Result<(), String> {
-    let [march, faults] = args else {
-        return Err("validate needs <march> and <fault-list>".into());
-    };
-    let test = parse_march_arg(march)?;
+        .unwrap_or_else(|| s.parse::<MarchTest>().map_err(|e| e.to_string()))?;
     test.check_consistency()
         .map_err(|e| format!("inconsistent march test: {e}"))?;
+    Ok(test)
+}
+
+fn validate(march: &str, faults: &str, json: bool) -> Result<(), String> {
+    let test = parse_march_arg(march)?;
     let models = parse_fault_list(faults).map_err(|e| e.to_string())?;
     let report = WideSimVerifier::new(6).verify(&test, &models);
     if json {
-        print_report_json(&test, &report)?;
+        let doc = Json::object([
+            ("test", Json::Str(test.to_string())),
+            ("complexity", Json::from(test.complexity())),
+            (
+                "report",
+                marchgen::generator::serde::report_to_json(&report),
+            ),
+        ]);
+        print!("{}", doc.render_pretty());
     } else {
         print!("{report}");
     }
@@ -287,37 +334,26 @@ fn validate(args: &[String], json: bool) -> Result<(), String> {
     }
 }
 
-#[cfg(feature = "serde")]
-fn print_report_json(
-    test: &MarchTest,
-    report: &marchgen::sim::CoverageReport,
-) -> Result<(), String> {
-    use marchgen::json::Json;
-    let doc = Json::object([
-        ("test", Json::Str(test.to_string())),
-        ("complexity", Json::from(test.complexity())),
-        ("report", marchgen::generator::serde::report_to_json(report)),
-    ]);
-    print!("{}", doc.render_pretty());
-    Ok(())
-}
-
-#[cfg(not(feature = "serde"))]
-fn print_report_json(
-    _test: &MarchTest,
-    _report: &marchgen::sim::CoverageReport,
-) -> Result<(), String> {
-    Err("this build has no JSON support (rebuild with the `serde` feature)".into())
-}
-
-fn analyze_cmd(args: &[String], json: bool) -> Result<(), String> {
-    let march = args.first().ok_or("analyze needs a march test")?;
+fn analyze_cmd(march: &str, json: bool) -> Result<(), String> {
     let test = parse_march_arg(march)?;
-    test.check_consistency()
-        .map_err(|e| format!("inconsistent march test: {e}"))?;
     let c = analysis::analyze(&test);
     if json {
-        return print_conditions_json(&test, &c);
+        let doc = Json::object([
+            ("test", Json::Str(test.to_string())),
+            ("complexity", Json::from(test.complexity())),
+            (
+                "conditions",
+                Json::object([
+                    ("saf", Json::Bool(c.saf)),
+                    ("tf", Json::Bool(c.tf)),
+                    ("af", Json::Bool(c.af)),
+                    ("sof", Json::Bool(c.sof)),
+                    ("drf", Json::Bool(c.drf)),
+                ]),
+            ),
+        ]);
+        print!("{}", doc.render_pretty());
+        return Ok(());
     }
     println!("test       : {test}");
     println!("complexity : {}n", test.complexity());
@@ -330,153 +366,44 @@ fn analyze_cmd(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(feature = "serde")]
-fn print_conditions_json(test: &MarchTest, c: &analysis::Conditions) -> Result<(), String> {
-    use marchgen::json::Json;
-    let doc = Json::object([
-        ("test", Json::Str(test.to_string())),
-        ("complexity", Json::from(test.complexity())),
-        (
-            "conditions",
-            Json::object([
-                ("saf", Json::Bool(c.saf)),
-                ("tf", Json::Bool(c.tf)),
-                ("af", Json::Bool(c.af)),
-                ("sof", Json::Bool(c.sof)),
-                ("drf", Json::Bool(c.drf)),
-            ]),
-        ),
-    ]);
-    print!("{}", doc.render_pretty());
-    Ok(())
-}
-
-#[cfg(not(feature = "serde"))]
-fn print_conditions_json(_test: &MarchTest, _c: &analysis::Conditions) -> Result<(), String> {
-    Err("this build has no JSON support (rebuild with the `serde` feature)".into())
-}
-
-fn codegen_cmd(args: &[String], json: bool) -> Result<(), String> {
-    use marchgen::rtl::RtlOptions;
-
-    let mut args = args.to_vec();
-    let lang_flag = take_str_option(&mut args, "--lang")?;
-    let name = take_str_option(&mut args, "--name")?;
-    let addr_width = take_option(&mut args, "--addr-width")?;
-    let data_width = take_option(&mut args, "--data-width")?;
-    let delay_cycles = take_option(&mut args, "--delay-cycles")?;
-    let no_testbench = take_flag(&mut args, "--no-testbench");
-
-    let march = args.first().ok_or("codegen needs a march test")?;
+fn codegen_cmd(march: &str, json: bool, lang: &str, options: &RtlOptions) -> Result<(), String> {
     let test = parse_march_arg(march)?;
-    test.check_consistency()
-        .map_err(|e| format!("inconsistent march test: {e}"))?;
-
-    // `--lang` is the documented spelling; the second positional is kept
-    // for compatibility with the original `codegen <march> [c|rust]`.
-    let lang = match (lang_flag, args.get(1).map(String::as_str)) {
-        (Some(flag), Some(pos)) if flag != pos => {
-            return Err(format!("both --lang {flag:?} and positional {pos:?} given"));
-        }
-        (Some(flag), _) => flag,
-        (None, Some(pos)) => pos.to_owned(),
-        (None, None) => "c".to_owned(),
-    };
-    if !matches!(lang.as_str(), "c" | "rust" | "sv") {
-        return Err(format!("unknown language {lang:?} (use c, rust or sv)"));
-    }
-    // The RTL knobs only shape SystemVerilog; reject them elsewhere so a
-    // stray `--addr-width` on `--lang c` is a loud error, not a no-op.
-    if lang != "sv" {
-        for (flag, given) in [
-            ("--addr-width", addr_width.is_some()),
-            ("--data-width", data_width.is_some()),
-            ("--delay-cycles", delay_cycles.is_some()),
-            ("--no-testbench", no_testbench),
-        ] {
-            if given {
-                return Err(format!("{flag} only applies to --lang sv"));
-            }
-        }
-    }
-
-    let name = name.unwrap_or_else(|| "march_test".to_owned());
-    let code = match lang.as_str() {
-        "c" => codegen::to_c(&test, &name),
-        "rust" => codegen::to_rust(&test, &name),
-        _ => {
-            let mut options = RtlOptions::default().with_name(&name);
-            if let Some(w) = addr_width {
-                options = options.with_addr_width(u32::try_from(w).unwrap_or(u32::MAX));
-            }
-            if let Some(w) = data_width {
-                options = options.with_data_width(u32::try_from(w).unwrap_or(u32::MAX));
-            }
-            if let Some(cycles) = delay_cycles {
-                options = options.with_delay_cycles(u32::try_from(cycles).unwrap_or(u32::MAX));
-            }
-            options = options.with_testbench(!no_testbench);
-            marchgen::rtl::emit_sv(&test, &options).map_err(|e| e.to_string())?
-        }
+    let code = match lang {
+        "c" => codegen::to_c(&test, &options.name),
+        "rust" => codegen::to_rust(&test, &options.name),
+        _ => marchgen::rtl::emit_sv(&test, options).map_err(|e| e.to_string())?,
     };
     if json {
-        print_codegen_json(&test, &lang, &codegen::sanitize_ident(&name), &code)
+        let name = codegen::sanitize_ident(&options.name);
+        let doc = marchgen::serve::codegen_json(&test, lang, &name, &code);
+        print!("{}", doc.render_pretty());
     } else {
         print!("{code}");
-        Ok(())
     }
-}
-
-#[cfg(feature = "serde")]
-fn print_codegen_json(test: &MarchTest, lang: &str, name: &str, code: &str) -> Result<(), String> {
-    use marchgen::json::Json;
-    let doc = Json::object([
-        ("schema", Json::Int(1)),
-        ("test", Json::Str(test.to_string())),
-        ("complexity", Json::from(test.complexity())),
-        ("lang", Json::from(lang)),
-        ("name", Json::from(name)),
-        ("code", Json::from(code)),
-    ]);
-    print!("{}", doc.render_pretty());
     Ok(())
 }
 
-#[cfg(not(feature = "serde"))]
-fn print_codegen_json(
-    _test: &MarchTest,
-    _lang: &str,
-    _name: &str,
-    _code: &str,
-) -> Result<(), String> {
-    Err("this build has no JSON support (rebuild with the `serde` feature)".into())
-}
-
-fn known_cmd(args: &[String]) -> Result<(), String> {
-    match args.first() {
+fn known_cmd(name: Option<&str>) -> Result<(), String> {
+    match name {
         None => {
             for (name, test) in known::all() {
                 println!("{name:<10} {:>3}n  {}", test.complexity(), test);
             }
-            Ok(())
         }
         Some(name) => {
             let test = known::by_name(name).ok_or_else(|| format!("unknown test {name:?}"))?;
             println!("{test}");
-            Ok(())
         }
     }
+    Ok(())
 }
 
 fn batch_cmd(
-    args: &[String],
+    path: &str,
     json: bool,
     threads: Option<usize>,
-    knobs: RequestKnobs,
+    knobs: &RequestKnobs,
 ) -> Result<(), String> {
-    let path = args
-        .first()
-        .ok_or("batch needs a file of fault lists (one per line)")?;
     let content =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     let mut lists: Vec<&str> = Vec::new();
@@ -524,19 +451,26 @@ fn batch_cmd(
             eprintln!("batch complete: {succeeded}/{batch_total} generated, {failed} failed");
         }
     };
-    #[cfg(feature = "serde")]
     let results = match knobs.open_cache()? {
         Some(cache) => batch.run_cached(&cache, requests, on_event),
         None => batch.run_with_progress(requests, on_event),
     };
-    #[cfg(not(feature = "serde"))]
-    let results = {
-        knobs.reject_cache_dir()?;
-        batch.run_with_progress(requests, on_event)
-    };
 
     if json {
-        print_batch_json(&lists, &results)?;
+        let entries = lists
+            .iter()
+            .zip(&results)
+            .map(|(list, result)| match result {
+                Ok(outcome) => Json::object([
+                    ("faults", Json::from(*list)),
+                    ("outcome", outcome.to_json()),
+                ]),
+                Err(error) => Json::object([
+                    ("faults", Json::from(*list)),
+                    ("error", Json::Str(marchgen::error_chain(error))),
+                ]),
+            });
+        print!("{}", Json::array(entries).render_pretty());
     } else {
         for (list, result) in lists.iter().zip(&results) {
             match result {
@@ -558,49 +492,4 @@ fn batch_cmd(
     } else {
         Err("some batch entries failed or did not verify".into())
     }
-}
-
-#[cfg(feature = "serde")]
-fn print_batch_json(
-    lists: &[&str],
-    results: &[Result<GenerateOutcome, Error>],
-) -> Result<(), String> {
-    use marchgen::json::{Json, ToJson};
-    let entries = lists
-        .iter()
-        .zip(results)
-        .map(|(list, result)| match result {
-            Ok(outcome) => Json::object([
-                ("faults", Json::from(*list)),
-                ("outcome", outcome.to_json()),
-            ]),
-            Err(error) => Json::object([
-                ("faults", Json::from(*list)),
-                ("error", Json::Str(error_chain(error))),
-            ]),
-        });
-    print!("{}", Json::array(entries).render_pretty());
-    Ok(())
-}
-
-#[cfg(not(feature = "serde"))]
-fn print_batch_json(
-    _lists: &[&str],
-    _results: &[Result<GenerateOutcome, Error>],
-) -> Result<(), String> {
-    Err("this build has no JSON support (rebuild with the `serde` feature)".into())
-}
-
-/// Flattens an error and its sources into one line.
-#[cfg(feature = "serde")]
-fn error_chain(error: &Error) -> String {
-    use std::error::Error as _;
-    let mut text = error.to_string();
-    let mut source = error.source();
-    while let Some(cause) = source {
-        text.push_str(": ");
-        text.push_str(&cause.to_string());
-        source = cause.source();
-    }
-    text
 }

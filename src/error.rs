@@ -47,6 +47,21 @@ impl std::error::Error for Error {
     }
 }
 
+/// Flattens an error and its sources into one line, `outer: inner: ...`
+/// — the text of the `"error"` entries of `marchgen batch --json` and of
+/// the daemon's generation failures.
+#[must_use]
+pub fn error_chain(error: &dyn std::error::Error) -> String {
+    let mut text = error.to_string();
+    let mut source = error.source();
+    while let Some(cause) = source {
+        text.push_str(": ");
+        text.push_str(&cause.to_string());
+        source = cause.source();
+    }
+    text
+}
+
 impl From<ParseFaultError> for Error {
     fn from(e: ParseFaultError) -> Error {
         Error::Parse(e)

@@ -30,9 +30,8 @@
 //!    engine knob as plain data; [`generate`] maps it to a
 //!    [`GenerateOutcome`] carrying the test, the tour, the verification
 //!    report and structured per-phase [`Diagnostics`]. Both types are
-//!    JSON-serializable behind the default-on `serde` feature (see the
-//!    [`json`] kit), and every failure folds into the unified
-//!    [`Error`] taxonomy. Extension points are trait-based: the ATSP
+//!    JSON-serializable as schema-v1 documents (see the [`json`] kit),
+//!    and every failure folds into the unified [`Error`] taxonomy. Extension points are trait-based: the ATSP
 //!    solver is an [`atsp::AtspSolver`] selected per request via
 //!    [`SolverChoice`] against a [`SolverRegistry`]. [`generate`]
 //!    verifies on the packed simulator; [`generate_with`] takes any
@@ -79,45 +78,40 @@ pub use marchgen_atsp as atsp;
 pub use marchgen_faults as faults;
 
 /// The content-addressed outcome cache behind `--cache-dir` and the
-/// daemon (`serde` feature: entries persist as schema-v1 documents).
-#[cfg(feature = "serde")]
+/// daemon (entries persist as schema-v1 documents).
 pub use marchgen_cache as cache;
 
-/// The dependency-free HTTP/1.1 service engine behind `marchgend`
-/// (`serde` feature: the wire format is schema-v1 JSON).
-#[cfg(feature = "serde")]
+/// The dependency-free HTTP/1.1 service engine behind `marchgend` (the
+/// wire format is schema-v1 JSON).
 pub use marchgen_daemon as daemon;
 pub use marchgen_generator as generator;
 pub use marchgen_march as march;
 pub use marchgen_model as model;
 
-/// The observability kit behind `marchgend` (`serde` feature): the
-/// lock-sharded metrics registry rendered at `GET /metrics` and the
-/// span tracer behind `?trace=1` / `X-Trace: 1` request tracing.
-#[cfg(feature = "serde")]
+/// The observability kit behind `marchgend`: the lock-sharded metrics
+/// registry rendered at `GET /metrics` and the span tracer behind
+/// `?trace=1` / `X-Trace: 1` request tracing.
 pub use marchgen_obs as obs;
 
 /// The SystemVerilog BIST backend: compiles a verified March test into a
 /// synthesizable pattern generator, BIST wrapper and self-checking
-/// testbench (`serde` feature: `RtlOptions` is JSON-codable for the
-/// daemon's `/v1/rtl` endpoint and the CLI `--json` envelope).
+/// testbench (`RtlOptions` is JSON-codable for the daemon's `/v1/rtl`
+/// endpoint).
 pub use marchgen_rtl as rtl;
 pub use marchgen_sim as sim;
 pub use marchgen_tpg as tpg;
 
-/// The JSON document kit behind the `serde` feature (re-exported so
+/// The JSON document kit of the schema-v1 documents (re-exported so
 /// downstream code can build and inspect serialized requests without a
 /// separate dependency).
-#[cfg(feature = "serde")]
 pub use marchgen_json as json;
 
 mod error;
 pub mod resume;
-#[cfg(feature = "serde")]
 pub mod serve;
 pub mod service;
 
-pub use error::Error;
+pub use error::{error_chain, Error};
 pub use marchgen_atsp::{AtspSolver, SolveStats, SolverChoice, SolverRegistry};
 pub use marchgen_faults::{parse_fault_list, FaultModel};
 pub use marchgen_generator::{

@@ -69,7 +69,7 @@ use crate::obs::{Counter, Histogram, Registry, SpanNode, Tracer};
 use crate::resume::{CompleteOnDrop, FollowError, StreamRegistry};
 use crate::rtl::RtlOptions;
 use crate::service::Batch;
-use crate::{known, Diagnostics, GenerateOutcome, GenerateRequest, MarchTest};
+use crate::{error_chain, known, Diagnostics, GenerateOutcome, GenerateRequest, MarchTest};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -86,26 +86,36 @@ const RTL_CACHE_CAPACITY: usize = 256;
 /// [`OutcomeCache`].
 struct RtlEntry {
     canonical: String,
-    test: String,
-    complexity: usize,
+    test: MarchTest,
     name: String,
     code: String,
 }
 
 impl RtlEntry {
-    /// The response document — the `marchgen codegen --json` envelope
-    /// plus the `cache_hit` bit.
+    /// The response document — the [`codegen_json`] envelope plus the
+    /// `cache_hit` bit.
     fn to_json(&self, cache_hit: bool) -> Json {
-        Json::object([
-            ("schema", Json::Int(1)),
-            ("test", Json::Str(self.test.clone())),
-            ("complexity", Json::from(self.complexity)),
-            ("lang", Json::from("sv")),
-            ("name", Json::from(self.name.as_str())),
-            ("code", Json::from(self.code.as_str())),
-            ("cache_hit", Json::Bool(cache_hit)),
-        ])
+        let Json::Object(mut pairs) = codegen_json(&self.test, "sv", &self.name, &self.code) else {
+            unreachable!("the codegen envelope is an object")
+        };
+        pairs.push(("cache_hit".to_owned(), Json::Bool(cache_hit)));
+        Json::Object(pairs)
     }
+}
+
+/// The generated-code document of `marchgen codegen --json` and of the
+/// `/v1/rtl` response (which appends `cache_hit`): schema, test notation
+/// and complexity, language, sanitized module name and the source code.
+#[must_use]
+pub fn codegen_json(test: &MarchTest, lang: &str, name: &str, code: &str) -> Json {
+    Json::object([
+        ("schema", Json::Int(1)),
+        ("test", Json::Str(test.to_string())),
+        ("complexity", Json::from(test.complexity())),
+        ("lang", Json::from(lang)),
+        ("name", Json::from(name)),
+        ("code", Json::from(code)),
+    ])
 }
 
 /// Bucket bounds for every duration histogram, µs: 100µs to 30s.
@@ -706,8 +716,7 @@ impl App {
         };
         let entry = Arc::new(RtlEntry {
             canonical,
-            test: test.to_string(),
-            complexity: test.complexity(),
+            test,
             name: options.name.clone(),
             code,
         });
@@ -1093,16 +1102,4 @@ fn health_endpoint() -> Response {
         // cache KEY_SCHEMA — the two version independently.
         ("schema", Json::Int(1)),
     ]))
-}
-
-/// Flattens an error and its sources into one line.
-fn error_chain(error: &dyn std::error::Error) -> String {
-    let mut text = error.to_string();
-    let mut source = error.source();
-    while let Some(cause) = source {
-        text.push_str(": ");
-        text.push_str(&cause.to_string());
-        source = cause.source();
-    }
-    text
 }

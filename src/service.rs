@@ -3,8 +3,8 @@
 //!
 //! This is the first brick of the ROADMAP's production-scale service: a
 //! synchronous, in-process scheduler with the shape a network front-end
-//! needs — typed requests in, typed outcomes out, a shared pluggable
-//! [`SolverRegistry`], and a callback stream for progress reporting.
+//! needs — typed requests in, typed outcomes out, and a callback stream
+//! for progress reporting.
 //!
 //! ```
 //! use marchgen::service::Batch;
@@ -20,11 +20,9 @@
 //! ```
 
 use crate::error::Error;
-use marchgen_atsp::SolverRegistry;
-#[cfg(feature = "serde")]
 use marchgen_cache::{canonical_key_text, key_for_text, OutcomeCache};
 use marchgen_generator::pool::run_indexed;
-use marchgen_generator::{generate_with_registry, GenerateOutcome, GenerateRequest};
+use marchgen_generator::{generate, GenerateOutcome, GenerateRequest};
 use std::num::NonZeroUsize;
 
 /// A progress event emitted while a batch runs. Events for different
@@ -67,7 +65,6 @@ pub enum BatchEvent<'a> {
     },
 }
 
-#[cfg(feature = "serde")]
 impl BatchEvent<'_> {
     /// Encodes the event as one self-describing JSON object — the frame
     /// format of the daemon's `/v1/stream` endpoint (one frame per
@@ -124,34 +121,28 @@ impl BatchEvent<'_> {
 /// engine.
 ///
 /// Requests are pulled from a shared queue by `threads` workers (scoped
-/// threads — no `'static` bounds), each resolved against one shared
-/// [`SolverRegistry`]. Results come back in input order, one
-/// `Result` per request, so a single bad request never poisons the
-/// batch.
+/// threads — no `'static` bounds), each run through [`generate`] with
+/// the built-in solvers. Results come back in input order, one `Result`
+/// per request, so a single bad request never poisons the batch.
 pub struct Batch {
     threads: NonZeroUsize,
-    registry: SolverRegistry,
 }
 
 impl Default for Batch {
-    /// One worker per available CPU, built-in solver registry — the
-    /// canonical configuration. `Default` owns the construction logic
+    /// One worker per available CPU — the canonical configuration. `Default` owns the construction logic
     /// (rather than bouncing through [`Batch::new`]) so derived holders
     /// like `#[derive(Default)]` service structs get a fully working
     /// executor.
     fn default() -> Batch {
         let threads = std::thread::available_parallelism()
             .unwrap_or(NonZeroUsize::new(1).expect("1 is non-zero"));
-        Batch {
-            threads,
-            registry: SolverRegistry::default(),
-        }
+        Batch { threads }
     }
 }
 
 impl Batch {
-    /// A batch executor with one worker per available CPU and the
-    /// built-in solver registry (alias of [`Batch::default`]).
+    /// A batch executor with one worker per available CPU (alias of
+    /// [`Batch::default`]).
     #[must_use]
     pub fn new() -> Batch {
         Batch::default()
@@ -161,15 +152,6 @@ impl Batch {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Batch {
         self.threads = NonZeroUsize::new(threads.max(1)).expect("clamped to >= 1");
-        self
-    }
-
-    /// Replaces the solver registry shared by all workers (register
-    /// custom [`AtspSolver`](marchgen_atsp::AtspSolver) strategies here
-    /// and select them per request via `SolverChoice::Custom`).
-    #[must_use]
-    pub fn registry(mut self, registry: SolverRegistry) -> Batch {
-        self.registry = registry;
         self
     }
 
@@ -192,7 +174,7 @@ impl Batch {
     ) -> Vec<Result<GenerateOutcome, Error>> {
         let total = requests.len();
         let results = self.run_workers(requests, &on_event, &|request| {
-            generate_with_registry(request, &self.registry).map_err(Error::from)
+            generate(request).map_err(Error::from)
         });
         let succeeded = results.iter().filter(|r| r.is_ok()).count();
         on_event(BatchEvent::Completed {
@@ -254,7 +236,6 @@ impl Batch {
     /// same uncached problem funds one pipeline run, and the stored
     /// entry is always the canonical
     /// ([`GenerateRequest::normalize`]d) computation.
-    #[cfg(feature = "serde")]
     #[must_use]
     pub fn run_cached(
         &self,
@@ -307,13 +288,7 @@ impl Batch {
                     terminal @ BatchEvent::Completed { .. } => terminal,
                 });
             },
-            &|request| {
-                cache
-                    .get_or_compute(request, |normalized| {
-                        generate_with_registry(normalized, &self.registry)
-                    })
-                    .map_err(Error::from)
-            },
+            &|request| cache.get_or_compute(request, generate).map_err(Error::from),
         );
         for (&leader, result) in leaders.iter().zip(computed) {
             // Fan the leader's result out to every slot sharing its
@@ -420,7 +395,6 @@ mod tests {
     /// `run_cached` answers repeats from the cache, deduplicates
     /// identical in-batch requests onto one computation, and keeps
     /// results in input order.
-    #[cfg(feature = "serde")]
     #[test]
     fn run_cached_serves_hits_and_dedupes() {
         let cache = OutcomeCache::new(64);
@@ -462,7 +436,6 @@ mod tests {
 
     /// Every event kind encodes as a self-describing one-line frame
     /// with the `"event"` discriminator the stream clients switch on.
-    #[cfg(feature = "serde")]
     #[test]
     fn batch_events_serialize_as_stream_frames() {
         use std::sync::Mutex;

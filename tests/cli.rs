@@ -1,6 +1,6 @@
 //! The `marchgen` command line run as a process, the way a user drives
-//! it: argument checking of `generate` and `batch`, and the exit codes
-//! and reports of `validate`.
+//! it: argument checking of every subcommand, and the exit codes and
+//! reports of `validate`.
 
 use marchgen::prelude::*;
 use std::process::{Command, Output};
@@ -15,9 +15,12 @@ fn marchgen(args: &[&str]) -> Output {
 /// The fault list every `validate` test checks.
 const LIST: &str = "SAF, TF, CFin, CFid";
 
-/// `generate` and `batch` take one positional argument. Anything left
-/// after it — an unknown option, the retired `verifier` option, or a
-/// stray word — is a usage error (exit 2), and nothing runs.
+/// Every subcommand takes its own options and then exactly its
+/// positional arguments. Anything left over — an unknown option, the
+/// retired `verifier` option, an option of another subcommand
+/// (`--threads` outside `batch`, `--json` on `known`), a stray word or
+/// `codegen`'s retired positional language — is a usage error (exit 2),
+/// and nothing runs.
 #[test]
 fn leftover_arguments_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("marchgen-cli-{}", std::process::id()));
@@ -30,7 +33,14 @@ fn leftover_arguments_are_usage_errors() {
         ["generate", "SAF", "--bogus", "x"].as_slice(),
         &["generate", "SAF", "extra-arg"],
         &["generate", "SAF", &retired, "scalar"],
+        &["generate", "SAF", "--threads", "4"],
         &["batch", lists, "--bogus", "x"],
+        &["validate", "MATS", "SAF", "extra"],
+        &["analyze", "MATS", "--bogus", "x"],
+        &["analyze", "MATS", "extra"],
+        &["codegen", "MATS", "c", "extra"],
+        &["known", "MATS", "extra"],
+        &["known", "--json"],
     ] {
         let out = marchgen(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -39,8 +49,16 @@ fn leftover_arguments_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{args:?}");
     }
     // Without the leftovers, the same commands run and succeed.
-    for args in [["generate", "SAF"], ["batch", lists]] {
-        let out = marchgen(&args);
+    for args in [
+        ["generate", "SAF"].as_slice(),
+        &["batch", lists],
+        &["validate", "MATS", "SAF"],
+        &["analyze", "MATS"],
+        &["codegen", "MATS", "--lang", "c"],
+        &["known", "MATS"],
+        &["known"],
+    ] {
+        let out = marchgen(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     }
@@ -73,7 +91,6 @@ fn validate_rejects_incomplete_coverage() {
 /// `validate --json` prints, byte for byte, the report of the scalar
 /// oracle at the CLI's 6 cells, which holds the packed engine the CLI
 /// runs to the reference.
-#[cfg(feature = "serde")]
 #[test]
 fn validate_json_equals_the_scalar_report() {
     use marchgen::generator::serde::report_to_json;

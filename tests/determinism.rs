@@ -7,8 +7,6 @@
 //! with the scalar oracle instead of the packed backend must never change
 //! what the pipeline computes, only how fast.
 
-#![cfg(feature = "serde")]
-
 use marchgen::json::ToJson;
 use marchgen::prelude::*;
 use marchgen::{generate_with, SimVerifier};
