@@ -21,6 +21,16 @@
 //! recomputed; a colliding entry can therefore never be served as the
 //! *wrong* outcome.
 //!
+//! A memory entry ([`CachedOutcome`]) holds the outcome as its *hit
+//! document*: the schema-v1 JSON a hit answers with, stamped
+//! `cache_hit: true` and rendered once, when the outcome is inserted or
+//! promoted from disk. [`OutcomeCache::serve`] hands that entry to a
+//! caller that sends the document as it is, so such a hit clones and
+//! renders nothing. The struct calls ([`OutcomeCache::lookup`],
+//! [`OutcomeCache::peek`], [`OutcomeCache::get_or_compute`]) decode the
+//! document on their first hit of an entry and keep the decoded outcome
+//! in it, so a repeated hit costs one clone.
+//!
 //! ```
 //! use marchgen_cache::{request_key, OutcomeCache};
 //! use marchgen_generator::{generate, GenerateRequest};
@@ -48,9 +58,10 @@ pub use key::{
 pub use lru::ShardedLru;
 
 use marchgen_generator::{GenerateOutcome, GenerateRequest};
+use marchgen_json::{FromJson, ToJson};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Monotonic counters describing cache behaviour since construction.
 /// All counters are cumulative; rates belong to the caller.
@@ -102,6 +113,89 @@ struct CacheStats {
     coalesced: AtomicU64,
     key_mismatches: AtomicU64,
     key_schema_stale: AtomicU64,
+}
+
+/// One memory-tier entry: the canonical key text a hit verifies, the
+/// outcome's `verified` flag and its hit document. An entry holds no
+/// outcome until a struct call decodes the document.
+#[derive(Debug)]
+pub struct CachedOutcome {
+    canonical: String,
+    verified: bool,
+    document: String,
+    decoded: OnceLock<GenerateOutcome>,
+}
+
+impl CachedOutcome {
+    /// Renders `outcome`'s hit document. The outcome itself is dropped.
+    fn new(canonical: String, mut outcome: GenerateOutcome) -> CachedOutcome {
+        outcome.diagnostics.cache_hit = true;
+        CachedOutcome {
+            canonical,
+            verified: outcome.verified,
+            document: outcome.to_json().render(),
+            decoded: OnceLock::new(),
+        }
+    }
+
+    /// The outcome's compact schema-v1 JSON, stamped `cache_hit: true`:
+    /// the bytes `outcome().to_json().render()` would produce.
+    #[must_use]
+    pub fn document(&self) -> &str {
+        &self.document
+    }
+
+    /// The outcome's `verified` flag, without decoding it.
+    #[must_use]
+    pub fn verified(&self) -> bool {
+        self.verified
+    }
+
+    /// The outcome, stamped `cache_hit = true`. The first call decodes
+    /// the document and keeps the result in the entry; every call
+    /// returns a clone of it.
+    ///
+    /// # Panics
+    ///
+    /// If the document does not decode, which would mean the outcome's
+    /// JSON encoding does not round-trip.
+    #[must_use]
+    pub fn outcome(&self) -> GenerateOutcome {
+        self.decoded
+            .get_or_init(|| {
+                GenerateOutcome::from_json_str(&self.document)
+                    .expect("a cached outcome document decodes")
+            })
+            .clone()
+    }
+
+    /// The decoded outcome, if a struct call has decoded it yet.
+    #[cfg(test)]
+    fn decoded(&self) -> Option<&GenerateOutcome> {
+        self.decoded.get()
+    }
+}
+
+/// How [`OutcomeCache::serve`] answered.
+#[derive(Debug)]
+pub enum Served {
+    /// A memory or disk hit: the entry, its document ready to send.
+    Hit(Arc<CachedOutcome>),
+    /// The outcome this call computed and inserted, as `compute`
+    /// returned it.
+    Computed(Box<GenerateOutcome>),
+}
+
+impl Served {
+    /// The outcome: a hit's [`CachedOutcome::outcome`], or the computed
+    /// one.
+    #[must_use]
+    pub fn into_outcome(self) -> GenerateOutcome {
+        match self {
+            Served::Hit(entry) => entry.outcome(),
+            Served::Computed(outcome) => *outcome,
+        }
+    }
 }
 
 /// A completion latch for one in-flight computation. Carries no result:
@@ -165,7 +259,7 @@ impl Drop for FlightGuard<'_> {
 
 /// The two-level (memory + optional disk), single-flight outcome cache.
 pub struct OutcomeCache {
-    memory: ShardedLru<StoredEntry>,
+    memory: ShardedLru<Arc<CachedOutcome>>,
     disk: Option<DiskStore>,
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
     stats: CacheStats,
@@ -203,7 +297,7 @@ impl OutcomeCache {
     /// the FNV key is non-cryptographic, so the text comparison is what
     /// guarantees a hit is the *right* outcome (a mismatch counts as a
     /// miss and toward [`CacheStatsSnapshot::key_mismatches`]). Hits
-    /// are re-stamped `cache_hit = true` in their
+    /// come back stamped `cache_hit = true` in their
     /// [`Diagnostics`](marchgen_generator::Diagnostics), so replayed outcomes are
     /// byte-comparable to fresh ones modulo the diagnostics block. A
     /// miss counts toward [`CacheStatsSnapshot::misses`].
@@ -219,10 +313,20 @@ impl OutcomeCache {
     /// [`OutcomeCache::lookup`] minus the miss accounting: a probe that
     /// will be followed by [`OutcomeCache::get_or_compute`] on a miss
     /// (which counts it) uses this, so one served request never counts
-    /// two misses. Hits still count — they are final answers.
+    /// two misses. Hits still count — they are final answers. The first
+    /// struct hit of an entry decodes its document
+    /// ([`CachedOutcome::outcome`]); later ones clone the decoded
+    /// outcome.
     #[must_use]
     pub fn peek(&self, key: CacheKey, canonical: &str) -> Option<GenerateOutcome> {
-        let mut outcome = if let Some(entry) = self.memory.get(key) {
+        self.find(key, canonical).map(|entry| entry.outcome())
+    }
+
+    /// The entry under `key` whose canonical text is `canonical`, from
+    /// memory or else from disk (promoted to memory, its document
+    /// rendered there). Counts hits by tier and key mismatches.
+    fn find(&self, key: CacheKey, canonical: &str) -> Option<Arc<CachedOutcome>> {
+        if let Some(entry) = self.memory.get(key) {
             if entry.canonical != canonical {
                 // Collision (or corruption): the slot belongs to a
                 // different canonical request. Never serve it.
@@ -230,27 +334,25 @@ impl OutcomeCache {
                 return None;
             }
             self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
-            entry.outcome
-        } else {
-            let entry = self.disk.as_ref().and_then(|d| d.load(key))?;
-            if entry.canonical != canonical {
-                self.stats.key_mismatches.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            // Promote so the next lookup skips the filesystem.
-            self.memory.insert(key, entry.clone());
-            entry.outcome
-        };
-        outcome.diagnostics.cache_hit = true;
-        Some(outcome)
+            return Some(entry);
+        }
+        let stored = self.disk.as_ref().and_then(|d| d.load(key))?;
+        if stored.canonical != canonical {
+            self.stats.key_mismatches.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
+        // Promote so the next lookup skips the filesystem.
+        let entry = Arc::new(CachedOutcome::new(stored.canonical, stored.outcome));
+        self.memory.insert(key, Arc::clone(&entry));
+        Some(entry)
     }
 
     /// Stores a freshly computed outcome under `key` (memory and, when
     /// attached, disk), together with the canonical request text future
-    /// hits verify. The stored copy is always stamped
-    /// `cache_hit = false`; [`OutcomeCache::lookup`] re-stamps on the
-    /// way out.
+    /// hits verify. The disk copy is stamped `cache_hit = false`; the
+    /// memory entry keeps only the hit document rendered from it
+    /// ([`CachedOutcome`]), not the outcome.
     pub fn insert(&self, key: CacheKey, canonical: &str, outcome: &GenerateOutcome) {
         let mut stored = outcome.clone();
         stored.diagnostics.cache_hit = false;
@@ -260,20 +362,33 @@ impl OutcomeCache {
         }
         self.memory.insert(
             key,
-            StoredEntry {
-                canonical: canonical.to_owned(),
-                outcome: stored,
-            },
+            Arc::new(CachedOutcome::new(canonical.to_owned(), stored)),
         );
     }
 
-    /// The heart of the cache: returns the outcome for `request`,
+    /// [`OutcomeCache::serve`] for callers that need the outcome
+    /// itself: a hit is decoded as in [`OutcomeCache::peek`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns; errors are never cached.
+    pub fn get_or_compute<E>(
+        &self,
+        request: &GenerateRequest,
+        compute: impl Fn(&GenerateRequest) -> Result<GenerateOutcome, E>,
+    ) -> Result<GenerateOutcome, E> {
+        self.serve(request, compute).map(Served::into_outcome)
+    }
+
+    /// The heart of the cache: answers `request` from a stored entry,
     /// computing it with `compute` only when no cached copy exists and
     /// no other thread is already computing the same key
     /// (single-flight). Waiters block until the leader finishes, then
     /// read its result from the cache; if the leader *failed*, one
     /// waiter takes over as the new leader and retries (errors are
-    /// cheap — parse and validation failures — and never cached).
+    /// cheap — parse and validation failures — and never cached). A hit
+    /// is the entry itself, so a caller that sends its document decodes
+    /// and renders nothing.
     ///
     /// `compute` always receives the **canonical**
     /// ([`GenerateRequest::normalize`]d) form of the request, never the
@@ -285,17 +400,18 @@ impl OutcomeCache {
     /// # Errors
     ///
     /// Whatever `compute` returns; errors are never cached.
-    pub fn get_or_compute<E>(
+    pub fn serve<E>(
         &self,
         request: &GenerateRequest,
         compute: impl Fn(&GenerateRequest) -> Result<GenerateOutcome, E>,
-    ) -> Result<GenerateOutcome, E> {
+    ) -> Result<Served, E> {
         let canonical = canonical_key_text(request);
         let key = key_for_text(&canonical);
         loop {
-            if let Some(hit) = self.lookup(key, &canonical) {
-                return Ok(hit);
+            if let Some(entry) = self.find(key, &canonical) {
+                return Ok(Served::Hit(entry));
             }
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
             let flight = {
                 let mut flights = self.flights.lock().expect("flights lock");
                 match flights.get(&key.0) {
@@ -309,17 +425,17 @@ impl OutcomeCache {
             match flight {
                 None => {
                     // Leader: compute, publish, land the flight. (The
-                    // miss was already counted by the failed lookup.)
-                    // The guard lands the flight even if `compute`
-                    // panics — an abandoned flight would wedge every
-                    // future request for this key forever.
+                    // miss was already counted above.) The guard lands
+                    // the flight even if `compute` panics — an
+                    // abandoned flight would wedge every future request
+                    // for this key forever.
                     self.probe_stale_schema(request);
                     let _guard = FlightGuard { cache: self, key };
                     let result = compute(&request.clone().normalize());
                     if let Ok(outcome) = &result {
                         self.insert(key, &canonical, outcome);
                     }
-                    return result;
+                    return result.map(|outcome| Served::Computed(Box::new(outcome)));
                 }
                 Some(in_flight) => {
                     // Waiter: coalesce, then re-check from the top.
@@ -393,6 +509,78 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.memory_hits, 1);
         assert_eq!(stats.inserts, 1);
+    }
+
+    /// `insert` then `lookup` returns the inserted outcome stamped
+    /// `cache_hit = true`, from memory and after a disk promotion.
+    #[test]
+    fn inserted_outcomes_come_back_as_hits_from_memory_and_disk() {
+        let dir = std::env::temp_dir().join(format!(
+            "marchgen-cache-insert-lookup-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let request = req("SAF, TF, ADF");
+        let outcome = generate(&request).unwrap();
+        let mut expected = outcome.clone();
+        expected.diagnostics.cache_hit = true;
+        let (key, canonical) = (request_key(&request), canonical_key_text(&request));
+        {
+            let cache = OutcomeCache::new(64).with_disk(&dir).unwrap();
+            cache.insert(key, &canonical, &outcome);
+            assert_eq!(cache.lookup(key, &canonical), Some(expected.clone()));
+            assert_eq!(cache.stats().memory_hits, 1);
+        }
+        let cache = OutcomeCache::new(64).with_disk(&dir).unwrap();
+        assert_eq!(cache.lookup(key, &canonical), Some(expected.clone()));
+        assert_eq!(cache.lookup(key, &canonical), Some(expected));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.memory_hits, stats.misses),
+            (1, 1, 0)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hit served as a document decodes nothing; the first struct hit
+    /// decodes the entry's document once, and later ones reuse it.
+    #[test]
+    fn document_hits_decode_nothing_and_struct_hits_decode_once() {
+        let cache = OutcomeCache::new(64);
+        let request = req("SAF, TF");
+        let computed = match cache.serve(&request, generate).unwrap() {
+            Served::Computed(outcome) => *outcome,
+            Served::Hit(_) => panic!("a cold cache computes"),
+        };
+        let mut expected = computed.clone();
+        expected.diagnostics.cache_hit = true;
+        let hit = |cache: &OutcomeCache| match cache
+            .serve(&request, |_| -> Result<GenerateOutcome, ()> {
+                panic!("no compute on a hit")
+            })
+            .unwrap()
+        {
+            Served::Hit(entry) => entry,
+            Served::Computed(_) => panic!("a warm cache hits"),
+        };
+        let entry = hit(&cache);
+        assert_eq!(entry.document(), expected.to_json().render());
+        assert_eq!(entry.verified(), expected.verified);
+        assert!(
+            hit(&cache).decoded().is_none(),
+            "a document hit decodes nothing"
+        );
+
+        let (key, canonical) = (request_key(&request), canonical_key_text(&request));
+        assert_eq!(cache.lookup(key, &canonical), Some(expected.clone()));
+        let decoded = entry.decoded().expect("the struct hit decoded the entry");
+        assert_eq!(decoded, &expected);
+        assert_eq!(cache.get_or_compute(&request, generate).unwrap(), expected);
+        assert!(
+            std::ptr::eq(decoded, hit(&cache).decoded().unwrap()),
+            "later struct hits reuse the first decode"
+        );
+        assert_eq!(cache.stats().memory_hits, 5);
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => write_int(out, *n),
             Json::Float(x) => write_float(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Array(items) => {
@@ -285,21 +285,55 @@ fn write_float(out: &mut String, x: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes the decimal digits of `n` from a stack buffer, so rendering
+/// a number allocates nothing of its own.
+fn write_int(out: &mut String, n: i64) {
+    // `i64::MIN` has 19 digits, so a 20-byte buffer always suffices.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Writes `s` as a JSON string literal. Runs of bytes that need no
+/// escape go out with one `push_str` each; every byte that does is
+/// ASCII, so the runs always split on character boundaries.
+fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -763,6 +797,63 @@ mod tests {
         assert_eq!(Json::from(u64::MAX), Json::Float(u64::MAX as f64));
         assert_eq!(Json::from(usize::MAX), Json::Float(usize::MAX as f64));
         assert_eq!(Json::from(7usize), Json::Int(7));
+    }
+
+    /// The writer's integers and strings are byte-identical to
+    /// `format!("{n}")` and to the per-character escaper it replaced.
+    #[test]
+    fn writer_output_matches_the_reference_renderings() {
+        fn reference_string(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        for n in [i64::MIN, i64::MIN + 1, -10, -1, 0, 9, 10, 99, 100, i64::MAX] {
+            assert_eq!(Json::Int(n).render(), format!("{n}"));
+        }
+        let mut cases = vec![
+            String::new(),
+            "plain".to_owned(),
+            "say \"hi\"".to_owned(),
+            "back\\slash\\".to_owned(),
+            "\n\r\t\u{0}\u{1f}\u{7f}".to_owned(),
+            "hé ⇑ 😀 \u{8}\u{c}".to_owned(),
+            "\"".to_owned(),
+            "\u{10ffff}\u{1b}[0m".to_owned(),
+        ];
+        cases.extend((0u8..0x80).map(|b| format!("a{}b", char::from(b))));
+        for s in &cases {
+            assert_eq!(
+                Json::from(s.as_str()).render(),
+                reference_string(s),
+                "{s:?}"
+            );
+        }
+        let alphabet = ['a', '"', '\\', '\n', '\u{0}', '\u{1f}', 'é', '⇑', '😀', ' '];
+        marchgen_testkit::run_cases("writer matches the references", 512, |rng| {
+            let n = rng.next_u64() as i64 >> rng.range(0, 64);
+            assert_eq!(Json::Int(n).render(), format!("{n}"));
+            let s: String = rng
+                .vec(0, 24, |rng| *rng.pick(&alphabet))
+                .into_iter()
+                .collect();
+            assert_eq!(Json::Str(s.clone()).render(), reference_string(&s));
+            assert_eq!(
+                Json::parse(&Json::Str(s.clone()).render()).unwrap(),
+                Json::Str(s)
+            );
+        });
     }
 
     #[test]

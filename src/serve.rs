@@ -60,7 +60,7 @@
 
 mod stats;
 
-use crate::cache::{canonical_key_text, key_for_text, OutcomeCache, ShardedLru};
+use crate::cache::{canonical_key_text, key_for_text, OutcomeCache, Served, ShardedLru};
 use crate::daemon::{
     FromJson, Json, Reply, Request, Response, ServerStats, StreamResponse, ToJson,
 };
@@ -126,11 +126,37 @@ const DURATION_BUCKETS_MICROS: &[u64] = &[
     1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000,
 ];
 
+/// Phase label values of `marchgend_phase_duration_microseconds`: the
+/// tracer's live spans (`request`, `decode`, `generate`, `render`),
+/// then the generator phases [`Metrics::record_outcome`] reads from a
+/// computed outcome's diagnostics.
+const PHASES: [&str; 9] = [
+    "request", "decode", "generate", "render", "expand", "search", "solve", "schedule", "verify",
+];
+
+/// Stable `endpoint` label values — a fixed vocabulary, so hostile
+/// paths cannot mint unbounded label sets. Unrouted paths count as
+/// `other`, the last entry.
+const ENDPOINTS: [&str; 10] = [
+    "/v1/generate",
+    "/v1/batch",
+    "/v1/stream",
+    "/v1/rtl",
+    "/v1/health",
+    "/v1/stats",
+    "/v1/failpoints",
+    "/v1/shutdown",
+    "/metrics",
+    "other",
+];
+
+/// `class` label values of the status-class counter, indexed by
+/// [`status_class`].
+const STATUS_CLASSES: [&str; 6] = ["other", "1xx", "2xx", "3xx", "4xx", "5xx"];
+
 /// The per-phase duration histogram of `phase` — shared between the
-/// tracer's observer (live spans: `request`, `decode`, `generate`,
-/// `render`) and [`Metrics::record_outcome`] (generator phases measured
-/// by the pipeline itself: `expand`, `search`, `solve`, `schedule`,
-/// `verify`).
+/// tracer's observer (live spans) and [`Metrics::record_outcome`]
+/// (generator phases measured by the pipeline itself).
 fn phase_histogram(registry: &Registry, phase: &str) -> Arc<Histogram> {
     registry.histogram(
         "marchgend_phase_duration_microseconds",
@@ -143,20 +169,55 @@ fn phase_histogram(registry: &Registry, phase: &str) -> Arc<Histogram> {
     )
 }
 
+/// The phase histograms, one slot per [`PHASES`] label, each resolved
+/// on its first observation so that a phase appears on `/metrics` once
+/// it has been observed. Shared with every request's tracer observer.
+struct PhaseHistograms {
+    registry: Arc<Registry>,
+    slots: [OnceLock<Arc<Histogram>>; PHASES.len()],
+}
+
+impl PhaseHistograms {
+    fn get(&self, phase: &str) -> Arc<Histogram> {
+        match PHASES.iter().position(|name| *name == phase) {
+            Some(index) => {
+                Arc::clone(self.slots[index].get_or_init(|| phase_histogram(&self.registry, phase)))
+            }
+            None => phase_histogram(&self.registry, phase),
+        }
+    }
+}
+
+/// The HTTP instruments of one endpoint: the request counter of each
+/// status class and the latency histogram, each resolved on first use.
+#[derive(Default)]
+struct EndpointMetrics {
+    requests: [OnceLock<Arc<Counter>>; STATUS_CLASSES.len()],
+    duration: OnceLock<Arc<Histogram>>,
+}
+
 /// The App's own instruments: what it observes on the request path.
 /// Statistics owned by other subsystems are not stored here — they are
-/// read at snapshot time through the statistics table.
+/// read at snapshot time through the statistics table. The request
+/// path holds its handles instead of looking them up in the registry
+/// on every use: the fault-class counters from construction, the HTTP
+/// and phase instruments from their first observation.
 struct Metrics {
     registry: Arc<Registry>,
+    phases: Arc<PhaseHistograms>,
+    http: [EndpointMetrics; ENDPOINTS.len()],
+    /// `marchgend_fault_class_requests_total`, by [`FAULT_CLASS_LABELS`]
+    /// index.
+    fault_class_requests: Vec<Arc<Counter>>,
+    /// `marchgend_fault_class_verify_total`, by [`FAULT_CLASS_LABELS`]
+    /// index, then verified (0) or unverified (1).
+    fault_class_verify: Vec<[Arc<Counter>; 2]>,
 }
 
 impl Metrics {
     fn new() -> Metrics {
-        let metrics = Metrics {
-            registry: Arc::new(Registry::new()),
-        };
-        metrics
-            .registry
+        let registry = Arc::new(Registry::new());
+        registry
             .gauge(
                 "marchgend_build_info",
                 "Constant 1, labeled with the daemon version.",
@@ -168,12 +229,40 @@ impl Metrics {
         // taxonomy and the one verification backend a request can reach
         // ("none" for verification-disabled requests) rather than by
         // traffic.
-        for label in FAULT_CLASS_LABELS {
-            let _ = metrics.fault_class_requests(label);
-            for outcome in ["verified", "unverified"] {
-                let _ = metrics.fault_class_verify(label, outcome);
-            }
-        }
+        let fault_class_requests = FAULT_CLASS_LABELS
+            .iter()
+            .map(|label| {
+                registry.counter(
+                    "marchgend_fault_class_requests_total",
+                    "Generation requests by fault class (one tick per distinct class in the \
+                     request's fault list; fixed label vocabulary).",
+                    &[("fault_class", label)],
+                )
+            })
+            .collect();
+        let fault_class_verify = FAULT_CLASS_LABELS
+            .iter()
+            .map(|label| {
+                ["verified", "unverified"].map(|outcome| {
+                    registry.counter(
+                        "marchgend_fault_class_verify_total",
+                        "Served generation outcomes by fault class and verification outcome \
+                         (verified|unverified; fixed label vocabulary).",
+                        &[("fault_class", label), ("outcome", outcome)],
+                    )
+                })
+            })
+            .collect();
+        let metrics = Metrics {
+            phases: Arc::new(PhaseHistograms {
+                registry: Arc::clone(&registry),
+                slots: Default::default(),
+            }),
+            registry,
+            http: Default::default(),
+            fault_class_requests,
+            fault_class_verify,
+        };
         for backend in ["widesim", "none"] {
             let _ = metrics.verifier_outcomes(backend);
         }
@@ -181,25 +270,7 @@ impl Metrics {
     }
 
     fn phase(&self, phase: &str) -> Arc<Histogram> {
-        phase_histogram(&self.registry, phase)
-    }
-
-    fn fault_class_requests(&self, fault_class: &str) -> Arc<Counter> {
-        self.registry.counter(
-            "marchgend_fault_class_requests_total",
-            "Generation requests by fault class (one tick per distinct class in the request's \
-             fault list; fixed label vocabulary).",
-            &[("fault_class", fault_class)],
-        )
-    }
-
-    fn fault_class_verify(&self, fault_class: &str, outcome: &str) -> Arc<Counter> {
-        self.registry.counter(
-            "marchgend_fault_class_verify_total",
-            "Served generation outcomes by fault class and verification outcome \
-             (verified|unverified; fixed label vocabulary).",
-            &[("fault_class", fault_class), ("outcome", outcome)],
-        )
+        self.phases.get(phase)
     }
 
     fn verifier_outcomes(&self, backend: &str) -> Arc<Counter> {
@@ -215,22 +286,33 @@ impl Metrics {
     /// handler-latency histogram. For streaming endpoints the latency
     /// covers handler setup, not body delivery (the engine's
     /// slow-request warning covers the write).
-    fn observe_http(&self, endpoint: &'static str, status: u16, micros: u64) {
-        self.registry
-            .counter(
-                "marchgend_http_requests_total",
-                "Requests dispatched to the application router, by endpoint and status class.",
-                &[("endpoint", endpoint), ("class", status_class(status))],
-            )
+    fn observe_http(&self, endpoint: usize, status: u16, micros: u64) {
+        let class = status_class(status);
+        let instruments = &self.http[endpoint];
+        instruments.requests[class]
+            .get_or_init(|| {
+                self.registry.counter(
+                    "marchgend_http_requests_total",
+                    "Requests dispatched to the application router, by endpoint and status \
+                     class.",
+                    &[
+                        ("endpoint", ENDPOINTS[endpoint]),
+                        ("class", STATUS_CLASSES[class]),
+                    ],
+                )
+            })
             .inc();
-        self.registry
-            .histogram(
-                "marchgend_http_request_duration_microseconds",
-                "Handler wall time per endpoint, microseconds (streaming endpoints count \
-                 handler setup, not body delivery).",
-                &[("endpoint", endpoint)],
-                DURATION_BUCKETS_MICROS,
-            )
+        instruments
+            .duration
+            .get_or_init(|| {
+                self.registry.histogram(
+                    "marchgend_http_request_duration_microseconds",
+                    "Handler wall time per endpoint, microseconds (streaming endpoints count \
+                     handler setup, not body delivery).",
+                    &[("endpoint", ENDPOINTS[endpoint])],
+                    DURATION_BUCKETS_MICROS,
+                )
+            })
             .observe(micros);
     }
 
@@ -269,9 +351,9 @@ impl Metrics {
     /// histograms on every live span drop; the span *tree* is
     /// collected only when the client asked for one.
     fn tracer(&self, collect_tree: bool) -> Tracer {
-        let registry = Arc::clone(&self.registry);
+        let phases = Arc::clone(&self.phases);
         Tracer::new(collect_tree).with_observer(move |name, micros| {
-            phase_histogram(&registry, name).observe(micros);
+            phases.get(name).observe(micros);
         })
     }
 }
@@ -314,33 +396,20 @@ fn micros_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// `2xx`/`4xx`-style label value for the status-class counter.
-fn status_class(status: u16) -> &'static str {
+/// The [`STATUS_CLASSES`] index of `status`.
+fn status_class(status: u16) -> usize {
     match status / 100 {
-        1 => "1xx",
-        2 => "2xx",
-        3 => "3xx",
-        4 => "4xx",
-        5 => "5xx",
-        _ => "other",
+        class @ 1..=5 => usize::from(class),
+        _ => 0,
     }
 }
 
-/// Stable `endpoint` label values — a fixed vocabulary, so hostile
-/// paths cannot mint unbounded label sets.
-fn endpoint_label(route_path: &str) -> &'static str {
-    match route_path {
-        "/v1/generate" => "/v1/generate",
-        "/v1/batch" => "/v1/batch",
-        "/v1/stream" => "/v1/stream",
-        "/v1/rtl" => "/v1/rtl",
-        "/v1/health" => "/v1/health",
-        "/v1/stats" => "/v1/stats",
-        "/v1/failpoints" => "/v1/failpoints",
-        "/v1/shutdown" => "/v1/shutdown",
-        "/metrics" => "/metrics",
-        _ => "other",
-    }
+/// The [`ENDPOINTS`] index of a route path.
+fn endpoint_index(route_path: &str) -> usize {
+    ENDPOINTS
+        .iter()
+        .position(|endpoint| *endpoint == route_path)
+        .unwrap_or(ENDPOINTS.len() - 1)
 }
 
 /// `true` when the client asked for a span tree in the response
@@ -462,7 +531,7 @@ impl App {
     /// call: it runs on the connection worker after the response head
     /// is on the wire, so it must carry its own strong reference.
     pub fn handle(self: &Arc<App>, request: &Request) -> Reply {
-        let endpoint = endpoint_label(request.route_path());
+        let endpoint = endpoint_index(request.route_path());
         let started = Instant::now();
         let reply = self.route(request);
         let status = match &reply {
@@ -534,13 +603,13 @@ impl App {
     /// Runs one decoded request through the shared outcome cache — the
     /// compute core of `/v1/generate` and the generated-test path of
     /// `/v1/rtl`. Applies the daemon's anti-oversubscription rule and
-    /// books the outcome through [`App::record_served`]; failures come
+    /// books the answer through [`App::record_served`]; failures come
     /// back as a ready-to-send 422.
     fn run_generate(
         &self,
         mut request: GenerateRequest,
         tracer: &Tracer,
-    ) -> Result<GenerateOutcome, Response> {
+    ) -> Result<Served, Response> {
         // Same anti-oversubscription rule as `Batch::run_workers`: an
         // auto-threaded request would plan its search partitions on one
         // thread per CPU inside a daemon that already runs one
@@ -561,19 +630,24 @@ impl App {
         let classes = self.count_fault_classes(&request);
         let started = Instant::now();
         let generate_span = tracer.span("generate");
-        match self.cache.get_or_compute(&request, crate::generate) {
-            Ok(outcome) => {
+        match self.cache.serve(&request, crate::generate) {
+            Ok(served) => {
                 let wall = micros_since(started);
-                if self.record_served(&classes, &outcome) {
-                    self.wall_micros.fetch_add(wall, Ordering::Relaxed);
-                    // Synthesize the pipeline's own phase timings under
-                    // the still-open `generate` span. Cache hits get no
-                    // phase children: their Diagnostics micros describe
-                    // the *original* computation, not this request.
-                    record_phases(tracer, &outcome.diagnostics);
+                match &served {
+                    Served::Hit(entry) => self.record_served(&classes, entry.verified(), None),
+                    Served::Computed(outcome) => {
+                        self.record_served(&classes, outcome.verified, Some(&outcome.diagnostics));
+                        self.wall_micros.fetch_add(wall, Ordering::Relaxed);
+                        // Synthesize the pipeline's own phase timings
+                        // under the still-open `generate` span. Cache
+                        // hits get no phase children: their Diagnostics
+                        // micros describe the *original* computation,
+                        // not this request.
+                        record_phases(tracer, &outcome.diagnostics);
+                    }
                 }
                 drop(generate_span);
-                Ok(outcome)
+                Ok(served)
             }
             Err(error) => Err(Response::error(
                 422,
@@ -592,7 +666,8 @@ impl App {
             "injected_fault",
             msg
         ));
-        let tracer = self.metrics.tracer(trace_requested(request));
+        let traced = trace_requested(request);
+        let tracer = self.metrics.tracer(traced);
         let mut doc = {
             let _request_span = tracer.span("request");
             let decoded = {
@@ -603,12 +678,18 @@ impl App {
                 Ok(generate_request) => generate_request,
                 Err(response) => return response,
             };
-            match self.run_generate(generate_request, &tracer) {
-                Ok(outcome) => {
-                    let _render = tracer.span("render");
-                    outcome.to_json()
-                }
+            let served = match self.run_generate(generate_request, &tracer) {
+                Ok(served) => served,
                 Err(response) => return response,
+            };
+            let _render = tracer.span("render");
+            match served {
+                // An untraced hit answers with the entry's stored
+                // document: no outcome, no tree, no render.
+                Served::Hit(entry) if !traced => {
+                    return Response::text(entry.document().to_owned(), "application/json")
+                }
+                served => served.into_outcome().to_json(),
             }
         };
         // The `request` span just closed; attach the assembled tree to
@@ -689,7 +770,7 @@ impl App {
             };
             let canonical = format!("{};{fragment}", canonical_key_text(&request));
             let outcome = match self.run_generate(request, &Tracer::disabled()) {
-                Ok(outcome) => outcome,
+                Ok(served) => served.into_outcome(),
                 Err(response) => return response,
             };
             if !outcome.verified {
@@ -956,17 +1037,21 @@ impl App {
     /// generation request: one tick per distinct class label in its
     /// fault list. The label set is the fixed [`FAULT_CLASS_LABELS`]
     /// vocabulary, so cardinality is bounded regardless of request
-    /// contents. Returns those labels for [`App::record_served`].
-    fn count_fault_classes(&self, request: &GenerateRequest) -> Vec<&'static str> {
-        let mut classes: Vec<&'static str> = request
+    /// contents. Returns those classes, as vocabulary indices, for
+    /// [`App::record_served`].
+    fn count_fault_classes(&self, request: &GenerateRequest) -> Vec<usize> {
+        let mut classes: Vec<usize> = request
             .faults
             .iter()
-            .map(crate::FaultModel::class_label)
+            .filter_map(|model| {
+                let label = model.class_label();
+                FAULT_CLASS_LABELS.iter().position(|known| *known == label)
+            })
             .collect();
         classes.sort_unstable();
         classes.dedup();
-        for label in &classes {
-            self.metrics.fault_class_requests(label).inc();
+        for &class in &classes {
+            self.metrics.fault_class_requests[class].inc();
         }
         classes
     }
@@ -974,23 +1059,18 @@ impl App {
     /// Books one served generation outcome — the one place
     /// `/v1/generate`, `/v1/rtl`, `/v1/batch` and `/v1/stream` report
     /// to. Every outcome ticks the per-`fault_class` verification
-    /// counters (cache hits included — the outcome is what the client
-    /// received); a computed one also feeds the phase histograms and
-    /// backend counters. Returns `true` when the outcome was computed.
-    fn record_served(&self, classes: &[&'static str], outcome: &GenerateOutcome) -> bool {
-        let verdict = if outcome.verified {
-            "verified"
-        } else {
-            "unverified"
-        };
-        for label in classes {
-            self.metrics.fault_class_verify(label, verdict).inc();
+    /// counters by its `verified` flag (cache hits included — the
+    /// outcome is what the client received); a computed one, passed
+    /// with its diagnostics, also feeds the phase histograms and
+    /// backend counters.
+    fn record_served(&self, classes: &[usize], verified: bool, computed: Option<&Diagnostics>) {
+        let verdict = usize::from(!verified);
+        for &class in classes {
+            self.metrics.fault_class_verify[class][verdict].inc();
         }
-        let computed = !outcome.diagnostics.cache_hit;
-        if computed {
-            self.metrics.record_outcome(&outcome.diagnostics);
+        if let Some(diagnostics) = computed {
+            self.metrics.record_outcome(diagnostics);
         }
-        computed
     }
 
     /// Books one batch or stream call: every successful item through
@@ -999,17 +1079,20 @@ impl App {
     /// add no wall time.
     fn record_batch<E>(
         &self,
-        classes: &[Vec<&'static str>],
+        classes: &[Vec<usize>],
         results: &[Result<GenerateOutcome, E>],
         wall: u64,
     ) {
-        let mut computed = false;
+        let mut any_computed = false;
         for (classes, result) in classes.iter().zip(results) {
             if let Ok(outcome) = result {
-                computed |= self.record_served(classes, outcome);
+                let computed = !outcome.diagnostics.cache_hit;
+                let diagnostics = computed.then_some(&outcome.diagnostics);
+                self.record_served(classes, outcome.verified, diagnostics);
+                any_computed |= computed;
             }
         }
-        if computed {
+        if any_computed {
             self.wall_micros.fetch_add(wall, Ordering::Relaxed);
         }
     }

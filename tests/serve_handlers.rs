@@ -9,7 +9,9 @@
 mod common;
 
 use common::{app, call, counter, metric_value, request, serve};
-use marchgen::json::Json;
+use marchgen::json::{FromJson, Json, ToJson};
+use marchgen::GenerateOutcome;
+use marchgen_bench::TABLE3;
 use std::process::Command;
 
 const FAULTS: &str = r#"["SAF", "TF", "ADF", "CFin", "CFid"]"#;
@@ -346,4 +348,91 @@ fn daemon_serves_extended_fault_classes_and_counts_them() {
         0,
         "{metrics}"
     );
+}
+
+/// A `/v1/generate` hit answers with the cache entry's stored document.
+/// For the Table 3 rows and `ADF, CFin, CFst` (a document of over
+/// 300 KB): the second response is exactly the first outcome
+/// re-rendered with `cache_hit: true`; a traced hit still carries its
+/// `request`/`decode`/`generate`/`render` span tree; a later
+/// `/v1/batch` of the same requests replays the computed outcomes; and
+/// `/v1/stats` counts every hit as a memory hit.
+#[test]
+fn generate_hits_replay_the_computed_outcome() {
+    let app = app();
+    let bodies: Vec<String> = TABLE3
+        .iter()
+        .map(|row| row.faults)
+        .chain(["ADF, CFin, CFst"])
+        .map(|faults| {
+            let names: Vec<Json> = faults.split(", ").map(Json::from).collect();
+            Json::object([("faults", Json::array(names))]).render()
+        })
+        .collect();
+
+    let mut computed = Vec::new();
+    for body in &bodies {
+        let (status, first) = call(&app, "POST", "/v1/generate", body);
+        assert_eq!(status, 200, "{first}");
+        let outcome = GenerateOutcome::from_json_str(&first).expect("outcome document");
+        assert!(!outcome.diagnostics.cache_hit, "{body}");
+        let mut replay = outcome.clone();
+        replay.diagnostics.cache_hit = true;
+        let (status, second) = call(&app, "POST", "/v1/generate", body);
+        assert_eq!(status, 200, "{second}");
+        assert!(
+            second == replay.to_json().render(),
+            "{body}: the hit is not the replay"
+        );
+        computed.push((first.len(), outcome));
+    }
+    assert!(computed.last().unwrap().0 > 300_000, "the large document");
+
+    for body in &bodies {
+        let (status, traced) = call(&app, "POST", "/v1/generate?trace=1", body);
+        assert_eq!(status, 200, "{traced}");
+        let doc = Json::parse(&traced).expect("traced document");
+        let diagnostics = doc.get("diagnostics").expect("diagnostics");
+        assert_eq!(diagnostics.get("cache_hit"), Some(&Json::Bool(true)));
+        let trace = diagnostics
+            .get("trace")
+            .expect("a traced hit carries its trace");
+        assert_eq!(trace.get("name").and_then(Json::as_str), Some("request"));
+        let spans: Vec<&str> = trace
+            .get("children")
+            .and_then(Json::as_array)
+            .expect("request children")
+            .iter()
+            .map(|span| span.get("name").and_then(Json::as_str).expect("span name"))
+            .collect();
+        assert_eq!(spans, ["decode", "generate", "render"], "{body}");
+    }
+
+    let (status, replies) = call(
+        &app,
+        "POST",
+        "/v1/batch",
+        &format!("[{}]", bodies.join(",")),
+    );
+    assert_eq!(status, 200);
+    let replies = Json::parse(&replies).expect("batch document");
+    let replies = replies.as_array().expect("batch array");
+    assert_eq!(replies.len(), computed.len());
+    for (reply, (_, outcome)) in replies.iter().zip(&computed) {
+        let mut replayed =
+            GenerateOutcome::from_json(reply.get("outcome").expect("outcome entry")).unwrap();
+        assert!(replayed.diagnostics.cache_hit);
+        replayed.diagnostics.cache_hit = false;
+        assert_eq!(&replayed, outcome);
+    }
+
+    let (status, stats) = call(&app, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats}");
+    let stats = Json::parse(&stats).expect("stats document");
+    let cache = stats.get("cache").expect("cache block");
+    let read = |key: &str| cache.get(key).and_then(Json::as_int);
+    let rows = i64::try_from(bodies.len()).unwrap();
+    assert_eq!(read("memory_hits"), Some(3 * rows), "{stats:?}");
+    assert_eq!(read("disk_hits"), Some(0));
+    assert_eq!(read("misses"), Some(rows));
 }
