@@ -24,8 +24,15 @@
 //!   `2^(MAX_NODES−1)` rows of [`MAX_NODES`] bytes plus a 1-byte index
 //!   entry each (2.4 MiB). Members whose arc costs do not fit a byte go
 //!   through [`solve_all`].
+//!
+//! The family solve streams its tours into a [`TourSink`]: the tie
+//! enumeration writes each tour into one buffer that it reuses and lends
+//! it as a slice, so nothing is allocated per tour. Only the
+//! per-instance fallback builds [`solve_all`]'s vector and lends each
+//! [`Tour::order`] from it.
 
 use crate::instance::{add_cost, AtspInstance, Tour, INF};
+use crate::solver::{lend, SolveStats, TourSink};
 
 /// Practical node ceiling for the DP. A [`solve_all`] table has
 /// `2ⁿ × n` `u64` entries: 36 MiB at 18 nodes, 160 MiB at 20. A shared
@@ -219,16 +226,17 @@ const NO_ROW: u8 = u8::MAX;
 /// members share.
 ///
 /// Member `k` is the instance induced by `members[k]`, distinct nodes
-/// of `instance` in ascending order. `visit(k, tours)` receives exactly
-/// what [`solve_all`] returns for `instance.induced(&members[k])`.
-/// Members are visited table by table, each table's members right after
-/// it is built.
+/// of `instance` in ascending order. `sink` receives, for each member,
+/// exactly the tours, in the same order, that [`solve_all`] returns for
+/// `instance.induced(&members[k])`, then an end call with zero
+/// statistics. Members are streamed table by table, each table's
+/// members right after it is built.
 ///
 /// Members that start at the same node share a table, cut in member
 /// order into runs that span at most [`MAX_NODES`] nodes. A member whose
 /// widest finite arc times its node count does not fit below
 /// [`UNREACHABLE`] is solved alone by [`solve_all`]. Members of more
-/// than [`MAX_NODES`] nodes are not visited: the caller solves them by
+/// than [`MAX_NODES`] nodes are not streamed: the caller solves them by
 /// other means.
 ///
 /// # Panics
@@ -239,7 +247,7 @@ pub(crate) fn solve_family(
     instance: &AtspInstance,
     members: &[Vec<usize>],
     cap: usize,
-    visit: &mut dyn FnMut(usize, Vec<Tour>),
+    sink: &mut dyn TourSink,
 ) {
     // Members for shared tables, grouped by start node in first-seen
     // order.
@@ -254,7 +262,8 @@ pub(crate) fn solve_family(
             continue;
         }
         if !fits_lanes(instance, nodes) {
-            visit(k, solve_all(&instance.induced(nodes), cap));
+            let tours = solve_all(&instance.induced(nodes), cap);
+            lend(sink, k, &tours, SolveStats::default());
             continue;
         }
         match groups.iter_mut().find(|ids| members[ids[0]][0] == nodes[0]) {
@@ -270,14 +279,14 @@ pub(crate) fn solve_family(
             wider.sort_unstable();
             wider.dedup();
             if wider.len() > MAX_NODES {
-                solve_run(instance, &span, members, &run, cap, visit);
+                solve_run(instance, &span, members, &run, cap, sink);
                 run.clear();
                 wider.clone_from(&members[k]);
             }
             span = wider;
             run.push(k);
         }
-        solve_run(instance, &span, members, &run, cap, visit);
+        solve_run(instance, &span, members, &run, cap, sink);
     }
 }
 
@@ -295,14 +304,15 @@ fn fits_lanes(instance: &AtspInstance, nodes: &[usize]) -> bool {
     widest.saturating_mul(nodes.len() as u64) < u64::from(UNREACHABLE)
 }
 
-/// Builds one table over `span` for the members `run` and visits them.
+/// Builds one table over `span` for the members `run` and streams
+/// their tours.
 fn solve_run(
     instance: &AtspInstance,
     span: &[usize],
     members: &[Vec<usize>],
     run: &[usize],
     cap: usize,
-    visit: &mut dyn FnMut(usize, Vec<Tour>),
+    sink: &mut dyn TourSink,
 ) {
     let masks: Vec<u32> = run
         .iter()
@@ -315,7 +325,8 @@ fn solve_run(
         .collect();
     let table = SharedTable::build(instance, span, &masks);
     for (&k, &mask) in run.iter().zip(&masks) {
-        visit(k, table.optimal_tours(mask, cap));
+        table.lend_tours(k, mask, cap, sink);
+        sink.end(k, SolveStats::default());
     }
 }
 
@@ -415,43 +426,41 @@ impl SharedTable {
         &self.rows[self.number(mask as usize >> 1)]
     }
 
-    /// The optimal tours of the member whose nodes are the mask
-    /// `member`, up to `cap`, in member-local indices: the enumeration
-    /// of [`DpTable::all_optimal_orders`], in the same order.
-    fn optimal_tours(&self, member: u32, cap: usize) -> Vec<Tour> {
+    /// Lends `sink` the optimal tours of member `k`, whose nodes are the
+    /// mask `member`, up to `cap`, in member-local indices: the
+    /// enumeration of [`DpTable::all_optimal_orders`], in the same
+    /// order, written into one buffer that every tour reuses.
+    fn lend_tours(&self, k: usize, member: u32, cap: usize, sink: &mut dyn TourSink) {
         if member == 1 {
-            return vec![Tour {
-                order: vec![0],
-                cost: 0,
-            }];
+            sink.tour(k, &[0], 0);
+            return;
         }
         let closing = |last: usize| self.row(member)[last].saturating_add(self.into[0][last]);
         let best = nodes(member).skip(1).map(closing).min();
         let Some(best) = best.filter(|&best| best < UNREACHABLE) else {
-            return Vec::new();
+            return;
         };
         let local = |node: usize| (member & ((1 << node) - 1)).count_ones() as usize;
-        let mut tours = Vec::new();
         // Depth-first from the closing arc back to node 0. Entries are
-        // (mask, last, depth of last in `path`); `path` holds the nodes
-        // from the tour's end back to the entry being expanded.
+        // (mask, last, depth of last); the node at depth `d` on the way
+        // back from the tour's end goes to `order[len - 1 - d]`, so when
+        // the walk reaches node 0 the buffer holds the tour forwards.
+        let len = member.count_ones() as usize;
+        let mut order = [0; MAX_NODES];
+        let mut lent = 0;
         let mut stack: Vec<(u32, usize, usize)> = nodes(member)
             .skip(1)
             .filter(|&last| closing(last) == best)
             .map(|last| (member, last, 0))
             .collect();
-        let mut path: Vec<usize> = Vec::new();
         while let Some((mask, last, depth)) = stack.pop() {
-            if tours.len() >= cap.max(1) {
+            if lent >= cap.max(1) {
                 break;
             }
-            path.truncate(depth);
-            path.push(local(last));
+            order[len - 1 - depth] = local(last);
             if last == 0 {
-                tours.push(Tour {
-                    order: path.iter().rev().copied().collect(),
-                    cost: u64::from(best),
-                });
+                sink.tour(k, &order[..len], u64::from(best));
+                lent += 1;
                 continue;
             }
             let without = mask & !(1 << last);
@@ -462,7 +471,6 @@ impl SharedTable {
                 }
             }
         }
-        tours
     }
 }
 
@@ -602,14 +610,52 @@ mod tests {
         }
     }
 
+    /// Collects a family's stream: each member's tours, checked to
+    /// arrive in one run that its end call closes, once.
+    struct Collect {
+        members: Vec<Option<Vec<Tour>>>,
+        run: Option<(usize, Vec<Tour>)>,
+    }
+
+    impl TourSink for Collect {
+        fn tour(&mut self, k: usize, order: &[usize], cost: u64) {
+            let (member, tours) = self.run.get_or_insert_with(|| (k, Vec::new()));
+            assert_eq!(
+                *member, k,
+                "member {member}'s tours are interleaved with {k}'s"
+            );
+            tours.push(Tour {
+                order: order.to_vec(),
+                cost,
+            });
+        }
+
+        fn end(&mut self, k: usize, stats: SolveStats) {
+            assert_eq!(stats, SolveStats::default());
+            let tours = match self.run.take() {
+                Some((member, tours)) => {
+                    assert_eq!(member, k, "member {member} ended as {k}");
+                    tours
+                }
+                None => Vec::new(),
+            };
+            assert!(
+                self.members[k].replace(tours).is_none(),
+                "member {k} ended twice"
+            );
+        }
+    }
+
     /// `members` solved as one family, one entry per member (`None`
-    /// when the family left it unvisited).
+    /// when the family did not stream it).
     fn family(inst: &AtspInstance, members: &[Vec<usize>], cap: usize) -> Vec<Option<Vec<Tour>>> {
-        let mut out = vec![None; members.len()];
-        solve_family(inst, members, cap, &mut |k, tours| {
-            assert!(out[k].replace(tours).is_none(), "member {k} visited twice");
-        });
-        out
+        let mut collect = Collect {
+            members: vec![None; members.len()],
+            run: None,
+        };
+        solve_family(inst, members, cap, &mut collect);
+        assert!(collect.run.is_none(), "a member's tours were never ended");
+        collect.members
     }
 
     /// The shared-table family returns, member by member, exactly the

@@ -54,5 +54,5 @@ mod solver;
 pub use instance::{add_cost, AtspInstance, Tour, INF, MAX_DIMENSION};
 pub use solver::{
     AtspSolver, AutoSolver, BranchBoundSolver, HeuristicSolver, SolveStats, SolverChoice,
-    SolverRegistry, UnknownSolverError,
+    SolverRegistry, TourSink, UnknownSolverError,
 };

@@ -29,6 +29,30 @@ impl SolveStats {
     }
 }
 
+/// Receives the optimal tours of a family solve
+/// ([`AtspSolver::solve_family`]), member by member. A member's tours
+/// arrive in one run of [`TourSink::tour`] calls, in the order its
+/// per-instance enumeration returns them, followed by one
+/// [`TourSink::end`] call.
+pub trait TourSink {
+    /// One optimal tour of member `k`: its nodes in member-local
+    /// indices, starting at node 0, and its cost. The slice is lent from
+    /// the solver's buffer for this call only.
+    fn tour(&mut self, k: usize, order: &[usize], cost: u64);
+
+    /// Member `k` has no more tours; `stats` are the solver's counters
+    /// for it.
+    fn end(&mut self, k: usize, stats: SolveStats);
+}
+
+/// Lends each of member `k`'s `tours` to `sink`, then ends the member.
+pub(crate) fn lend(sink: &mut dyn TourSink, k: usize, tours: &[Tour], stats: SolveStats) {
+    for tour in tours {
+        sink.tour(k, &tour.order, tour.cost);
+    }
+    sink.end(k, stats);
+}
+
 /// A pluggable ATSP solving strategy.
 ///
 /// The March generator talks to the ATSP layer exclusively through this
@@ -77,24 +101,27 @@ pub trait AtspSolver: Send + Sync {
     /// is the instance induced by `members[k]`, distinct nodes of
     /// `instance` in ascending order.
     ///
-    /// `visit(k, tours, stats)` is called once per member, with what
+    /// Each member's tours go to `sink` (see [`TourSink`]): exactly the
+    /// tours, in member-local indices and in the order, that
     /// [`AtspSolver::solve_all_optimal_with_stats`] returns for
-    /// `instance.induced(&members[k])`: the member's tours in
-    /// member-local indices. The order of the calls is the strategy's;
-    /// a caller can time the gaps between them to charge each member its
-    /// share of the work. The default solves each member on its own;
-    /// [`AutoSolver`] shares Held–Karp tables between the members that
-    /// fit [`held_karp::MAX_NODES`].
+    /// `instance.induced(&members[k])`, then one end call with its
+    /// statistics. The order of the members is the strategy's; a caller
+    /// can time the gaps between end calls to charge each member its
+    /// share of the work. The default solves each member on its own and
+    /// lends each [`Tour::order`]; [`AutoSolver`] shares Held–Karp tables
+    /// between the members that fit [`held_karp::MAX_NODES`] and lends
+    /// their tours from the enumeration's buffer, with nothing
+    /// allocated per tour.
     fn solve_family(
         &self,
         instance: &AtspInstance,
         members: &[Vec<usize>],
         cap: usize,
-        visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
+        sink: &mut dyn TourSink,
     ) {
         for (k, nodes) in members.iter().enumerate() {
             let (tours, stats) = self.solve_all_optimal_with_stats(&instance.induced(nodes), cap);
-            visit(k, tours, stats);
+            lend(sink, k, &tours, stats);
         }
     }
 }
@@ -172,15 +199,13 @@ impl AtspSolver for AutoSolver {
         instance: &AtspInstance,
         members: &[Vec<usize>],
         cap: usize,
-        visit: &mut dyn FnMut(usize, Vec<Tour>, SolveStats),
+        sink: &mut dyn TourSink,
     ) {
-        held_karp::solve_family(instance, members, cap, &mut |k, tours| {
-            visit(k, tours, SolveStats::default());
-        });
+        held_karp::solve_family(instance, members, cap, sink);
         for (k, nodes) in members.iter().enumerate() {
             if nodes.len() > held_karp::MAX_NODES {
                 let tours = self.solve_all_optimal(&instance.induced(nodes), cap);
-                visit(k, tours, SolveStats::default());
+                lend(sink, k, &tours, SolveStats::default());
             }
         }
     }
@@ -491,20 +516,43 @@ mod tests {
         let counting = registry
             .resolve(&SolverChoice::Custom("counting".into()))
             .expect("registered");
+        let mut counted = Counted::default();
+        counting.solve_family(&inst, &members, 8, &mut counted);
         let mut sum = SolveStats::default();
-        counting.solve_family(&inst, &members, 8, &mut |k, tours, stats| {
-            assert_eq!(tours.len(), 1);
+        for &(k, tours, stats) in &counted.ended {
+            assert_eq!(tours, 1);
             assert_eq!(stats.iterations, members[k].len() as u64);
             sum.absorb(stats);
-        });
+        }
         assert_eq!((sum.iterations, sum.restarts), (3 + 5 + 9, 3));
         for name in registry.names().into_iter().filter(|&n| n != "counting") {
             let solver = registry.get(name).expect("built-in");
             let (_, stats) = solver.solve_all_optimal_with_stats(&inst, 8);
             assert_eq!(stats, SolveStats::default(), "{name}");
-            solver.solve_family(&inst, &members, 8, &mut |_, _, stats| {
+            let mut counted = Counted::default();
+            solver.solve_family(&inst, &members, 8, &mut counted);
+            assert_eq!(counted.ended.len(), members.len(), "{name}");
+            for &(_, _, stats) in &counted.ended {
                 assert_eq!(stats, SolveStats::default(), "{name}");
-            });
+            }
+        }
+    }
+
+    /// Each member's number of tours and statistics, in the order the
+    /// members end.
+    #[derive(Default)]
+    struct Counted {
+        ended: Vec<(usize, usize, SolveStats)>,
+        run: usize,
+    }
+
+    impl TourSink for Counted {
+        fn tour(&mut self, _k: usize, _order: &[usize], _cost: u64) {
+            self.run += 1;
+        }
+
+        fn end(&mut self, k: usize, stats: SolveStats) {
+            self.ended.push((k, std::mem::take(&mut self.run), stats));
         }
     }
 

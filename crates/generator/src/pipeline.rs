@@ -16,7 +16,7 @@ use marchgen_atsp::{AtspSolver, SolveStats, SolverRegistry};
 use marchgen_faults::{dedupe_subsumed, requirements_for, CoverageRequirement, TestPattern};
 use marchgen_march::MarchTest;
 use marchgen_sim::{Verifier, WideSimVerifier};
-use marchgen_tpg::{StartPolicy, TourFamily, Tpg};
+use marchgen_tpg::{PlanSink, StartPolicy, TourFamily, Tpg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -156,12 +156,14 @@ pub fn generate_with(
     // sets are planned as one `TourFamily`. Sets with the same first TP
     // and effective start policy share Held–Karp rows; each such
     // partition is one job for up to `search_threads` workers, the
-    // request's only threads. A set's shard time runs from the end of
-    // the previous set's visit to the end of its own scheduling, so the
-    // first set of each shared table also carries the table's build.
-    // The outcome does not depend on which job ran when: each job's
-    // totals are summed, shard times land by set index, and the sort
-    // below breaks ties by set.
+    // request's only threads. The family streams each optimal tour's
+    // plan into the job (`Job` is its `PlanSink`), which packs it
+    // straight from the lent order, so nothing is allocated per tour. A
+    // set's shard time runs from the end of the previous set to the end
+    // of its own, so the first set of each shared table also carries
+    // the table's build. The outcome does not depend on which job ran
+    // when: each job's totals are summed, shard times land by set index,
+    // and the sort below breaks ties by set.
     let tpg = {
         let mut union: Vec<TestPattern> = tp_sets.iter().flatten().copied().collect();
         union.sort();
@@ -197,46 +199,23 @@ pub fn generate_with(
             })
             .collect();
         let mut job = Job {
+            tp_sets: &tp_sets,
+            ids,
+            partition: to_u32(p),
+            builder: Builder::new(),
+            since: Instant::now(),
             arena: Vec::new(),
             candidates: Vec::new(),
             tours_tried: 0,
             solve_stats: SolveStats::default(),
             shard_micros: Vec::with_capacity(ids.len()),
         };
-        let mut builder = Builder::new();
-        let mut since = Instant::now();
         family.plan(
             &members,
             request.start_policy,
             request.tour_cap,
             solver,
-            &mut |j, plans, solve_stats| {
-                let set = ids[j];
-                let tps = &tp_sets[set];
-                for plan in &plans {
-                    let offset = job.arena.len();
-                    let tour = plan.order.iter().map(|&i| &tps[i]);
-                    if let Some((complexity, elements)) = builder.pack(tour, &mut job.arena) {
-                        let len = job.arena.len() - offset;
-                        job.arena.extend(plan.order.iter().map(|&i| {
-                            u8::try_from(i)
-                                .expect("a TP set has one TP per requirement, far below 256")
-                        }));
-                        job.candidates.push(Candidate {
-                            complexity: to_u32(complexity),
-                            elements: to_u32(elements),
-                            set: to_u32(set),
-                            partition: to_u32(p),
-                            offset,
-                            len: to_u32(len),
-                        });
-                    }
-                }
-                job.tours_tried += plans.len();
-                job.solve_stats.absorb(solve_stats);
-                job.shard_micros.push((set, as_micros(since)));
-                since = Instant::now();
-            },
+            &mut job,
         );
         job
     });
@@ -374,14 +353,54 @@ impl Candidate {
     }
 }
 
-/// One partition job's scheduled candidates and their arena, its
+/// One partition job: the sink its family's plans stream into, and what
+/// it collects from them: its scheduled candidates and their arena, its
 /// totals, and each of its sets' shard time by set index.
-struct Job {
+struct Job<'a> {
+    tp_sets: &'a [Vec<TestPattern>],
+    /// The partition's sets; family member `j` is set `ids[j]`.
+    ids: &'a [usize],
+    partition: u32,
+    builder: Builder,
+    /// When the previous set ended (or the job started).
+    since: Instant,
     arena: Vec<u8>,
     candidates: Vec<Candidate>,
     tours_tried: usize,
     solve_stats: SolveStats,
     shard_micros: Vec<(usize, u64)>,
+}
+
+impl PlanSink for Job<'_> {
+    /// Schedules the plan's tour into the arena: its packed test, then
+    /// its order, one member-local TP index per byte.
+    fn plan(&mut self, j: usize, order: &[usize], _gts_ops: u32) {
+        let set = self.ids[j];
+        let tps = &self.tp_sets[set];
+        self.tours_tried += 1;
+        let offset = self.arena.len();
+        let tour = order.iter().map(|&i| &tps[i]);
+        if let Some((complexity, elements)) = self.builder.pack(tour, &mut self.arena) {
+            let len = self.arena.len() - offset;
+            self.arena.extend(order.iter().map(|&i| {
+                u8::try_from(i).expect("a TP set has one TP per requirement, far below 256")
+            }));
+            self.candidates.push(Candidate {
+                complexity: to_u32(complexity),
+                elements: to_u32(elements),
+                set: to_u32(set),
+                partition: self.partition,
+                offset,
+                len: to_u32(len),
+            });
+        }
+    }
+
+    fn end(&mut self, j: usize, stats: SolveStats) {
+        self.solve_stats.absorb(stats);
+        self.shard_micros.push((self.ids[j], as_micros(self.since)));
+        self.since = Instant::now();
+    }
 }
 
 /// A count or index of the search as a [`Candidate`] field.

@@ -42,13 +42,17 @@
 //! them, so its search uses the same scheduler with a packed output
 //! instead: one byte per element header and one per operation, appended
 //! to an arena the caller owns, plus the test's complexity and element
-//! count. The scheduler keeps its state in flat buffers that it reuses
-//! from one tour to the next, so the search allocates nothing per tour.
-//! The generator rebuilds a [`MarchTest`] with [`schedule_tour`] only for
+//! count. One walk over the scheduled elements both checks the rules of
+//! [`check_read_consistency`](marchgen_march::check_read_consistency)
+//! and writes the bytes; a refused test leaves the arena as it was. The
+//! scheduler keeps its state in flat buffers that it reuses from one
+//! tour to the next, and it reads each tour as the order the tour
+//! planner lends it, so the search allocates nothing per tour. The
+//! generator rebuilds a [`MarchTest`] with [`schedule_tour`] only for
 //! the candidates it screens.
 
 use marchgen_faults::{Observation, TestPattern, TpKind};
-use marchgen_march::{check_read_consistency, Direction, MarchElement, MarchOp, MarchTest};
+use marchgen_march::{Direction, MarchElement, MarchOp, MarchTest};
 use marchgen_model::{Bit, Cell, MemOp};
 use std::fmt;
 
@@ -191,39 +195,21 @@ impl Builder {
         Ok(())
     }
 
-    /// Schedules `tour` and appends the test to `arena` in packed form:
-    /// per element one header byte (its direction, 8–10), then one byte
-    /// per operation (0–4). Headers and operations use disjoint byte
-    /// values, so two packed tests are equal exactly when the tests
-    /// are. Returns the test's complexity and element count, or `None`
-    /// (appending nothing) when the tour does not schedule or the test
-    /// is not read-consistent.
+    /// Schedules `tour` and appends the test to `arena` in packed form
+    /// (see [`pack_elements`]). Returns the test's complexity and
+    /// element count, or `None` (appending nothing) when the tour does
+    /// not schedule or the test is not read-consistent.
     pub(crate) fn pack<'a>(
         &mut self,
         tour: impl IntoIterator<Item = &'a TestPattern>,
         arena: &mut Vec<u8>,
     ) -> Option<(usize, usize)> {
         self.schedule(tour).ok()?;
-        check_read_consistency(self.elements().map(|(_, ops)| ops.iter().map(|s| s.op))).ok()?;
-        let mut complexity = 0;
-        for (direction, ops) in self.elements() {
-            arena.push(match direction {
-                Direction::Up => 8,
-                Direction::Down => 9,
-                Direction::Any => 10,
-            });
-            for slot in ops {
-                complexity += usize::from(slot.op.accesses_cell());
-                arena.push(match slot.op {
-                    MarchOp::Read(Bit::Zero) => 0,
-                    MarchOp::Read(Bit::One) => 1,
-                    MarchOp::Write(Bit::Zero) => 2,
-                    MarchOp::Write(Bit::One) => 3,
-                    MarchOp::Delay => 4,
-                });
-            }
-        }
-        Some((complexity, self.elems.len()))
+        pack_elements(
+            self.elements()
+                .map(|(direction, ops)| (direction, ops.iter().map(|s| s.op))),
+            arena,
+        )
     }
 
     /// The scheduled test as a [`MarchTest`].
@@ -329,6 +315,59 @@ impl Builder {
             _ => Ok(()),
         }
     }
+}
+
+/// Appends a test to `arena` in packed form, checking it on the way: per
+/// element one header byte (its direction, 8–10), then one byte per
+/// operation (0–4). Headers and operations use disjoint byte values, so
+/// two packed tests are equal exactly when the tests are.
+///
+/// The one walk that writes the bytes also applies the rules of
+/// [`check_read_consistency`](marchgen_march::check_read_consistency):
+/// every read expects the value the last write left, and no element is
+/// empty. Returns the test's complexity and element count, or `None`,
+/// with `arena` as it was, exactly when that check refuses the test.
+fn pack_elements<O: IntoIterator<Item = MarchOp>>(
+    elements: impl IntoIterator<Item = (Direction, O)>,
+    arena: &mut Vec<u8>,
+) -> Option<(usize, usize)> {
+    let offset = arena.len();
+    let mut cur = None;
+    let (mut complexity, mut count) = (0, 0);
+    'refused: {
+        for (direction, ops) in elements {
+            arena.push(match direction {
+                Direction::Up => 8,
+                Direction::Down => 9,
+                Direction::Any => 10,
+            });
+            let first = arena.len();
+            for op in ops {
+                let byte = match op {
+                    MarchOp::Read(value) if cur != Some(value) => break 'refused,
+                    MarchOp::Read(Bit::Zero) => 0,
+                    MarchOp::Read(Bit::One) => 1,
+                    MarchOp::Write(value) => {
+                        cur = Some(value);
+                        match value {
+                            Bit::Zero => 2,
+                            Bit::One => 3,
+                        }
+                    }
+                    MarchOp::Delay => 4,
+                };
+                complexity += usize::from(op.accesses_cell());
+                arena.push(byte);
+            }
+            if arena.len() == first {
+                break 'refused;
+            }
+            count += 1;
+        }
+        return Some((complexity, count));
+    }
+    arena.truncate(offset);
+    None
 }
 
 /// The placement a pair TP gets in the current schedule.
@@ -664,6 +703,7 @@ mod tests {
     use super::*;
     use crate::ClassCombinations;
     use marchgen_faults::{dedupe_subsumed, parse_fault_list, requirements_for, FaultModel};
+    use marchgen_march::check_read_consistency;
     use marchgen_model::PairState;
     use marchgen_tpg::{plan_tour, StartPolicy, Tpg};
 
@@ -778,6 +818,143 @@ mod tests {
                 Err(e) => panic!("round {round}: unschedulable: {e}"),
             }
         }
+    }
+
+    /// A test as the one walk takes it: elements of directions and
+    /// operations.
+    type Elements = [(Direction, Vec<MarchOp>)];
+
+    /// The check-then-encode path the one walk replaced: the packed bytes,
+    /// complexity and element count, or `None` when
+    /// `check_read_consistency` refuses the test.
+    fn checked_then_encoded(elements: &Elements) -> Option<(Vec<u8>, usize, usize)> {
+        check_read_consistency(elements.iter().map(|(_, ops)| ops.iter().copied())).ok()?;
+        let mut bytes = Vec::new();
+        let mut complexity = 0;
+        for (direction, ops) in elements {
+            bytes.push(match direction {
+                Direction::Up => 8,
+                Direction::Down => 9,
+                Direction::Any => 10,
+            });
+            for op in ops {
+                complexity += usize::from(op.accesses_cell());
+                bytes.push(match op {
+                    MarchOp::Read(Bit::Zero) => 0,
+                    MarchOp::Read(Bit::One) => 1,
+                    MarchOp::Write(Bit::Zero) => 2,
+                    MarchOp::Write(Bit::One) => 3,
+                    MarchOp::Delay => 4,
+                });
+            }
+        }
+        Some((bytes, complexity, elements.len()))
+    }
+
+    /// Walks `elements` into an arena that already holds bytes, holds the
+    /// result to [`checked_then_encoded`] and returns whether the walk
+    /// packed the test.
+    fn walk_matches_the_check(elements: &Elements) -> bool {
+        let held = [0xEE, 7];
+        let mut arena = held.to_vec();
+        let got = pack_elements(
+            elements.iter().map(|(d, ops)| (*d, ops.iter().copied())),
+            &mut arena,
+        );
+        match (checked_then_encoded(elements), got) {
+            (Some((bytes, complexity, count)), Some(key)) => {
+                assert_eq!(key, (complexity, count), "{elements:?}");
+                assert_eq!(arena[..2], held, "{elements:?}");
+                assert_eq!(arena[2..], bytes[..], "{elements:?}");
+                true
+            }
+            (None, None) => {
+                assert_eq!(arena, held, "a refused test leaves the arena as it was");
+                false
+            }
+            (want, got) => panic!("{elements:?}: walk {got:?}, check-then-encode {want:?}"),
+        }
+    }
+
+    /// The one walk refuses exactly what `check_read_consistency`
+    /// refuses, with the arena unchanged, and otherwise writes the bytes
+    /// of the check-then-encode path. No catalog tour reaches a refusal,
+    /// so the walk is fed op streams directly: a read before any write,
+    /// reads of the wrong value, empty elements, and random streams.
+    #[test]
+    fn the_one_walk_refuses_what_the_consistency_check_refuses() {
+        use Direction::{Any, Down, Up};
+        use MarchOp::{Delay, Read, Write};
+        let (zero, one) = (Bit::Zero, Bit::One);
+        let refused: [&Elements; 8] = [
+            // A read before any write, alone and after a delay.
+            &[(Any, vec![Read(zero), Write(one)])],
+            &[(Any, vec![Delay, Read(zero)])],
+            // A read of the wrong value, in the next element and in the
+            // element of the write.
+            &[(Any, vec![Write(zero)]), (Up, vec![Read(one), Write(one)])],
+            &[(Up, vec![Write(zero), Write(one), Read(zero)])],
+            // An empty element: first, between two, and last.
+            &[(Any, vec![])],
+            &[
+                (Any, vec![Write(zero)]),
+                (Down, vec![]),
+                (Up, vec![Read(zero)]),
+            ],
+            &[
+                (Any, vec![Write(zero)]),
+                (Up, vec![Read(zero)]),
+                (Down, vec![]),
+            ],
+            // A refusal after many bytes were already written.
+            &[
+                (Any, vec![Write(zero)]),
+                (Up, vec![Read(zero), Write(one)]),
+                (Down, vec![Read(one), Write(zero), Read(one)]),
+            ],
+        ];
+        for elements in refused {
+            assert!(!walk_matches_the_check(elements), "{elements:?}");
+        }
+        let march_c_minus: MarchTest = "⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)"
+            .parse()
+            .unwrap();
+        let accepted: [Vec<(Direction, Vec<MarchOp>)>; 3] = [
+            Vec::new(),
+            vec![
+                (Any, vec![Write(one)]),
+                (Any, vec![Delay]),
+                (Up, vec![Read(one)]),
+            ],
+            march_c_minus
+                .elements()
+                .iter()
+                .map(|e| (e.direction, e.ops.clone()))
+                .collect(),
+        ];
+        for elements in &accepted {
+            assert!(walk_matches_the_check(elements), "{elements:?}");
+        }
+        let ops = [Read(zero), Read(one), Write(zero), Write(one), Delay];
+        let (mut packed, mut cases) = (0, 0);
+        marchgen_testkit::run_cases("one walk vs check-then-encode", 4096, |rng| {
+            let elements: Vec<(Direction, Vec<MarchOp>)> = (0..rng.range(0, 6))
+                .map(|_| {
+                    let direction = *rng.pick(&[Up, Down, Any]);
+                    (direction, rng.vec(0, 5, |rng| *rng.pick(&ops)))
+                })
+                .collect();
+            packed += usize::from(walk_matches_the_check(&elements));
+            cases += 1;
+        });
+        assert!(
+            packed >= cases / 10,
+            "{packed} of {cases} random tests packed"
+        );
+        assert!(
+            packed <= cases / 2,
+            "{packed} of {cases} random tests packed"
+        );
     }
 
     /// The packed path agrees with the reference path (`schedule_tour`,

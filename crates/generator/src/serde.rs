@@ -38,6 +38,18 @@ const MAX_VERIFY_CELLS: usize = 64;
 /// thousands.
 const MAX_SEARCH_THREADS: usize = 64;
 
+/// The largest `tour_cap` a decoded [`GenerateRequest`] may carry. Pass
+/// 2 holds a packed candidate for every tour it schedules, so the cap
+/// sets the search's memory: on `ADF, CFin, CFst` a cap of 256 peaks at
+/// about 60 MB, while 16,384 takes 1.7 GB and a million aborts the
+/// process on a failed allocation. It is 4× the default of 64.
+const MAX_TOUR_CAP: usize = 256;
+
+/// The largest `max_combinations` a decoded [`GenerateRequest`] may
+/// carry: 4× the default of 4096. With `tour_cap` at its bound too,
+/// `ADF, CFin, CFst` takes about 3 s and 224 MB on one thread.
+const MAX_COMBINATIONS: usize = 16_384;
+
 fn check_schema(json: &Json) -> Result<(), JsonError> {
     // Tolerate an absent version (hand-written documents); reject a
     // mismatched one.
@@ -396,18 +408,28 @@ impl FromJson for GenerateRequest {
                 Some(_) => bool_field(json, key),
             }
         };
-        let verify_cells = opt_usize("verify_cells", defaults.verify_cells)?;
-        if verify_cells > MAX_VERIFY_CELLS {
-            return Err(JsonError::decode(format!(
-                "field \"verify_cells\" must be at most {MAX_VERIFY_CELLS}, got {verify_cells}"
-            )));
-        }
-        let search_threads = opt_usize("search_threads", defaults.search_threads)?;
-        if search_threads > MAX_SEARCH_THREADS {
-            return Err(JsonError::decode(format!(
-                "field \"search_threads\" must be at most {MAX_SEARCH_THREADS}, got {search_threads}"
-            )));
-        }
+        // The knobs that size a request's work are bounded at the wire.
+        let bounded = |key: &str, fallback: usize, max: usize| -> Result<usize, JsonError> {
+            let value = opt_usize(key, fallback)?;
+            if value > max {
+                return Err(JsonError::decode(format!(
+                    "field \"{key}\" must be at most {max}, got {value}"
+                )));
+            }
+            Ok(value)
+        };
+        let verify_cells = bounded("verify_cells", defaults.verify_cells, MAX_VERIFY_CELLS)?;
+        let search_threads = bounded(
+            "search_threads",
+            defaults.search_threads,
+            MAX_SEARCH_THREADS,
+        )?;
+        let tour_cap = bounded("tour_cap", defaults.tour_cap, MAX_TOUR_CAP)?;
+        let max_combinations = bounded(
+            "max_combinations",
+            defaults.max_combinations,
+            MAX_COMBINATIONS,
+        )?;
         // Route the caps through the builder so decoded requests share
         // its clamp invariants (a hand-written `"tour_cap": 0` behaves
         // like the builder path, not a zero-work run).
@@ -421,8 +443,8 @@ impl FromJson for GenerateRequest {
             search_threads,
             ..GenerateRequest::default()
         }
-        .with_tour_cap(opt_usize("tour_cap", defaults.tour_cap)?)
-        .with_max_combinations(opt_usize("max_combinations", defaults.max_combinations)?))
+        .with_tour_cap(tour_cap)
+        .with_max_combinations(max_combinations))
     }
 }
 
@@ -797,6 +819,36 @@ mod tests {
         let back = GenerateRequest::from_json_str(r#"{"faults": ["SAF", "TF<u>"]}"#).unwrap();
         let expected = GenerateRequest::from_fault_list("SAF, TF<u>").unwrap();
         assert_eq!(back, expected);
+    }
+
+    /// `tour_cap` and `max_combinations` are bounded at the wire: each
+    /// maximum decodes, one more is a decode error naming the field and
+    /// the bound. Decoding only; no request here runs.
+    #[test]
+    fn search_caps_are_bounded_at_decode() {
+        for (key, max) in [
+            ("tour_cap", MAX_TOUR_CAP),
+            ("max_combinations", MAX_COMBINATIONS),
+        ] {
+            let doc = |value: usize| format!(r#"{{"faults": ["SAF"], "{key}": {value}}}"#);
+            let back = GenerateRequest::from_json_str(&doc(max)).unwrap();
+            let got = if key == "tour_cap" {
+                back.tour_cap
+            } else {
+                back.max_combinations
+            };
+            assert_eq!(got, max, "{key}");
+            let err = GenerateRequest::from_json_str(&doc(max + 1)).unwrap_err();
+            assert!(
+                err.message.contains(&format!("\"{key}\"")),
+                "{}",
+                err.message
+            );
+            assert!(err.message.contains(&max.to_string()), "{}", err.message);
+        }
+        let defaults = GenerateRequest::default();
+        assert!(defaults.tour_cap <= MAX_TOUR_CAP);
+        assert!(defaults.max_combinations <= MAX_COMBINATIONS);
     }
 
     /// Decoded requests share the builder's clamp invariants: a

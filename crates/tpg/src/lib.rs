@@ -41,5 +41,5 @@ pub mod path;
 
 pub use graph::Tpg;
 pub use path::{
-    plan_tour, plan_tour_with, plan_tour_with_stats, StartPolicy, TourFamily, TourPlan,
+    plan_tour, plan_tour_with, plan_tour_with_stats, PlanSink, StartPolicy, TourFamily, TourPlan,
 };

@@ -18,10 +18,12 @@
 //! A request plans many TP sets drawn from one pool of TPs.
 //! [`TourFamily`] builds the pool's instance once and plans each set as
 //! the sub-instance on its TPs and the dummy, through
-//! [`AtspSolver::solve_family`].
+//! [`AtspSolver::solve_family`], and streams each plan into a
+//! [`PlanSink`]. [`plan_tour`] and its variants collect that stream for
+//! one TPG.
 
 use crate::graph::Tpg;
-use marchgen_atsp::{AtspInstance, AtspSolver, AutoSolver, SolveStats, Tour, INF};
+use marchgen_atsp::{AtspInstance, AtspSolver, AutoSolver, SolveStats, TourSink, INF};
 use marchgen_faults::TestPattern;
 
 /// Which TPs may start the Global Test Sequence.
@@ -97,7 +99,7 @@ pub fn plan_tour_with(
 /// [`plan_tour_with`] plus the solver's [`SolveStats`] for this TPG —
 /// the built-in backends report zeros, a registered strategy whatever
 /// work it counts. The request layer aggregates these per generation
-/// run into its diagnostics. This is the one-member case of
+/// run into its diagnostics. This collects the one-member case of
 /// [`TourFamily::plan`].
 #[must_use]
 pub fn plan_tour_with_stats(
@@ -106,15 +108,50 @@ pub fn plan_tour_with_stats(
     cap: usize,
     solver: &dyn AtspSolver,
 ) -> (Vec<TourPlan>, SolveStats) {
-    let mut planned = (Vec::new(), SolveStats::default());
+    let mut planned = Planned::default();
     TourFamily::new(tpg).plan(
         &[(0..tpg.len()).collect()],
         policy,
         cap,
         solver,
-        &mut |_, plans, stats| planned = (plans, stats),
+        &mut planned,
     );
-    planned
+    (planned.plans, planned.stats)
+}
+
+/// Receives a family's plans ([`TourFamily::plan`]), member by member.
+/// A member's plans arrive in one run of [`PlanSink::plan`] calls, in
+/// the order of its optimal tours, followed by one [`PlanSink::end`]
+/// call.
+pub trait PlanSink {
+    /// One optimal plan of member `k`: its TPs in visit order, as
+    /// member-local indices, and its GTS operation count (what
+    /// [`TourPlan`] holds). The slice is lent for this call only.
+    fn plan(&mut self, k: usize, order: &[usize], gts_ops: u32);
+
+    /// Member `k` has no more plans; `stats` are the solver's counters
+    /// for it.
+    fn end(&mut self, k: usize, stats: SolveStats);
+}
+
+/// The plans and statistics of a one-member family.
+#[derive(Default)]
+struct Planned {
+    plans: Vec<TourPlan>,
+    stats: SolveStats,
+}
+
+impl PlanSink for Planned {
+    fn plan(&mut self, _k: usize, order: &[usize], gts_ops: u32) {
+        self.plans.push(TourPlan {
+            order: order.to_vec(),
+            gts_ops,
+        });
+    }
+
+    fn end(&mut self, _k: usize, stats: SolveStats) {
+        self.stats = stats;
+    }
 }
 
 /// Tour planning for many TP sets drawn from one pool: the pool's TPG
@@ -160,11 +197,13 @@ impl<'a> TourFamily<'a> {
     }
 
     /// Plans every member under its effective start policy (see
-    /// [`StartPolicy::effective_for`]) and calls `visit(k, plans, stats)`
-    /// once per member, with the member's optimal plans up to `cap` in
-    /// member-local TP indices. The calls follow the solver's
+    /// [`StartPolicy::effective_for`]) and streams into `sink` each
+    /// member's optimal plans up to `cap`, in member-local TP indices,
+    /// then its end call. The members follow the solver's
     /// [`AtspSolver::solve_family`], so a caller can time the gaps
-    /// between them.
+    /// between end calls. Each tour is cut at the dummy into one buffer
+    /// that every plan reuses, so the planning itself allocates nothing
+    /// per tour.
     ///
     /// # Panics
     ///
@@ -176,7 +215,7 @@ impl<'a> TourFamily<'a> {
         policy: StartPolicy,
         cap: usize,
         solver: &dyn AtspSolver,
-        visit: &mut dyn FnMut(usize, Vec<TourPlan>, SolveStats),
+        sink: &mut dyn PlanSink,
     ) {
         let tps = self.tpg.test_patterns();
         for member in members {
@@ -185,6 +224,7 @@ impl<'a> TourFamily<'a> {
                 "family members list pool indices in ascending order"
             );
         }
+        let mut order = Vec::with_capacity(tps.len());
         for (instance, effective) in self
             .instances
             .iter()
@@ -192,72 +232,91 @@ impl<'a> TourFamily<'a> {
         {
             let mut ids = Vec::new();
             let mut nodes = Vec::new();
+            let mut tp_ops = Vec::new();
             for (k, member) in members.iter().enumerate() {
                 let planned_under = policy.effective_for(member.iter().map(|&i| &tps[i]));
                 if member.len() >= 2 && planned_under == effective {
                     ids.push(k);
                     nodes.push(member.iter().copied().chain([self.tpg.len()]).collect());
+                    tp_ops.push(member.iter().map(|&i| self.tpg.tp_ops(i)).sum());
                 }
             }
-            solver.solve_family(instance, &nodes, cap, &mut |j, tours, stats| {
-                let member = &members[ids[j]];
-                let tp_ops = member.iter().map(|&i| self.tpg.tp_ops(i)).sum();
-                let plans = tours
-                    .into_iter()
-                    .map(|t| self.cut_at_dummy(member, tp_ops, t))
-                    .collect();
-                visit(ids[j], plans, stats);
-            });
+            let mut cut = CutAtDummy {
+                tpg: self.tpg,
+                members,
+                ids: &ids,
+                tp_ops: &tp_ops,
+                order: &mut order,
+                sink,
+            };
+            solver.solve_family(instance, &nodes, cap, &mut cut);
         }
         // An empty TPG has no plan and a single TP one, without a solve.
         for (k, member) in members.iter().enumerate() {
             if member.len() < 2 {
-                let plans = member
-                    .iter()
-                    .map(|&i| TourPlan {
-                        order: vec![0],
-                        gts_ops: self.tpg.gts_op_count(&[i]),
-                    })
-                    .collect();
-                visit(k, plans, SolveStats::default());
+                for &i in member {
+                    sink.plan(k, &[0], self.tpg.gts_op_count(&[i]));
+                }
+                sink.end(k, SolveStats::default());
             }
         }
     }
+}
 
-    /// The member's plan from a tour of its instance (whose last node is
-    /// the dummy). `tp_ops` is the member's fixed per-TP operation
-    /// count; a tour's cost adds its first TP's initialization writes
-    /// and the bridging writes, so the two sum to its GTS length.
-    fn cut_at_dummy(&self, member: &[usize], tp_ops: u32, tour: Tour) -> TourPlan {
+/// Turns the tours of a family solve into plans: member `j` of the
+/// solve is the family's member `ids[j]`, whose fixed per-TP operation
+/// count is `tp_ops[j]`, and its last node is the dummy.
+struct CutAtDummy<'s> {
+    tpg: &'s Tpg,
+    members: &'s [Vec<usize>],
+    ids: &'s [usize],
+    tp_ops: &'s [u32],
+    /// The plan being lent, reused from tour to tour.
+    order: &'s mut Vec<usize>,
+    sink: &'s mut dyn PlanSink,
+}
+
+impl TourSink for CutAtDummy<'_> {
+    /// Lends the member's plan from a tour: the TPs after the dummy,
+    /// then those before it. A tour's cost adds its first TP's
+    /// initialization writes and the bridging writes, so with the
+    /// member's fixed per-TP operations it sums to its GTS length.
+    fn tour(&mut self, j: usize, tour: &[usize], cost: u64) {
+        let member = &self.members[self.ids[j]];
         let dummy = member.len();
-        let mut order = tour.order;
-        let pos = order
+        let pos = tour
             .iter()
             .position(|&n| n == dummy)
             .expect("dummy in tour");
-        order.rotate_left(pos + 1);
-        order.pop();
+        self.order.clear();
+        self.order.extend_from_slice(&tour[pos + 1..]);
+        self.order.extend_from_slice(&tour[..pos]);
         let counted = || {
-            let in_pool: Vec<usize> = order.iter().map(|&i| member[i]).collect();
+            let in_pool: Vec<usize> = self.order.iter().map(|&i| member[i]).collect();
             self.tpg.gts_op_count(&in_pool)
         };
         // A tour through a forbidden start (only a custom solver returns
         // one) has a cost that is no operation count.
-        let gts_ops = match u32::try_from(tour.cost) {
+        let gts_ops = match u32::try_from(cost) {
             Ok(cost) => {
-                let ops = tp_ops + cost;
-                debug_assert_eq!(ops, counted(), "{order:?}");
+                let ops = self.tp_ops[j] + cost;
+                debug_assert_eq!(ops, counted(), "{:?}", self.order);
                 ops
             }
             Err(_) => counted(),
         };
-        TourPlan { order, gts_ops }
+        self.sink.plan(self.ids[j], self.order, gts_ops);
+    }
+
+    fn end(&mut self, j: usize, stats: SolveStats) {
+        self.sink.end(self.ids[j], stats);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marchgen_atsp::Tour;
     use marchgen_faults::{parse_fault_list, requirements_for, TestPattern};
 
     fn section4_tps() -> Vec<TestPattern> {
@@ -356,11 +415,13 @@ mod tests {
         let skewed: Vec<usize> = (0..4).filter(|&i| !pool[i].init.is_uniform()).collect();
         let members = vec![vec![0, 1, 2, 3], skewed, uniform, vec![2], Vec::new()];
         for policy in [StartPolicy::Uniform, StartPolicy::Free] {
-            let mut got = vec![None; members.len()];
-            TourFamily::new(&tpg).plan(&members, policy, 64, &AutoSolver, &mut |k, plans, _| {
-                assert!(got[k].replace(plans).is_none(), "{k} visited twice");
-            });
-            for (member, got) in members.iter().zip(got) {
+            let mut collect = Collect {
+                members: vec![None; members.len()],
+                run: None,
+            };
+            TourFamily::new(&tpg).plan(&members, policy, 64, &AutoSolver, &mut collect);
+            assert!(collect.run.is_none(), "a member's plans were never ended");
+            for (member, got) in members.iter().zip(collect.members) {
                 let own = Tpg::new(member.iter().map(|&i| pool[i]).collect());
                 assert_eq!(
                     got,
@@ -368,6 +429,35 @@ mod tests {
                     "{member:?} {policy:?}"
                 );
             }
+        }
+    }
+
+    /// Collects each member's plans from a family's stream, checked to
+    /// arrive in one run that the member's end call closes, once.
+    struct Collect {
+        members: Vec<Option<Vec<TourPlan>>>,
+        run: Option<(usize, Vec<TourPlan>)>,
+    }
+
+    impl PlanSink for Collect {
+        fn plan(&mut self, k: usize, order: &[usize], gts_ops: u32) {
+            let (member, plans) = self.run.get_or_insert_with(|| (k, Vec::new()));
+            assert_eq!(
+                *member, k,
+                "member {member}'s plans are interleaved with {k}'s"
+            );
+            plans.push(TourPlan {
+                order: order.to_vec(),
+                gts_ops,
+            });
+        }
+
+        fn end(&mut self, k: usize, _stats: SolveStats) {
+            let plans = self.run.take().map_or_else(Vec::new, |(member, plans)| {
+                assert_eq!(member, k, "member {member} ended as {k}");
+                plans
+            });
+            assert!(self.members[k].replace(plans).is_none(), "{k} ended twice");
         }
     }
 

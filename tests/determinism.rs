@@ -123,3 +123,30 @@ fn verifier_backend_does_not_change_outcome_json() {
         assert_eq!(packed, backend_normalized_json(scalar), "{faults}");
     }
 }
+
+/// Pass 2's output is pinned, not only its complexity: six
+/// `search_heavy` lists whose TP sets reach the default `tour_cap`, at
+/// 4 cells on one search thread, hash their normalized outcome JSON to
+/// digests taken before tours were streamed into the scheduler. A
+/// change of tie order, of the cut at `tour_cap` or of the packed
+/// candidates' order that keeps every complexity still changes the
+/// winning tour, the candidate frontier or a count, and so a digest.
+#[test]
+fn search_heavy_outcomes_match_their_pinned_digests() {
+    for (faults, digest) in [
+        ("SAF, TF, ADF, CFin", "dacc5d8b9801765bc0032b97b98222ee"),
+        ("CFst, DRF", "91588cb83e068d77913b433c4e224082"),
+        ("SOF, ADF, CFin", "4a78a894c9de2227a7c99b52dbe345fc"),
+        ("ADF, CFin, dDRDF", "19c212d769f2bd02ca2a421b74fd076c"),
+        ("ADF, CFin, DRDF", "260a66353808300151b24cef7aee370b"),
+        ("CFst", "5ab70c7657b4d3f1b818ffa752464029"),
+    ] {
+        let request = GenerateRequest::from_fault_list(faults)
+            .unwrap()
+            .with_verify_cells(4)
+            .with_search_threads(1);
+        let json = normalized_json(generate(&request).unwrap());
+        let got = marchgen::cache::key_for_text(&json).to_string();
+        assert_eq!(got, digest, "{faults}");
+    }
+}

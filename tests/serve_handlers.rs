@@ -16,6 +16,43 @@ use std::process::Command;
 
 const FAULTS: &str = r#"["SAF", "TF", "ADF", "CFin", "CFid"]"#;
 
+/// `tour_cap` and `max_combinations` are bounded at the wire: pass 2
+/// holds a candidate per scheduled tour, so a body under 100 bytes could
+/// otherwise ask for gigabytes. A value past its bound is a 422
+/// `invalid_request` that names the field and the bound, before any work
+/// is queued; `SAF` at the bounds is answered.
+#[test]
+fn search_caps_are_bounded_at_the_wire() {
+    let app = app();
+    for (key, value, bound) in [
+        ("tour_cap", 257, "256"),
+        ("tour_cap", 1_048_576, "256"),
+        ("max_combinations", 16_385, "16384"),
+        ("max_combinations", 1_048_576, "16384"),
+    ] {
+        let body = format!(r#"{{"faults": ["SAF"], "{key}": {value}}}"#);
+        let (status, answer) = call(&app, "POST", "/v1/generate", &body);
+        assert_eq!(status, 422, "{body}: {answer}");
+        assert!(
+            answer.contains("invalid_request")
+                && answer.contains(key)
+                && answer.contains(&format!("at most {bound}")),
+            "{body}: {answer}"
+        );
+    }
+    for body in [
+        r#"{"faults": ["SAF"], "tour_cap": 256}"#,
+        r#"{"faults": ["SAF"], "max_combinations": 16384}"#,
+        r#"{"faults": ["SAF"], "tour_cap": 256, "max_combinations": 16384}"#,
+    ] {
+        let (status, answer) = call(&app, "POST", "/v1/generate", body);
+        assert_eq!(status, 200, "{body}: {answer}");
+        let outcome = GenerateOutcome::from_json_str(&answer).unwrap();
+        assert!(outcome.verified, "{body}");
+        assert_eq!(outcome.complexity(), 4, "{body}");
+    }
+}
+
 /// Health, the 400/422 split, the `verify_cells` bound, 404/405
 /// routing, solver pass-through and batch order.
 #[test]

@@ -20,7 +20,9 @@ use marchgen::atsp::{
 use marchgen::faults::{dedupe_subsumed, parse_fault_list, requirements_for, FaultModel};
 use marchgen::generator::ClassCombinations;
 use marchgen::prelude::TestPattern;
-use marchgen::tpg::{plan_tour_with, plan_tour_with_stats, StartPolicy, TourFamily, Tpg};
+use marchgen::tpg::{
+    plan_tour_with, plan_tour_with_stats, PlanSink, StartPolicy, TourFamily, TourPlan, Tpg,
+};
 use std::process::Command;
 
 /// Brute-force permutation oracle as an [`AtspSolver`], usable wherever
@@ -253,6 +255,39 @@ impl AtspSolver for PerInstance<'_> {
     }
 }
 
+/// Collects each member's plans and statistics from a family's stream,
+/// checked to arrive in one run that the member's end call closes,
+/// once.
+struct Collect {
+    members: Vec<Option<(Vec<TourPlan>, SolveStats)>>,
+    run: Option<(usize, Vec<TourPlan>)>,
+}
+
+impl PlanSink for Collect {
+    fn plan(&mut self, k: usize, order: &[usize], gts_ops: u32) {
+        let (member, plans) = self.run.get_or_insert_with(|| (k, Vec::new()));
+        assert_eq!(
+            *member, k,
+            "set {member}'s plans are interleaved with {k}'s"
+        );
+        plans.push(TourPlan {
+            order: order.to_vec(),
+            gts_ops,
+        });
+    }
+
+    fn end(&mut self, k: usize, stats: SolveStats) {
+        let plans = self.run.take().map_or_else(Vec::new, |(member, plans)| {
+            assert_eq!(member, k, "set {member} ended as {k}");
+            plans
+        });
+        assert!(
+            self.members[k].replace((plans, stats)).is_none(),
+            "{k} ended twice"
+        );
+    }
+}
+
 /// Planning a list's TP sets as one family gives every set exactly the
 /// plans (and solver statistics) `plan_tour_with_stats` gives its own
 /// TPG, under both start policies and caps 1 and 64: with the
@@ -308,20 +343,13 @@ fn family_plans_match_per_set_plans() {
             let solver = registry.get(name).expect("built-in");
             for policy in [StartPolicy::Uniform, StartPolicy::Free] {
                 for cap in [1, 64] {
-                    let mut got = vec![None; sets.len()];
-                    family.plan(
-                        &members,
-                        policy,
-                        cap,
-                        solver.as_ref(),
-                        &mut |k, plans, stats| {
-                            assert!(
-                                got[k].replace((plans, stats)).is_none(),
-                                "{k} visited twice"
-                            );
-                        },
-                    );
-                    for (set, got) in sets.iter().zip(got) {
+                    let mut collect = Collect {
+                        members: vec![None; sets.len()],
+                        run: None,
+                    };
+                    family.plan(&members, policy, cap, solver.as_ref(), &mut collect);
+                    assert!(collect.run.is_none(), "a set's plans were never ended");
+                    for (set, got) in sets.iter().zip(collect.members) {
                         let tpg = Tpg::new(set.clone());
                         let want = plan_tour_with_stats(&tpg, policy, cap, solver.as_ref());
                         let ctx = format!(
