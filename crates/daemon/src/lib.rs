@@ -69,9 +69,22 @@ pub use marchgen_json::{FromJson, Json, JsonError, ToJson};
 mod tests {
     use super::*;
     use marchgen_json::Json;
-    use std::io::{Read, Write};
+    use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
     use std::net::TcpStream;
-    use std::time::Duration;
+    use std::sync::{Mutex, MutexGuard};
+    use std::time::{Duration, Instant};
+
+    /// Serializes the tests that run a server: several time socket
+    /// events in milliseconds, which a neighbour flooding the same CPUs
+    /// (the firehose stream, the keep-alive cap's 1,024 exchanges) would
+    /// blur.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static SERVERS: Mutex<()> = Mutex::new(());
+        // A failed test poisons the lock but leaves nothing to repair.
+        SERVERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn echo_handler(request: &Request) -> Response {
         match (request.method.as_str(), request.path.as_str()) {
@@ -92,19 +105,45 @@ mod tests {
         ShutdownSignal,
         std::thread::JoinHandle<()>,
     ) {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-            echo_handler,
-        )
-        .unwrap();
+        start_with(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        })
+    }
+
+    fn start_with(
+        config: ServerConfig,
+    ) -> (
+        std::net::SocketAddr,
+        ShutdownSignal,
+        std::thread::JoinHandle<()>,
+    ) {
+        let server = Server::bind("127.0.0.1:0", config, echo_handler).unwrap();
         let addr = server.local_addr().unwrap();
         let signal = server.shutdown_signal();
         let handle = std::thread::spawn(move || server.run());
         (addr, signal, handle)
+    }
+
+    /// Reads one `Content-Length`-framed response; returns its head
+    /// (status line and headers) and its body.
+    fn read_response(reader: &mut impl BufRead) -> (String, String) {
+        let mut head = String::new();
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "EOF in {head:?}");
+            if let Some(value) = line.strip_prefix("content-length: ") {
+                length = value.trim().parse().unwrap();
+            }
+            head.push_str(&line);
+            if line == "\r\n" {
+                break;
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        (head, String::from_utf8(body).unwrap())
     }
 
     fn roundtrip(addr: std::net::SocketAddr, wire: &str) -> String {
@@ -120,6 +159,7 @@ mod tests {
 
     #[test]
     fn end_to_end_over_real_sockets() {
+        let _serial = exclusive();
         let (addr, signal, handle) = start();
 
         let health = roundtrip(addr, "GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -166,6 +206,7 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_stops_the_server_and_rejects_latecomers() {
+        let _serial = exclusive();
         let (addr, _signal, handle) = start();
         let reply = roundtrip(
             addr,
@@ -210,6 +251,7 @@ mod tests {
 
     #[test]
     fn streaming_replies_are_chunked_and_keep_the_connection() {
+        let _serial = exclusive();
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig {
@@ -283,6 +325,7 @@ mod tests {
     /// other connections.
     #[test]
     fn stalled_stream_reader_frees_its_worker() {
+        let _serial = exclusive();
         fn firehose_handler(request: &Request) -> Reply {
             match request.path.as_str() {
                 "/firehose" => Reply::Stream(StreamResponse::new(|sink| {
@@ -335,6 +378,7 @@ mod tests {
 
     #[test]
     fn per_peer_rate_limit_rejects_with_retry_after() {
+        let _serial = exclusive();
         // Refill is 0.01 tokens/s: the bucket cannot regain a token
         // within any plausible test runtime, so the third connection is
         // deterministically over budget even on a stalled CI machine.
@@ -380,6 +424,7 @@ mod tests {
 
     #[test]
     fn stats_count_requests_and_protocol_errors() {
+        let _serial = exclusive();
         let (addr, signal, handle) = start();
         let server_stats = {
             // Rebind: grab stats before moving the server — use a fresh
@@ -410,5 +455,227 @@ mod tests {
         assert_eq!(server_stats.connections, 2);
         assert_eq!(server_stats.in_flight, 0);
         let _ = addr;
+    }
+
+    /// The keep-alive cap is announced: the 1,024th response on one
+    /// connection says `connection: close`, and then the server closes.
+    #[test]
+    fn the_last_response_before_the_keepalive_cap_says_close() {
+        let _serial = exclusive();
+        let (addr, signal, handle) = start();
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(&stream);
+        for n in 1..=1024 {
+            (&stream)
+                .write_all(b"GET /v1/health HTTP/1.1\r\n\r\n")
+                .unwrap();
+            let (head, body) = read_response(&mut reader);
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "response {n}: {head}");
+            assert_eq!(body, "{\"status\":\"ok\"}", "response {n}");
+            let connection = if n < 1024 { "keep-alive" } else { "close" };
+            assert!(
+                head.contains(&format!("connection: {connection}\r\n")),
+                "response {n}: {head}"
+            );
+        }
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "{rest:?}");
+        signal.trigger();
+        handle.join().unwrap();
+    }
+
+    /// An idle keep-alive connection is closed `read_timeout` after its
+    /// last response, and not before.
+    #[test]
+    fn an_idle_keepalive_connection_closes_after_read_timeout() {
+        let _serial = exclusive();
+        let (addr, signal, handle) = start_with(ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_millis(500),
+            ..ServerConfig::default()
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(&stream);
+        (&stream)
+            .write_all(b"GET /v1/health HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (head, _) = read_response(&mut reader);
+        assert!(head.contains("connection: keep-alive"), "{head}");
+        let idle_from = Instant::now();
+        assert_eq!(
+            reader.read(&mut [0; 64]).unwrap(),
+            0,
+            "closed, not answered"
+        );
+        let idle = idle_from.elapsed();
+        // The server's idle clock starts before this one, by the time
+        // the response takes to arrive.
+        assert!(
+            (Duration::from_millis(400)..Duration::from_secs(2)).contains(&idle),
+            "closed after {idle:?} idle"
+        );
+        signal.trigger();
+        handle.join().unwrap();
+    }
+
+    /// `ShutdownSignal::trigger` ends `Server::run` promptly while a
+    /// client holds an idle keep-alive connection and no new connection
+    /// arrives to wake the accept loop.
+    #[test]
+    fn shutdown_signal_ends_run_while_a_client_idles() {
+        let _serial = exclusive();
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            echo_handler,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let signal = server.shutdown_signal();
+        let (done, finished) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            server.run();
+            done.send(()).unwrap();
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(&stream);
+        (&stream)
+            .write_all(b"GET /v1/health HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (head, _) = read_response(&mut reader);
+        assert!(head.contains("connection: keep-alive"), "{head}");
+        signal.trigger();
+        finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("Server::run returns within 1 s of the trigger");
+        handle.join().unwrap();
+    }
+
+    /// A rejected request's unread bytes are drained before the close,
+    /// so the error arrives instead of a reset.
+    #[test]
+    fn rejected_requests_drain_and_deliver_their_response() {
+        let _serial = exclusive();
+        let (addr, signal, handle) = start_with(ServerConfig {
+            workers: 1,
+            max_body_bytes: 1024,
+            ..ServerConfig::default()
+        });
+        let junk = "x".repeat(64 * 1024);
+        for (wire, status, code) in [
+            (
+                format!("POST /echo HTTP/1.1\r\nContent-Length: 65536\r\n\r\n{junk}"),
+                "413",
+                "body_too_large",
+            ),
+            (format!("BROKEN\r\n{junk}"), "400", "bad_request_line"),
+        ] {
+            let reply = roundtrip(addr, &wire);
+            assert!(reply.starts_with(&format!("HTTP/1.1 {status} ")), "{reply}");
+            assert!(reply.contains("connection: close\r\n"), "{reply}");
+            assert!(reply.contains(code), "{reply}");
+        }
+        signal.trigger();
+        handle.join().unwrap();
+    }
+
+    /// The whole request must arrive within `read_timeout` of its first
+    /// byte: a peer that trickles a header byte every 150 ms never lets
+    /// a single read time out, and is still dropped at the deadline.
+    #[test]
+    fn a_trickled_request_is_dropped_at_its_deadline() {
+        let _serial = exclusive();
+        let (addr, signal, handle) = start_with(ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_millis(500),
+            ..ServerConfig::default()
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(150)))
+            .unwrap();
+        stream
+            .write_all(b"GET /v1/health HTTP/1.1\r\nx-trickle: ")
+            .unwrap();
+        let first_byte = Instant::now();
+        let dropped = loop {
+            assert!(
+                first_byte.elapsed() < Duration::from_secs(4),
+                "still served after 4 s of trickling"
+            );
+            match stream.read(&mut [0; 64]) {
+                Ok(0) => break first_byte.elapsed(),
+                Ok(_) => panic!("a request past its deadline was answered"),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if stream.write_all(b"a").is_err() {
+                        break first_byte.elapsed();
+                    }
+                }
+                Err(_) => break first_byte.elapsed(), // reset
+            }
+        };
+        assert!(
+            (Duration::from_millis(450)..=Duration::from_secs(2)).contains(&dropped),
+            "dropped after {dropped:?}"
+        );
+        signal.trigger();
+        handle.join().unwrap();
+    }
+
+    /// A request that pauses mid-headers for longer than the
+    /// connection's receive timeout, but well inside its deadline, is
+    /// still served.
+    #[test]
+    fn a_request_pausing_mid_headers_is_served() {
+        let _serial = exclusive();
+        let (addr, signal, handle) = start();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(b"GET /v1/health HTTP/1.1\r\n").unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        stream.write_all(b"connection: close\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        signal.trigger();
+        handle.join().unwrap();
+    }
+
+    /// The accept loop takes a connection as soon as it arrives: fresh
+    /// connections to an idle server, each after a pause longer than
+    /// the accept loop's shutdown poll, are answered without waiting
+    /// for that poll.
+    #[test]
+    fn accept_wakes_on_connect() {
+        let _serial = exclusive();
+        let (addr, signal, handle) = start();
+        let mut slow = Vec::new();
+        for _ in 0..21 {
+            std::thread::sleep(Duration::from_millis(20));
+            let started = Instant::now();
+            let reply = roundtrip(addr, "GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n");
+            let took = started.elapsed();
+            assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+            if took > Duration::from_micros(2500) {
+                slow.push(took);
+            }
+        }
+        assert!(slow.len() <= 5, "round trips over 2.5 ms: {slow:?}");
+        signal.trigger();
+        handle.join().unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! synchronous by design, so the daemon owns concurrency with plain
 //! threads):
 //!
-//! * one accept loop polls the listener and pushes connections into a
+//! * one accept loop blocks in `accept` and pushes connections into a
 //!   **bounded** queue — when the queue is full the connection is
 //!   answered `429`, which is the backpressure surface (the answer is
 //!   written by a dedicated reject-drainer thread, so a misbehaving
@@ -22,17 +22,25 @@ use crate::limit::{RateDecision, RateLimiter};
 use crate::stats::ServerStats;
 use marchgen_failpoint::fail_point;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Most requests served on one keep-alive connection before it is
-/// recycled.
+/// recycled; the last one's response says `connection: close`.
 const MAX_KEEPALIVE_REQUESTS: usize = 1024;
-/// Accept-loop poll interval while idle or draining.
+/// How often the accept loop, blocked in `accept` until a connection
+/// arrives, wakes to check for shutdown; also its back-off after an
+/// accept error. It delays no connection: `accept` returns as soon as
+/// one arrives.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Receive timeout of a served connection, set once when it is taken:
+/// how often a worker parked at a request boundary checks the idle
+/// limit and the shutdown flag. Inside a request a timed-out read is
+/// retried until the request's deadline (see [`ConnReader`]).
+const BOUNDARY_POLL: Duration = Duration::from_millis(100);
 /// Most rejected connections queued for the reject drainer; beyond it
 /// the socket is dropped unanswered (the peer sees a reset instead of
 /// a structured `429` — better than backlogging the drainer behind a
@@ -93,8 +101,11 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Largest accepted request body, bytes; beyond it `413`.
     pub max_body_bytes: usize,
-    /// Per-read socket timeout; an idle keep-alive connection is
-    /// recycled after this long.
+    /// Read deadline of one request: the whole request, body included,
+    /// must arrive within this long of its first byte, however steadily
+    /// the peer trickles bytes; a request that misses it is not served,
+    /// and the connection closes. An idle keep-alive connection is also
+    /// closed after this long without a request.
     pub read_timeout: Duration,
     /// Per-write socket timeout. A peer that stays connected but stops
     /// reading (zero TCP receive window) never produces a write error
@@ -213,9 +224,7 @@ impl<H: Handler> Server<H> {
             stats,
             shutdown,
         } = self;
-        listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking mode");
+        let polling = !arm_accept_timeout(&listener);
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -304,6 +313,13 @@ impl<H: Handler> Server<H> {
             while !shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, peer)) => {
+                        if polling {
+                            // BSD-derived platforms hand out accepted
+                            // sockets with the listener's O_NONBLOCK; the
+                            // engine reads and writes blocking, with
+                            // timeouts.
+                            let _ = stream.set_nonblocking(false);
+                        }
                         stats.connection();
                         if let Some(limiter) = &limiter {
                             if let RateDecision::Reject { retry_after } = limiter.check(peer.ip()) {
@@ -347,8 +363,11 @@ impl<H: Handler> Server<H> {
                             available.notify_one();
                         }
                     }
+                    // No connection within ACCEPT_POLL: check shutdown.
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
+                        if polling {
+                            std::thread::sleep(ACCEPT_POLL);
+                        }
                     }
                     Err(_) => std::thread::sleep(ACCEPT_POLL),
                 }
@@ -357,6 +376,33 @@ impl<H: Handler> Server<H> {
             reject_available.notify_all();
         });
     }
+}
+
+/// Gives `accept` on `listener` a timeout of [`ACCEPT_POLL`], so the
+/// accept loop blocks until a connection arrives yet sees a shutdown
+/// request within `ACCEPT_POLL`. Linux applies a socket's receive
+/// timeout (`SO_RCVTIMEO`) to `accept(2)` (socket(7)). std sets that
+/// option only through a `TcpStream`, so it is set on a duplicate of
+/// the listening descriptor, which shares the socket; accepted sockets
+/// inherit it, so whoever reads one sets its own first.
+///
+/// Returns `false` where that does not hold: the listener is then
+/// nonblocking, and the accept loop sleeps `ACCEPT_POLL` whenever no
+/// connection is pending.
+fn arm_accept_timeout(listener: &TcpListener) -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        let armed = listener.try_clone().and_then(|dup| {
+            TcpStream::from(std::os::fd::OwnedFd::from(dup)).set_read_timeout(Some(ACCEPT_POLL))
+        });
+        if armed.is_ok() {
+            return true;
+        }
+    }
+    listener
+        .set_nonblocking(true)
+        .expect("listener nonblocking mode");
+    false
 }
 
 /// Hands a turned-away connection to the reject drainer. When the
@@ -388,41 +434,83 @@ fn enqueue_reject(
 /// bounded tightly: an honest client reads the error and closes within
 /// a round trip; a peer stalled or trickling at a deadline forfeits
 /// clean delivery.
-fn reject_connection(mut stream: TcpStream, response: &Response) {
+fn reject_connection(stream: TcpStream, response: &Response) {
     fail_point!("daemon.reject.drain");
     // The response is a small JSON document that fits the socket
     // buffer, so the write normally completes instantly; the timeout
     // only fires against a peer whose receive window is already full.
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = response.write_to(&mut stream);
-    let mut reader = match stream.try_clone() {
-        Ok(reader) => reader,
-        Err(_) => return,
-    };
-    drain_before_close(&stream, &mut reader, Duration::from_millis(250));
+    let _ = response.write_to(&mut &stream);
+    // The drain's own receive timeout, in place of the listener's.
+    let _ = stream.set_read_timeout(Some(BOUNDARY_POLL));
+    drain_before_close(&mut ConnReader::new(&stream), Duration::from_millis(250));
 }
 
 /// Discards unread request bytes before a connection is dropped with
 /// data still queued by the peer: without this, `close()` sends RST and
 /// the kernel throws away the un-acknowledged response bytes. Bounded
 /// in volume *and wall time* — the byte budget alone would let a peer
-/// trickling one byte per read-timeout pin the calling thread for
-/// hours, so `deadline` is the authoritative bound; a peer that is
-/// still sending when it expires simply loses the clean close.
-fn drain_before_close(stream: &TcpStream, reader: &mut impl std::io::Read, deadline: Duration) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let expires = std::time::Instant::now() + deadline;
+/// trickling one byte per receive timeout pin the calling thread for
+/// hours, so `within` is the authoritative bound, kept by the reader's
+/// deadline; a peer that is still sending when it expires simply loses
+/// the clean close.
+fn drain_before_close(reader: &mut ConnReader<'_>, within: Duration) {
+    let _ = reader.stream.shutdown(std::net::Shutdown::Write);
+    reader.deadline = Some(Instant::now() + within);
     let mut scratch = [0u8; 8192];
     let mut budget: usize = 4 << 20;
     while budget > 0 {
-        let remaining = expires.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            return;
-        }
-        let _ = stream.set_read_timeout(Some(remaining.min(Duration::from_millis(250))));
         match reader.read(&mut scratch) {
             Ok(0) | Err(_) => return,
             Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+}
+
+/// `true` for the error a read returns when the socket's receive
+/// timeout expires (`WouldBlock` on Unix, `TimedOut` on Windows).
+fn is_timeout(error: &std::io::Error) -> bool {
+    matches!(
+        error.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Reads a connection whose socket carries the short [`BOUNDARY_POLL`]
+/// receive timeout, so the timeout is set once per connection rather
+/// than around every request. Without a deadline a timed-out read
+/// returns its error: that is the request boundary, where the caller
+/// checks the idle limit and the shutdown flag. With one, a timed-out
+/// read is retried, and once the deadline has passed every read fails
+/// with `TimedOut`, so a peer cannot stretch a request (or a drain)
+/// past it by trickling bytes.
+struct ConnReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl<'a> ConnReader<'a> {
+    fn new(stream: &'a TcpStream) -> ConnReader<'a> {
+        ConnReader {
+            stream,
+            deadline: None,
+        }
+    }
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            if self
+                .deadline
+                .is_some_and(|deadline| Instant::now() >= deadline)
+            {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            match self.stream.read(buf) {
+                Err(e) if self.deadline.is_some() && is_timeout(&e) => {}
+                result => return result,
+            }
         }
     }
 }
@@ -448,15 +536,20 @@ impl Drop for StreamGuard<'_> {
     }
 }
 
-/// One served request's stderr access line: peer, request line, status
-/// and the correlation id echoed as `X-Request-Id`.
+/// Writes one served request's stderr access line: peer, request
+/// line, status and the correlation id echoed as `X-Request-Id`. The
+/// line is formatted whole, newline included, and printed with one
+/// `eprint!`, which is one `write(2)`: stderr is unbuffered, so
+/// `eprintln!` with the parts as arguments writes each part on its own.
 fn log_request(peer: &str, method: &str, path: &str, status: u16, id: &str) {
-    eprintln!("marchgen-daemon: {peer} \"{method} {path}\" {status} id={id}");
+    let line = format!("marchgen-daemon: {peer} \"{method} {path}\" {status} id={id}\n");
+    eprint!("{line}");
 }
 
 /// Stderr warning for a request that took longer than
 /// [`ServerConfig::slow_request_millis`] from dispatch to the end of
-/// the response write; `0` disables.
+/// the response write; `0` disables. Printed in one write, like
+/// [`log_request`]'s line.
 fn warn_slow_request(
     config: &ServerConfig,
     peer: &str,
@@ -472,20 +565,25 @@ fn warn_slow_request(
     }
     let millis = elapsed.as_millis();
     if millis >= u128::from(threshold) {
-        eprintln!(
+        let line = format!(
             "marchgen-daemon: slow request: {peer} \"{method} {path}\" {status} id={id} \
-             took {millis}ms (threshold {threshold}ms)"
+             took {millis}ms (threshold {threshold}ms)\n"
         );
+        eprint!("{line}");
     }
 }
 
 /// Serves one connection keep-alive until close, error, idle timeout or
-/// the keep-alive cap.
+/// the keep-alive cap, whose last response says `connection: close`.
 ///
-/// Between requests the worker polls in short slices so a graceful
-/// shutdown is noticed within [`ACCEPT_POLL`]-scale latency even while
-/// parked on an idle keep-alive connection; once bytes start arriving,
-/// the full `read_timeout` applies to the request.
+/// The socket's receive timeout is set once, to [`BOUNDARY_POLL`]
+/// (replacing the one it inherited from the listener), and reads go
+/// through a [`ConnReader`]. Between requests a timed-out read returns,
+/// so the worker notices a graceful shutdown within `BOUNDARY_POLL` even
+/// while parked on an idle keep-alive connection, and closes one idle
+/// for `read_timeout`. From a request's first byte the reader carries
+/// that request's deadline, `read_timeout` later, and retries timed-out
+/// reads until it passes.
 fn serve_connection(
     stream: TcpStream,
     config: &ServerConfig,
@@ -493,14 +591,9 @@ fn serve_connection(
     stats: &ServerStats,
     shutdown: &AtomicBool,
 ) {
-    let boundary_poll = Duration::from_millis(100);
     let peer = stream
         .peer_addr()
         .map_or_else(|_| "-".to_owned(), |addr| addr.to_string());
-    // BSD-derived platforms make accepted sockets inherit the
-    // listener's O_NONBLOCK; this loop assumes blocking reads with
-    // timeouts, so reset explicitly (a no-op on Linux).
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     // A peer that stops reading but keeps the socket open never
     // produces a write error on its own; the write timeout turns the
@@ -509,29 +602,21 @@ fn serve_connection(
     // finish — instead of the blocked send pinning this worker (and,
     // through the sink mutex, every batch worker) forever.
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    for _ in 0..MAX_KEEPALIVE_REQUESTS {
+    let _ = stream.set_read_timeout(Some(BOUNDARY_POLL));
+    let mut reader = BufReader::new(ConnReader::new(&stream));
+    let mut writer = &stream;
+    for nth in 1..=MAX_KEEPALIVE_REQUESTS {
         // ---- idle wait at the request boundary ---------------------
-        let _ = writer.set_read_timeout(Some(boundary_poll));
         let mut idle = Duration::ZERO;
         loop {
             match reader.fill_buf() {
                 Ok([]) => return, // clean EOF between requests
                 Ok(_) => break,   // bytes waiting — parse a request
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if is_timeout(&e) => {
                     if shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    idle += boundary_poll;
+                    idle += BOUNDARY_POLL;
                     if idle >= config.read_timeout {
                         return;
                     }
@@ -539,9 +624,11 @@ fn serve_connection(
                 Err(_) => return,
             }
         }
-        let _ = writer.set_read_timeout(Some(config.read_timeout));
-        let request = match read_request(&mut reader, config.max_body_bytes) {
-            // I/O failures (including idle timeouts) end the connection.
+        reader.get_mut().deadline = Some(Instant::now() + config.read_timeout);
+        let outcome = read_request(&mut reader, config.max_body_bytes);
+        reader.get_mut().deadline = None;
+        let request = match outcome {
+            // I/O failures (including a missed deadline) end the connection.
             Err(_) | Ok(ReadOutcome::Closed) => return,
             Ok(ReadOutcome::Reject(mut response)) => {
                 stats.protocol_error();
@@ -559,11 +646,14 @@ fn serve_connection(
                 // error actually arrives. The deadline is looser than
                 // the accept-loop's: stalling here pins one worker,
                 // not the listener.
-                drain_before_close(&writer, &mut reader, Duration::from_secs(2));
+                drain_before_close(reader.get_mut(), Duration::from_secs(2));
                 return;
             }
             Ok(ReadOutcome::Complete(request)) => request,
         };
+        // Announce the keep-alive cap on the response it applies to, so
+        // a client reconnects instead of sending into a closed socket.
+        let close = request.wants_close() || nth == MAX_KEEPALIVE_REQUESTS;
         // Slow-request timing covers the handler *and* the response
         // write: a stream whose consumer reads slowly is slow from the
         // operator's point of view even when the handler returned fast.
@@ -597,9 +687,9 @@ fn serve_connection(
         };
         match reply {
             Reply::Full(mut response) => {
-                // Honor the client's `Connection: close` in the
-                // advertised header, not just in behaviour.
-                response.close = response.close || request.wants_close();
+                // Honor the client's `Connection: close` (and the cap)
+                // in the advertised header, not just in behaviour.
+                response.close = response.close || close;
                 if response.request_id.is_none() {
                     response.request_id = Some(request.request_id.clone());
                 }
@@ -630,7 +720,7 @@ fn serve_connection(
             Reply::Stream(mut stream_response) => {
                 stats.stream_begin();
                 let _active = StreamGuard(stats);
-                stream_response.close = stream_response.close || request.wants_close();
+                stream_response.close = stream_response.close || close;
                 if stream_response.request_id.is_none() {
                     stream_response.request_id = Some(request.request_id.clone());
                 }

@@ -87,11 +87,11 @@ impl Daemon {
     }
 
     /// Opens one keep-alive connection for several exchanges. Latency
-    /// comparisons ride this: a fresh connection pays up to one
-    /// accept-loop poll interval of jitter before a worker picks it
-    /// up — comparable to the whole handling time of a cache hit in
-    /// release builds — while on an established connection the serving
-    /// worker is already parked on the socket and wakes on arrival.
+    /// comparisons ride this: a fresh connection also pays the
+    /// handshake, the accept and the hand-off to a worker — comparable
+    /// to the whole handling time of a cache hit in release builds —
+    /// while on an established connection the serving worker is
+    /// already parked on the socket and wakes on arrival.
     pub fn keepalive(&self) -> KeepAlive {
         let stream = self.connect();
         stream.set_nodelay(true).unwrap();

@@ -4,9 +4,10 @@
 //! `/v1/stats` counters only the engine moves (`protocol_errors`,
 //! `in_flight`, `requests`), chunked `/v1/stream` framing and
 //! resumption, the per-peer rate limiter, graceful shutdown and exit,
-//! the disk cache shared across processes, and the slow-request
-//! warning. Response bodies, `/v1/stats` and `/metrics` as the App
-//! renders them are checked in-process by `tests/serve_handlers.rs`.
+//! the disk cache shared across processes, the access and slow-request
+//! lines, and one `write(2)` per request. Response bodies, `/v1/stats`
+//! and `/metrics` as the App renders them are checked in-process by
+//! `tests/serve_handlers.rs`.
 
 #[allow(dead_code)]
 mod common;
@@ -56,9 +57,9 @@ fn daemon_smoke_generate_cache_stats_shutdown() {
 
     // ---- first generate: a full computation -----------------------------
     // Cold and warm ride one keep-alive connection so the latency
-    // comparison measures the daemon's handling time, not accept-loop
-    // poll jitter (which is of the same order as a whole cache hit in
-    // release builds).
+    // comparison measures the daemon's handling time, not the connect,
+    // accept and worker hand-off of a fresh connection (of the same
+    // order as a whole cache hit in release builds).
     let mut latency_conn = daemon.keepalive();
     let request_doc = format!("{{\"faults\": {FAULTS}}}");
     let cold_started = Instant::now();
@@ -459,6 +460,74 @@ fn daemon_warns_on_slow_requests() {
         stderr_text.contains("slow request:"),
         "expected a slow-request warning on stderr, got:\n{stderr_text}"
     );
-    assert!(stderr_text.contains("POST /v1/generate"), "{stderr_text}");
-    assert!(stderr_text.contains("(threshold 1ms)"), "{stderr_text}");
+    // The access line (written before the response) and the warning
+    // (after it) keep their exact shape, each a line of its own.
+    let lines: Vec<&str> = stderr_text
+        .lines()
+        .filter(|line| line.contains("\"POST /v1/generate\" 200 id="))
+        .collect();
+    assert_eq!(lines.len(), 2, "{stderr_text}");
+    let (peer, id) = lines[0]
+        .strip_prefix("marchgen-daemon: ")
+        .and_then(|rest| rest.split_once(" \"POST /v1/generate\" 200 id="))
+        .unwrap_or_else(|| panic!("access line {:?}", lines[0]));
+    assert!(
+        peer.strip_prefix("127.0.0.1:")
+            .is_some_and(|port| port.parse::<u16>().is_ok()),
+        "{}",
+        lines[0]
+    );
+    assert!(id.starts_with("req-") && !id.contains(' '), "{}", lines[0]);
+    let took = lines[1]
+        .strip_prefix(&format!(
+            "marchgen-daemon: slow request: {peer} \"POST /v1/generate\" 200 id={id} took "
+        ))
+        .and_then(|rest| rest.strip_suffix("ms (threshold 1ms)"))
+        .unwrap_or_else(|| panic!("slow-request line {:?}", lines[1]));
+    assert!(took.parse::<u64>().is_ok_and(|ms| ms >= 1), "{}", lines[1]);
+}
+
+/// A served request costs one `write(2)`, its access line, formatted
+/// whole and printed at once. Responses leave through `send(2)`, which
+/// the kernel's per-process `syscw` count (`/proc/<pid>/io`) leaves
+/// out, so over a run of keep-alive cache hits `syscw` counts the log.
+#[test]
+fn daemon_writes_each_access_line_in_one_write() {
+    let daemon = Daemon::spawn(&["--workers", "2"], &[], Stdio::null());
+    let io = format!("/proc/{}/io", daemon.child.id());
+    let syscw = || -> Option<u64> {
+        std::fs::read_to_string(&io)
+            .ok()?
+            .lines()
+            .find_map(|line| line.strip_prefix("syscw:"))?
+            .trim()
+            .parse()
+            .ok()
+    };
+    if syscw().is_none() {
+        eprintln!("skipped: {io} cannot be read on this host");
+        daemon.shutdown();
+        return;
+    }
+    let mut conn = daemon.keepalive();
+    let doc = r#"{"faults": ["SAF", "TF"]}"#;
+    for expected in ["\"cache_hit\":false", "\"cache_hit\":true"] {
+        let (status, body) = conn.request("POST", "/v1/generate", doc);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(expected), "{body}");
+    }
+    let requests = 200;
+    let before = syscw().expect("syscw");
+    for _ in 0..requests {
+        let (status, body) = conn.request("POST", "/v1/generate", doc);
+        assert_eq!(status, 200, "{body}");
+    }
+    let writes = syscw().expect("syscw") - before;
+    let per_request = writes as f64 / f64::from(requests);
+    assert!(
+        per_request <= 1.05,
+        "{writes} write(2) calls for {requests} cache hits ({per_request:.2} per request)"
+    );
+    drop(conn);
+    daemon.shutdown();
 }
