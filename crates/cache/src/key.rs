@@ -17,7 +17,7 @@
 
 use marchgen_generator::GenerateRequest;
 use marchgen_tpg::StartPolicy;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Version tag folded into every key. Bump when the canonical encoding
 /// or the outcome schema changes incompatibly.
@@ -89,29 +89,40 @@ pub fn previous_schema_key(request: &GenerateRequest) -> CacheKey {
     key_for_text(&canonical_text_for_schema(request, PREVIOUS_KEY_SCHEMA))
 }
 
+/// The key text of `request` as [`GenerateRequest::normalize`] leaves
+/// it, written into one pre-sized `String`. Only the fault list is
+/// copied, to be sorted and deduplicated; the clamps are normalize's.
 fn canonical_text_for_schema(request: &GenerateRequest, schema: u32) -> String {
-    let normal = request.clone().normalize();
-    let mut text = format!("marchgen-cache/v{schema};faults=");
-    for (k, model) in normal.faults.iter().enumerate() {
+    /// The longest model name (`CFid<↑,1>`, 11 bytes) plus its comma.
+    const FAULT_BYTES: usize = 12;
+    /// The fixed text and the widest schema tag, numbers and flags.
+    const FIXED_BYTES: usize = 256;
+    let mut faults = request.faults.clone();
+    faults.sort_unstable();
+    faults.dedup();
+    let solver = request.solver.key();
+    let mut text = String::with_capacity(FIXED_BYTES + solver.len() + FAULT_BYTES * faults.len());
+    let _ = write!(text, "marchgen-cache/v{schema};faults=");
+    for (k, model) in faults.iter().enumerate() {
         if k > 0 {
             text.push(',');
         }
-        text.push_str(&model.name());
+        let _ = write!(text, "{model}");
     }
-    let start = match normal.start_policy {
+    let start = match request.start_policy {
         StartPolicy::Uniform => "uniform",
         StartPolicy::Free => "free",
     };
-    text.push_str(&format!(
-        ";start={start};solver={};tour_cap={};verify_cells={};compact={};\
+    let _ = write!(
+        text,
+        ";start={start};solver={solver};tour_cap={};verify_cells={};compact={};\
          check_redundancy={};max_combinations={}",
-        normal.solver.key(),
-        normal.tour_cap,
-        normal.verify_cells,
-        normal.compact,
-        normal.check_redundancy,
-        normal.max_combinations,
-    ));
+        request.tour_cap.max(1),
+        request.verify_cells,
+        request.compact,
+        request.check_redundancy,
+        request.max_combinations.max(1),
+    );
     text
 }
 
@@ -156,6 +167,28 @@ mod tests {
         // Standard FNV-1a 128 reference values.
         assert_eq!(fnv1a_128(b""), FNV_OFFSET_128);
         assert_ne!(fnv1a_128(b"a"), fnv1a_128(b"b"));
+    }
+
+    /// The text is the normalized request's: shuffled and repeated
+    /// faults and zero caps key as their normalized form does.
+    #[test]
+    fn key_text_is_the_normalized_requests() {
+        let mut raw = GenerateRequest::from_fault_list("CFin<u>, SAF, TF<d>, SA0, CFid").unwrap();
+        raw.tour_cap = 0;
+        raw.max_combinations = 0;
+        for request in [
+            raw.clone(),
+            raw.clone().with_verify_cells(0).with_compact(false),
+            GenerateRequest::from_fault_list("LCF, dDRDF, ADF, SOF, SAF").unwrap(),
+            GenerateRequest::default(),
+        ] {
+            assert_eq!(
+                canonical_key_text(&request),
+                canonical_key_text(&request.clone().normalize())
+            );
+        }
+        assert!(canonical_key_text(&raw).contains(";tour_cap=1;"));
+        assert!(canonical_key_text(&raw).ends_with(";max_combinations=1"));
     }
 
     #[test]

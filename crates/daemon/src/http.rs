@@ -17,8 +17,10 @@
 //! completions as they happen instead of a silent buffered POST.
 
 use marchgen_json::Json;
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Longest accepted request line (method + path + version).
 const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -33,13 +35,17 @@ const MAX_REQUEST_ID: usize = 128;
 
 static REQUEST_ID_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The process id, read once: `std::process::id` is a `getpid(2)` on
+/// every call.
+static PID: OnceLock<u32> = OnceLock::new();
+
 /// A process-unique request id (`req-<pid>-<seq>`), used when the
 /// client did not supply a usable `X-Request-Id`.
 #[must_use]
 pub fn next_request_id() -> String {
     format!(
         "req-{:x}-{:x}",
-        std::process::id(),
+        PID.get_or_init(std::process::id),
         REQUEST_ID_SEQ.fetch_add(1, Ordering::Relaxed)
     )
 }
@@ -76,20 +82,18 @@ impl Request {
     /// copy this happens to return.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
     /// Every value carried under `name` (case-insensitive), in order.
     #[must_use]
     pub fn header_values(&self, name: &str) -> Vec<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .filter(|(n, _)| *n == name)
+            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
             .collect()
     }
@@ -243,29 +247,44 @@ impl Response {
     }
 
     /// Serializes onto `stream` (HTTP/1.1, explicit `Content-Length`).
-    /// The whole response is assembled in memory and written in one
-    /// call, so it leaves as a single segment on unfragmented paths.
+    /// The whole response is assembled in one buffer, sized up front for
+    /// the head and the body, and written in one call, so it leaves as a
+    /// single segment on unfragmented paths (one `send(2)` on a
+    /// `TcpStream`).
     ///
     /// # Errors
     ///
     /// Propagates stream write failures.
     pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
-        let connection = if self.close { "close" } else { "keep-alive" };
-        let retry = match self.retry_after {
-            Some(seconds) => format!("retry-after: {seconds}\r\n"),
-            None => String::new(),
-        };
-        let request_id = match &self.request_id {
-            Some(id) => format!("x-request-id: {id}\r\n"),
-            None => String::new(),
-        };
-        let mut wire = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n{retry}{request_id}connection: {connection}\r\n\r\n",
+        /// Room for the head besides its content type and request id:
+        /// the fixed text, the longest status line and two 20-digit
+        /// numbers.
+        const HEAD_BYTES: usize = 192;
+        let request_id = self.request_id.as_deref();
+        let mut wire = String::with_capacity(
+            HEAD_BYTES + self.content_type.len() + request_id.map_or(0, str::len) + self.body.len(),
+        );
+        let _ = write!(
+            wire,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
         );
+        if let Some(seconds) = self.retry_after {
+            let _ = write!(wire, "retry-after: {seconds}\r\n");
+        }
+        if let Some(id) = request_id {
+            wire.push_str("x-request-id: ");
+            wire.push_str(id);
+            wire.push_str("\r\n");
+        }
+        wire.push_str(if self.close {
+            "connection: close\r\n\r\n"
+        } else {
+            "connection: keep-alive\r\n\r\n"
+        });
         wire.push_str(&self.body);
         stream.write_all(wire.as_bytes())?;
         stream.flush()
@@ -466,7 +485,10 @@ fn reject(status: u16, code: &str, message: impl Into<String>) -> ReadOutcome {
     ReadOutcome::Reject(Response::error(status, code, message).with_close())
 }
 
-/// Reads one line terminated by `\n` (tolerating `\r\n`), bounded.
+/// Reads one line terminated by `\n` (tolerating `\r\n`), bounded:
+/// at most `limit` bytes may precede the `\n`, a `\r` included. The
+/// reader's buffered bytes are scanned for the `\n` a run at a time and
+/// consumed up to it, so bytes after the line stay buffered.
 /// `Ok(None)` on clean EOF before any byte.
 fn read_line(
     reader: &mut impl BufRead,
@@ -474,26 +496,43 @@ fn read_line(
 ) -> std::io::Result<Option<Result<String, ()>>> {
     let mut line: Vec<u8> = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return Ok(if line.is_empty() { None } else { Some(Err(())) });
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(Some(String::from_utf8(line).map_err(|_| ())));
+        let available = reader.fill_buf()?;
+        if available.is_empty() {
+            return Ok(if line.is_empty() { None } else { Some(Err(())) });
+        }
+        let room = limit - line.len();
+        match available.iter().position(|&b| b == b'\n') {
+            Some(end) if end <= room => {
+                line.extend_from_slice(&available[..end]);
+                reader.consume(end + 1);
+                if line.last() == Some(&b'\r') {
+                    line.pop();
                 }
-                if line.len() >= limit {
-                    return Ok(Some(Err(())));
-                }
-                line.push(byte[0]);
+                return Ok(Some(String::from_utf8(line).map_err(|_| ())));
             }
-            Err(e) => return Err(e),
+            // The byte after `room` more is not the `\n`: too long.
+            _ if available.len() > room => {
+                reader.consume(room + 1);
+                return Ok(Some(Err(())));
+            }
+            _ => {
+                let taken = available.len();
+                line.extend_from_slice(available);
+                reader.consume(taken);
+            }
         }
     }
+}
+
+/// `true` when `name` is an RFC 9110 token (§5.6.2): one or more
+/// visible ASCII characters other than delimiters. Whitespace before
+/// the colon, a line that starts with whitespace (obsolete line
+/// folding) and an empty name all fail (RFC 9112 §5.1).
+fn is_token(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
 }
 
 /// Reads and validates one request. `max_body` bounds the accepted
@@ -564,7 +603,16 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> std::io::Resu
                 format!("malformed header {line:?}"),
             ));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        // A name a proxy could read differently (`Content-Length : 5`,
+        // a folded line) would frame the body on a length we never saw.
+        if !is_token(name) {
+            return Ok(reject(
+                400,
+                "bad_header",
+                format!("header name {name:?} is not a token"),
+            ));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
 
     let request_id = headers
@@ -667,11 +715,74 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::io::{BufReader, Read};
 
     fn parse(text: &str) -> ReadOutcome {
-        read_request(&mut BufReader::new(text.as_bytes()), 1024).unwrap()
+        parse_bytes(text.as_bytes())
     }
+
+    fn parse_bytes(bytes: &[u8]) -> ReadOutcome {
+        read_request(&mut BufReader::new(bytes), 1024).unwrap()
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// What a parse decided, with a generated request id masked (each
+    /// parse draws a new one).
+    fn summary(outcome: &ReadOutcome) -> String {
+        match outcome {
+            ReadOutcome::Complete(request) => {
+                let mut request = request.clone();
+                if request.request_id.starts_with("req-") {
+                    request.request_id = "req-*".to_owned();
+                }
+                format!("{request:?}")
+            }
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// Every request the tests of this module parse, good and bad.
+    const CASES: &[&str] = &[
+        "POST /v1/generate HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+        "GET /v1/health HTTP/1.1\r\n\r\n",
+        "GET /v1/stream?resume=b-12ab&from=7&flag HTTP/1.1\r\n\r\n",
+        "GET /v1/health HTTP/1.1\r\nX-Request-Id: trace-41\r\n\r\n",
+        "GET / HTTP/1.1\r\nX-Request-Id: has space\r\n\r\n",
+        "",
+        "POST /v1/generate HTTP/1.1\r\nContent-Length: 9999\r\n\r\n",
+        "NOT A REQUEST\r\n\r\n",
+        "GET missing-slash HTTP/1.1\r\n\r\n",
+        "GET /x HTTP/3.0\r\n\r\n",
+        "GET /x HTTP/1.1\r\nbroken header line\r\n\r\n",
+        "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        "POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello",
+        "POST /x HTTP/1.1\r\ncontent-length: 5\r\nCONTENT-LENGTH: 99\r\n\r\nhello",
+        "POST /x HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\nhello",
+        "POST /x HTTP/1.1\r\nTransfer-Encoding: identity\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "POST /x HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+        "GET /v1/health HTTP/1.1\r\nAccept: a\r\nACCEPT: b\r\n\r\n",
+        "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+        "GET /v1/health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        "GET /v1/health HTTP/1.1\nHost: x\n\n",
+        "POST /x HTTP/1.1\nContent-Length: 2\r\n\nok",
+        "GET /v1/health HTTP/1.1\r\nHost: x",
+        "GET /v1/health HTTP/1.1\r",
+    ];
 
     #[test]
     fn parses_a_post_with_body() {
@@ -824,6 +935,181 @@ mod tests {
                 resp.body
             );
         }
+    }
+
+    /// A header name must be a token (RFC 9110 §5.6.2). Whitespace
+    /// before the colon, a line that starts with whitespace (obsolete
+    /// folding), an empty name and a name with a space inside are all
+    /// 400 `bad_header` (RFC 9112 §5.1): a proxy in front could drop
+    /// such a line and frame the body as the next request.
+    #[test]
+    fn header_names_that_are_not_tokens_are_rejected() {
+        for bad in [
+            "POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\n Content-Length: 5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\nHost: x\r\n\tContent-Length: 5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\n: x\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent Length: 5\r\n\r\nhello",
+            "GET /x HTTP/1.1\r\nX-Trace(1): 1\r\n\r\n",
+        ] {
+            let outcome = parse(bad);
+            let ReadOutcome::Reject(resp) = outcome else {
+                panic!("{bad:?} should reject, got {outcome:?}");
+            };
+            assert_eq!(resp.status, 400, "{bad:?}");
+            assert!(resp.close, "{bad:?}: the stream is out of sync");
+            assert!(resp.body.contains("bad_header"), "{}", resp.body);
+        }
+        // Whitespace after the colon is the field's optional whitespace,
+        // and every token character is a name character.
+        for good in [
+            "POST /x HTTP/1.1\r\nContent-Length:\t5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\nContent-Length:5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\nX-!#$%&'*+-.^_`|~09az: 1\r\nContent-Length: 5\r\n\r\nhello",
+        ] {
+            let outcome = parse(good);
+            let ReadOutcome::Complete(req) = outcome else {
+                panic!("{good:?} should parse, got {outcome:?}");
+            };
+            assert_eq!(req.body, b"hello", "{good:?}");
+        }
+    }
+
+    /// Requests sent back to back in one buffer are read one at a time:
+    /// each whole, its body taken by its own `Content-Length` and not
+    /// by the next request's head.
+    #[test]
+    fn pipelined_requests_are_parsed_one_at_a_time() {
+        let requests = [
+            ("POST", "/a", "hello"),
+            ("GET", "/b", ""),
+            ("POST", "/c", "GET /d HTTP/1.1\r\n\r\n"),
+        ];
+        for count in [2, 3] {
+            let wire: String = requests[..count]
+                .iter()
+                .map(|(method, path, body)| {
+                    format!(
+                        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    )
+                })
+                .collect();
+            let mut reader = BufReader::new(wire.as_bytes());
+            for (method, path, body) in &requests[..count] {
+                let outcome = read_request(&mut reader, 1024).unwrap();
+                let ReadOutcome::Complete(req) = outcome else {
+                    panic!("{path}: expected a complete request, got {outcome:?}");
+                };
+                assert_eq!((req.method.as_str(), req.path.as_str()), (*method, *path));
+                assert_eq!(req.body, body.as_bytes(), "{path}");
+            }
+            assert!(matches!(
+                read_request(&mut reader, 1024).unwrap(),
+                ReadOutcome::Closed
+            ));
+        }
+    }
+
+    /// However the bytes arrive (1, 2 or 3 per `read`) and whatever the
+    /// buffer holds (1 byte, 7 or the default), every request of this
+    /// module parses exactly as it does from one whole buffer.
+    #[test]
+    fn heads_parse_the_same_however_the_bytes_arrive() {
+        for case in CASES {
+            let whole = summary(&parse(case));
+            for step in [1, 2, 3] {
+                for capacity in [1, 7, 8 * 1024] {
+                    let trickle = Trickle {
+                        bytes: case.as_bytes(),
+                        step,
+                    };
+                    let outcome =
+                        read_request(&mut BufReader::with_capacity(capacity, trickle), 1024)
+                            .unwrap();
+                    assert_eq!(
+                        summary(&outcome),
+                        whole,
+                        "{case:?}: {step} bytes per read, capacity {capacity}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A line is the bytes before its `\n`, a `\r` included. A request
+    /// line of exactly `MAX_REQUEST_LINE` bytes and a header line of
+    /// exactly `MAX_HEADER_LINE` bytes are read; one byte more is 400
+    /// `bad_request_line` or 431 `oversized_header`.
+    #[test]
+    fn line_limits_admit_exactly_their_length() {
+        let request_line =
+            |len: usize| format!("GET /{} HTTP/1.1", "a".repeat(len - "GET / HTTP/1.1".len()));
+        let header_line = |len: usize| format!("X-Pad: {}", "b".repeat(len - "X-Pad: ".len()));
+        for (crlf, end) in [(1, "\r\n"), (0, "\n")] {
+            let exact = format!("{}{end}\r\n", request_line(MAX_REQUEST_LINE - crlf));
+            let ReadOutcome::Complete(req) = parse(&exact) else {
+                panic!("a request line of MAX_REQUEST_LINE bytes is read");
+            };
+            assert_eq!(
+                req.path.len(),
+                MAX_REQUEST_LINE - crlf - "GET  HTTP/1.1".len()
+            );
+            let over = format!("{}{end}\r\n", request_line(MAX_REQUEST_LINE - crlf + 1));
+            let ReadOutcome::Reject(resp) = parse(&over) else {
+                panic!("one byte over MAX_REQUEST_LINE rejects");
+            };
+            assert_eq!(resp.status, 400);
+            assert!(resp.body.contains("bad_request_line"), "{}", resp.body);
+
+            let exact = format!(
+                "GET / HTTP/1.1\r\n{}{end}\r\n",
+                header_line(MAX_HEADER_LINE - crlf)
+            );
+            let ReadOutcome::Complete(req) = parse(&exact) else {
+                panic!("a header line of MAX_HEADER_LINE bytes is read");
+            };
+            assert_eq!(
+                req.header("x-pad").map(str::len),
+                Some(MAX_HEADER_LINE - crlf - "X-Pad: ".len())
+            );
+            let over = format!(
+                "GET / HTTP/1.1\r\n{}{end}\r\n",
+                header_line(MAX_HEADER_LINE - crlf + 1)
+            );
+            let ReadOutcome::Reject(resp) = parse(&over) else {
+                panic!("one byte over MAX_HEADER_LINE rejects");
+            };
+            assert_eq!(resp.status, 431);
+            assert!(resp.body.contains("oversized_header"), "{}", resp.body);
+        }
+    }
+
+    /// Lines may end in a bare `\n`. A byte that is not UTF-8 makes the
+    /// request line a 400 `bad_request_line` and a header line a 431
+    /// `oversized_header`, as the line reader reports both failures the
+    /// same way.
+    #[test]
+    fn bare_lf_lines_and_non_utf8_bytes_keep_their_answers() {
+        let ReadOutcome::Complete(req) =
+            parse("POST /x HTTP/1.1\nHost: x\nContent-Length: 2\n\nok")
+        else {
+            panic!("bare LF lines are read");
+        };
+        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.body, b"ok");
+        let ReadOutcome::Reject(resp) = parse_bytes(b"GET /\xff HTTP/1.1\r\n\r\n") else {
+            panic!("a non-UTF-8 request line rejects");
+        };
+        assert_eq!(resp.status, 400);
+        assert!(resp.body.contains("bad_request_line"), "{}", resp.body);
+        let ReadOutcome::Reject(resp) = parse_bytes(b"GET / HTTP/1.1\r\nX-Bin: \xff\r\n\r\n")
+        else {
+            panic!("a non-UTF-8 header line rejects");
+        };
+        assert_eq!(resp.status, 431);
+        assert!(resp.body.contains("oversized_header"), "{}", resp.body);
     }
 
     /// `Content-Length` combined with `Transfer-Encoding` (any value,

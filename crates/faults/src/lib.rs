@@ -63,7 +63,7 @@ pub use behavior::{
 };
 pub use dir::TransitionDir;
 pub use model::{AdfKind, FaultModel, FAULT_CLASS_LABELS};
-pub use parse::{parse_fault_list, ParseFaultError};
+pub use parse::{parse_fault_list, parse_fault_list_into, ParseFaultError};
 pub use primitives::{PrimitiveClass, TestPrimitive};
 pub use req::{requirements_for, CoverageRequirement};
 pub use tp::{dedupe_subsumed, generalize, Observation, TestPattern, TpKind};

@@ -46,30 +46,36 @@ impl std::error::Error for ParseFaultError {}
 /// Returns [`ParseFaultError`] for the first unrecognized token.
 pub fn parse_fault_list(src: &str) -> Result<Vec<FaultModel>, ParseFaultError> {
     let mut out = Vec::new();
+    parse_fault_list_into(src, &mut out)?;
+    Ok(out)
+}
+
+/// [`parse_fault_list`], appending the models to `out`: a caller
+/// decoding several lists (the entries of a request's `faults` array)
+/// collects them in one `Vec`. Tokens are parsed as they are split off,
+/// and names are matched without allocating.
+///
+/// # Errors
+///
+/// Returns [`ParseFaultError`] for the first unrecognized token; `out`
+/// then holds the models of the tokens before it.
+pub fn parse_fault_list_into(src: &str, out: &mut Vec<FaultModel>) -> Result<(), ParseFaultError> {
     // Split on , + ; — but not inside <...>, where commas are arguments.
+    // Every delimiter is ASCII, so a byte scan splits on characters.
     let mut depth = 0usize;
     let mut start = 0usize;
-    let mut tokens = Vec::new();
-    for (pos, c) in src.char_indices() {
-        match c {
-            '<' => depth += 1,
-            '>' => depth = depth.saturating_sub(1),
-            ',' | '+' | ';' if depth == 0 => {
-                tokens.push(&src[start..pos]);
-                start = pos + c.len_utf8();
+    for (pos, b) in src.bytes().enumerate() {
+        match b {
+            b'<' => depth += 1,
+            b'>' => depth = depth.saturating_sub(1),
+            b',' | b'+' | b';' if depth == 0 => {
+                parse_token(&src[start..pos], out)?;
+                start = pos + 1;
             }
             _ => {}
         }
     }
-    tokens.push(&src[start..]);
-    for raw in tokens {
-        let token = raw.trim();
-        if token.is_empty() {
-            continue;
-        }
-        out.extend(parse_token(token)?);
-    }
-    Ok(out)
+    parse_token(&src[start..], out)
 }
 
 fn err(token: &str, message: impl Into<String>) -> ParseFaultError {
@@ -114,132 +120,149 @@ fn split_args(token: &str) -> Result<(&str, Option<&str>), ParseFaultError> {
     }
 }
 
-fn parse_token(token: &str) -> Result<Vec<FaultModel>, ParseFaultError> {
+/// A one-value family: both polarities, or the one `args` names.
+fn by_bit(
+    out: &mut Vec<FaultModel>,
+    token: &str,
+    args: Option<&str>,
+    model: fn(Bit) -> FaultModel,
+) -> Result<(), ParseFaultError> {
+    match args {
+        None => out.extend(Bit::ALL.map(model)),
+        Some(a) => out.push(model(parse_bit(token, a)?)),
+    }
+    Ok(())
+}
+
+/// A one-direction family: both directions, or the one `args` names.
+fn by_dir(
+    out: &mut Vec<FaultModel>,
+    token: &str,
+    args: Option<&str>,
+    model: fn(TransitionDir) -> FaultModel,
+) -> Result<(), ParseFaultError> {
+    match args {
+        None => out.extend(TransitionDir::ALL.map(model)),
+        Some(a) => out.push(model(parse_dir(token, a)?)),
+    }
+    Ok(())
+}
+
+/// `name` in ASCII uppercase, written into `buf`. A name longer than
+/// `buf`, and so than every model name, comes back empty: it names no
+/// model either way.
+fn ascii_upper<'b>(name: &str, buf: &'b mut [u8; 4]) -> &'b [u8] {
+    let Some(upper) = buf.get_mut(..name.len()) else {
+        return &[];
+    };
+    upper.copy_from_slice(name.as_bytes());
+    upper.make_ascii_uppercase();
+    upper
+}
+
+/// Parses one (untrimmed) token of a list onto `out`; an empty token
+/// adds nothing.
+fn parse_token(raw: &str, out: &mut Vec<FaultModel>) -> Result<(), ParseFaultError> {
+    let token = raw.trim();
+    if token.is_empty() {
+        return Ok(());
+    }
     let (name, args) = split_args(token)?;
+    let name = name.trim();
     // The dynamic-fault mnemonics are case-sensitive: the leading
     // lowercase `d` distinguishes dRDF/dIRF from the static DRF-family
     // tokens (`drdf` etc. still reach the case-insensitive match below).
-    match name.trim() {
-        "dRDF" => {
-            return match args {
-                None => Ok(Bit::ALL.map(FaultModel::DynamicReadDestructive).to_vec()),
-                Some(a) => Ok(vec![FaultModel::DynamicReadDestructive(parse_bit(
-                    token, a,
-                )?)]),
-            }
-        }
+    match name {
+        "dRDF" => return by_bit(out, token, args, FaultModel::DynamicReadDestructive),
         "dDRDF" => {
-            return match args {
-                None => Ok(Bit::ALL
-                    .map(FaultModel::DynamicDeceptiveReadDestructive)
-                    .to_vec()),
-                Some(a) => Ok(vec![FaultModel::DynamicDeceptiveReadDestructive(
-                    parse_bit(token, a)?,
-                )]),
-            }
+            return by_bit(
+                out,
+                token,
+                args,
+                FaultModel::DynamicDeceptiveReadDestructive,
+            )
         }
-        "dIRF" => {
-            return match args {
-                None => Ok(Bit::ALL.map(FaultModel::DynamicIncorrectRead).to_vec()),
-                Some(a) => Ok(vec![FaultModel::DynamicIncorrectRead(parse_bit(token, a)?)]),
-            }
-        }
+        "dIRF" => return by_bit(out, token, args, FaultModel::DynamicIncorrectRead),
         _ => {}
     }
-    let upper = name.trim().to_ascii_uppercase();
-    let one_dir = |args: Option<&str>| -> Result<Vec<FaultModel>, ParseFaultError> {
-        match args {
-            None => Ok(TransitionDir::ALL.map(FaultModel::Transition).to_vec()),
-            Some(a) => Ok(vec![FaultModel::Transition(parse_dir(token, a)?)]),
+    let mut buf = [0u8; 4];
+    match ascii_upper(name, &mut buf) {
+        b"SAF" => by_bit(out, token, args, FaultModel::StuckAt),
+        b"SA0" => {
+            out.push(FaultModel::StuckAt(Bit::Zero));
+            Ok(())
         }
-    };
-    match upper.as_str() {
-        "SAF" => match args {
-            None => Ok(Bit::ALL.map(FaultModel::StuckAt).to_vec()),
-            Some(a) => Ok(vec![FaultModel::StuckAt(parse_bit(token, a)?)]),
-        },
-        "SA0" => Ok(vec![FaultModel::StuckAt(Bit::Zero)]),
-        "SA1" => Ok(vec![FaultModel::StuckAt(Bit::One)]),
-        "TF" => one_dir(args),
-        "SOF" => Ok(vec![FaultModel::StuckOpen]),
-        "ADF" | "AF" => match args {
-            None => Ok(vec![
-                FaultModel::AddressDecoder(AdfKind::Write),
-                FaultModel::AddressDecoder(AdfKind::Read),
-            ]),
-            Some("w") | Some("W") => Ok(vec![FaultModel::AddressDecoder(AdfKind::Write)]),
-            Some("r") | Some("R") => Ok(vec![FaultModel::AddressDecoder(AdfKind::Read)]),
-            Some(other) => Err(err(token, format!("expected <w> or <r>, got {other:?}"))),
-        },
-        "CFIN" => match args {
-            None => Ok(TransitionDir::ALL
-                .map(FaultModel::CouplingInversion)
-                .to_vec()),
-            Some(a) => Ok(vec![FaultModel::CouplingInversion(parse_dir(token, a)?)]),
-        },
-        "CFID" => match args {
-            None => {
-                let mut v = Vec::new();
-                for d in TransitionDir::ALL {
-                    for b in Bit::ALL {
-                        v.push(FaultModel::CouplingIdempotent(d, b));
+        b"SA1" => {
+            out.push(FaultModel::StuckAt(Bit::One));
+            Ok(())
+        }
+        b"TF" => by_dir(out, token, args, FaultModel::Transition),
+        b"SOF" => {
+            out.push(FaultModel::StuckOpen);
+            Ok(())
+        }
+        b"ADF" | b"AF" => {
+            match args {
+                None => out.extend([
+                    FaultModel::AddressDecoder(AdfKind::Write),
+                    FaultModel::AddressDecoder(AdfKind::Read),
+                ]),
+                Some("w" | "W") => out.push(FaultModel::AddressDecoder(AdfKind::Write)),
+                Some("r" | "R") => out.push(FaultModel::AddressDecoder(AdfKind::Read)),
+                Some(other) => {
+                    return Err(err(token, format!("expected <w> or <r>, got {other:?}")))
+                }
+            }
+            Ok(())
+        }
+        b"CFIN" => by_dir(out, token, args, FaultModel::CouplingInversion),
+        b"CFID" => {
+            match args {
+                None => {
+                    for d in TransitionDir::ALL {
+                        out.extend(Bit::ALL.map(|b| FaultModel::CouplingIdempotent(d, b)));
                     }
                 }
-                Ok(v)
+                Some(a) => {
+                    let (d, b) = a
+                        .split_once(',')
+                        .ok_or_else(|| err(token, "expected <dir,value>, e.g. CFid<u,0>"))?;
+                    out.push(FaultModel::CouplingIdempotent(
+                        parse_dir(token, d)?,
+                        parse_bit(token, b)?,
+                    ));
+                }
             }
-            Some(a) => {
-                let (d, b) = a
-                    .split_once(',')
-                    .ok_or_else(|| err(token, "expected <dir,value>, e.g. CFid<u,0>"))?;
-                Ok(vec![FaultModel::CouplingIdempotent(
-                    parse_dir(token, d)?,
-                    parse_bit(token, b)?,
-                )])
-            }
-        },
-        "CFST" => match args {
-            None => {
-                let mut v = Vec::new();
-                for s in Bit::ALL {
-                    for f in Bit::ALL {
-                        v.push(FaultModel::CouplingState(s, f));
+            Ok(())
+        }
+        b"CFST" => {
+            match args {
+                None => {
+                    for s in Bit::ALL {
+                        out.extend(Bit::ALL.map(|f| FaultModel::CouplingState(s, f)));
                     }
                 }
-                Ok(v)
+                Some(a) => {
+                    let (s, f) = a
+                        .split_once(',')
+                        .ok_or_else(|| err(token, "expected <state,value>, e.g. CFst<1,0>"))?;
+                    out.push(FaultModel::CouplingState(
+                        parse_bit(token, s)?,
+                        parse_bit(token, f)?,
+                    ));
+                }
             }
-            Some(a) => {
-                let (s, f) = a
-                    .split_once(',')
-                    .ok_or_else(|| err(token, "expected <state,value>, e.g. CFst<1,0>"))?;
-                Ok(vec![FaultModel::CouplingState(
-                    parse_bit(token, s)?,
-                    parse_bit(token, f)?,
-                )])
-            }
-        },
-        "RDF" => match args {
-            None => Ok(Bit::ALL.map(FaultModel::ReadDestructive).to_vec()),
-            Some(a) => Ok(vec![FaultModel::ReadDestructive(parse_bit(token, a)?)]),
-        },
-        "DRDF" => match args {
-            None => Ok(Bit::ALL.map(FaultModel::DeceptiveReadDestructive).to_vec()),
-            Some(a) => Ok(vec![FaultModel::DeceptiveReadDestructive(parse_bit(
-                token, a,
-            )?)]),
-        },
-        "IRF" => match args {
-            None => Ok(Bit::ALL.map(FaultModel::IncorrectRead).to_vec()),
-            Some(a) => Ok(vec![FaultModel::IncorrectRead(parse_bit(token, a)?)]),
-        },
-        "DRF" => match args {
-            None => Ok(Bit::ALL.map(FaultModel::DataRetention).to_vec()),
-            Some(a) => Ok(vec![FaultModel::DataRetention(parse_bit(token, a)?)]),
-        },
-        "LCF" => match args {
-            None => Ok(Bit::ALL.map(FaultModel::LinkedIdempotent).to_vec()),
-            Some(a) => Ok(vec![FaultModel::LinkedIdempotent(parse_bit(token, a)?)]),
-        },
-        other => Err(err(token, format!("unknown fault model {other:?}"))),
+            Ok(())
+        }
+        b"RDF" => by_bit(out, token, args, FaultModel::ReadDestructive),
+        b"DRDF" => by_bit(out, token, args, FaultModel::DeceptiveReadDestructive),
+        b"IRF" => by_bit(out, token, args, FaultModel::IncorrectRead),
+        b"DRF" => by_bit(out, token, args, FaultModel::DataRetention),
+        b"LCF" => by_bit(out, token, args, FaultModel::LinkedIdempotent),
+        _ => Err(err(
+            token,
+            format!("unknown fault model {:?}", name.to_ascii_uppercase()),
+        )),
     }
 }
 

@@ -15,7 +15,9 @@
 use crate::outcome::{Diagnostics, GenerateOutcome};
 use crate::request::GenerateRequest;
 use marchgen_atsp::SolverChoice;
-use marchgen_faults::{parse_fault_list, FaultModel, Observation, TestPattern, TpKind};
+use marchgen_faults::{
+    parse_fault_list, parse_fault_list_into, FaultModel, Observation, TestPattern, TpKind,
+};
 use marchgen_json::{bool_field, field, str_field, usize_field, FromJson, Json, JsonError, ToJson};
 use marchgen_march::MarchTest;
 use marchgen_model::{Bit, Cell, MemOp, PairState, Tri};
@@ -85,14 +87,14 @@ fn faults_from_json(json: &Json) -> Result<Vec<FaultModel>, JsonError> {
     let items = json
         .as_array()
         .ok_or_else(|| JsonError::decode("field \"faults\" must be an array"))?;
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(items.len());
     for item in items {
         let token = item
             .as_str()
             .ok_or_else(|| JsonError::decode("fault list entries must be strings"))?;
         // Families are welcome here — a hand-written request may say
         // "SAF" and mean both polarities, exactly like the CLI parser.
-        out.extend(parse_fault_list(token).map_err(|e| JsonError::decode(e.to_string()))?);
+        parse_fault_list_into(token, &mut out).map_err(|e| JsonError::decode(e.to_string()))?;
     }
     Ok(out)
 }

@@ -251,6 +251,7 @@ impl Json {
     /// including trailing garbage after the document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -366,6 +367,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -471,12 +473,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal. Each run of bytes up to the next `"`,
+    /// `\\` or control byte is copied with one `push_str`: all three are
+    /// ASCII, so a run always ends on a character boundary of the
+    /// (already valid UTF-8) input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            let Some(&b) = self.bytes.get(self.pos) else {
                 return Err(self.err("unterminated string"));
             };
             match b {
@@ -525,20 +536,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                b if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let len = utf8_len(b);
-                    let chunk = rest
-                        .get(..len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
+                _ => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -620,15 +618,6 @@ fn is_valid_json_number(text: &str) -> bool {
         rest = &tail[digits..];
     }
     rest.is_empty()
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 /// Types that encode themselves into a [`Json`] tree.
@@ -854,6 +843,86 @@ mod tests {
                 Json::Str(s)
             );
         });
+    }
+
+    /// Strings survive a render→parse round trip, and a parse of the
+    /// same text spelled with `\\u` escapes (surrogate pairs above the
+    /// BMP), over ASCII, `"`, `\\`, every control byte and 2-, 3- and
+    /// 4-byte characters.
+    #[test]
+    fn strings_round_trip_through_runs_and_escapes() {
+        let mut alphabet: Vec<char> = "aZ09 ~/\"\\éΣ↑⇑↓𝔽😀\u{7f}\u{80}\u{ffff}\u{10ffff}"
+            .chars()
+            .collect();
+        alphabet.extend((0u8..0x20).map(char::from));
+        marchgen_testkit::run_cases("strings round-trip", 1024, |rng| {
+            let s: String = rng
+                .vec(0, 40, |rng| *rng.pick(&alphabet))
+                .into_iter()
+                .collect();
+            let rendered = Json::Str(s.clone()).render();
+            assert_eq!(
+                Json::parse(&rendered),
+                Ok(Json::Str(s.clone())),
+                "{rendered}"
+            );
+            let mut escaped = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' | '\\' if rng.flip() => escaped.extend(['\\', c]),
+                    '\n' if rng.flip() => escaped.push_str("\\n"),
+                    c if (c as u32) >= 0x20 && c != '"' && c != '\\' && rng.flip() => {
+                        escaped.push(c);
+                    }
+                    c => {
+                        let mut units = [0u16; 2];
+                        for unit in c.encode_utf16(&mut units) {
+                            escaped.push_str(&format!("\\u{unit:04x}"));
+                        }
+                    }
+                }
+            }
+            escaped.push('"');
+            assert_eq!(Json::parse(&escaped), Ok(Json::Str(s)), "{escaped}");
+        });
+    }
+
+    /// The offset and message of every string error.
+    #[test]
+    fn string_errors_keep_their_offsets_and_messages() {
+        for (text, offset, message) in [
+            ("\"abc", 4, "unterminated string"),
+            ("\"é⇑", 6, "unterminated string"),
+            ("\"", 1, "unterminated string"),
+            ("[\"a\", \"b", 8, "unterminated string"),
+            ("{\"k", 3, "unterminated string"),
+            ("\"ab\u{1}c\"", 3, "unescaped control character in string"),
+            ("\"\u{1f}\"", 1, "unescaped control character in string"),
+            ("\"a\nb\"", 2, "unescaped control character in string"),
+            (
+                "{\"k\u{7}\": 1}",
+                3,
+                "unescaped control character in string",
+            ),
+            ("\"⇑\u{0}\"", 4, "unescaped control character in string"),
+            ("\"a\\qb\"", 4, "unknown escape"),
+            ("\"⇑\\é\"", 6, "unknown escape"),
+            ("\"a\\", 3, "unterminated escape"),
+            ("\"\\u12\"", 3, "truncated \\u escape"),
+            ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"\\u+041\"", 3, "invalid \\u escape"),
+            ("\"\\u⇑12\"", 3, "invalid \\u escape"),
+            ("\"\\ud800x\"", 7, "invalid \\u escape"),
+            ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\udc00\"", 7, "invalid \\u escape"),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

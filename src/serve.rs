@@ -419,20 +419,20 @@ fn trace_requested(request: &Request) -> bool {
         || request.header("x-trace").map(str::trim) == Some("1")
 }
 
-/// Injects the assembled span tree into the outcome document's
-/// `diagnostics` object as its `trace` key (top-level fallback only if
-/// a future document shape drops `diagnostics`).
-fn attach_trace(doc: &mut Json, root: &SpanNode) {
-    let trace = span_json(root);
-    if let Json::Object(pairs) = doc {
-        if let Some((_, Json::Object(diagnostics))) =
-            pairs.iter_mut().find(|(key, _)| key == "diagnostics")
-        {
-            diagnostics.push(("trace".to_owned(), trace));
-        } else {
-            pairs.push(("trace".to_owned(), trace));
-        }
-    }
+/// Splices the assembled span tree into a rendered outcome document as
+/// the `trace` member of its `diagnostics` object. `diagnostics` is the
+/// outcome's last member, so the tree goes in before the document's
+/// final `}}`: the bytes of the document with `trace` appended to
+/// `diagnostics` and rendered whole.
+fn splice_trace(document: &mut String, root: &SpanNode) {
+    debug_assert!(
+        document.ends_with("}}"),
+        "an outcome document ends with its diagnostics object"
+    );
+    document.truncate(document.len() - 2);
+    document.push_str(",\"trace\":");
+    document.push_str(&span_json(root).render());
+    document.push_str("}}");
 }
 
 /// `{"name": ..., "micros": ..., "children": [...]}` — leaves omit
@@ -666,9 +666,8 @@ impl App {
             "injected_fault",
             msg
         ));
-        let traced = trace_requested(request);
-        let tracer = self.metrics.tracer(traced);
-        let mut doc = {
+        let tracer = self.metrics.tracer(trace_requested(request));
+        let mut body = {
             let _request_span = tracer.span("request");
             let decoded = {
                 let _decode = tracer.span("decode");
@@ -684,20 +683,18 @@ impl App {
             };
             let _render = tracer.span("render");
             match served {
-                // An untraced hit answers with the entry's stored
-                // document: no outcome, no tree, no render.
-                Served::Hit(entry) if !traced => {
-                    return Response::text(entry.document().to_owned(), "application/json")
-                }
-                served => served.into_outcome().to_json(),
+                // A hit answers with the entry's stored document: no
+                // outcome, no tree, no render.
+                Served::Hit(entry) => entry.document().to_owned(),
+                Served::Computed(outcome) => outcome.to_json().render(),
             }
         };
-        // The `request` span just closed; attach the assembled tree to
+        // The `request` span just closed; splice the assembled tree into
         // the outcome's diagnostics when the client asked for it.
-        if let Some(root) = tracer.finish().into_iter().next() {
-            attach_trace(&mut doc, &root);
+        if let Some(root) = tracer.finish().first() {
+            splice_trace(&mut body, root);
         }
-        Response::json(&doc)
+        Response::text(body, "application/json")
     }
 
     /// `POST /v1/rtl`: compiles a March test into the synthesizable

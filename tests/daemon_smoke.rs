@@ -145,6 +145,14 @@ fn daemon_smoke_generate_cache_stats_shutdown() {
     );
     assert_eq!(status_of(&wire), 400, "{wire}");
     assert!(wire.contains("conflicting_framing"), "{wire}");
+    // A header name with whitespace before its colon is not a token: a
+    // proxy that drops the line would frame the body as a request.
+    let wire = daemon.raw(
+        "POST /v1/generate HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\
+         content-length : 16\r\n\r\n{\"faults\":[\"SAF\"]}",
+    );
+    assert_eq!(status_of(&wire), 400, "{wire}");
+    assert!(wire.contains("bad_header"), "{wire}");
 
     // ---- stats reflect all of the above ---------------------------------
     let (status, stats) = daemon.request("GET", "/v1/stats", "");
@@ -160,9 +168,9 @@ fn daemon_smoke_generate_cache_stats_shutdown() {
     // The stats request itself is the one request in flight.
     assert_eq!(counter(&stats, "in_flight"), 1, "{stats}");
     assert!(counter(&stats, "requests") >= 8, "{stats}");
-    // The oversized body and the two smuggling shapes were turned away
-    // at the protocol layer.
-    assert_eq!(counter(&stats, "protocol_errors"), 3, "{stats}");
+    // The oversized body and the three smuggling shapes were turned
+    // away at the protocol layer.
+    assert_eq!(counter(&stats, "protocol_errors"), 4, "{stats}");
 
     // ---- graceful shutdown ----------------------------------------------
     daemon.shutdown();

@@ -150,3 +150,146 @@ fn search_heavy_outcomes_match_their_pinned_digests() {
         assert_eq!(got, digest, "{faults}");
     }
 }
+
+/// The requests whose cache keys are pinned: the Table 3 rows,
+/// `ADF, CFin, CFst`, and requests with non-default knobs, repeated and
+/// unsorted faults, clamped caps, a custom solver name and a retired
+/// solver alias.
+fn keyed_requests() -> Vec<(String, GenerateRequest)> {
+    use marchgen::json::FromJson;
+    use marchgen::tpg::StartPolicy;
+    use marchgen::SolverChoice;
+    let list = |faults: &str| GenerateRequest::from_fault_list(faults).unwrap();
+    let mut requests: Vec<(String, GenerateRequest)> = marchgen_bench::TABLE3
+        .iter()
+        .map(|row| row.faults)
+        .chain(["ADF, CFin, CFst"])
+        .map(|faults| (faults.to_owned(), list(faults)))
+        .collect();
+    let mut clamped = list("CFin, SAF, SA0, TF<d>, CFin<u>");
+    clamped.tour_cap = 0;
+    clamped.max_combinations = 0;
+    requests.extend([
+        (
+            "every knob".to_owned(),
+            list("SAF, TF")
+                .with_start_policy(StartPolicy::Free)
+                .with_solver(SolverChoice::BranchBound)
+                .with_tour_cap(7)
+                .with_verify_cells(6)
+                .with_compact(false)
+                .with_check_redundancy(true)
+                .with_max_combinations(9)
+                .with_search_threads(3),
+        ),
+        (
+            "no verification".to_owned(),
+            list("CFid<u,1>, CFid<d,1>").with_verify_cells(0),
+        ),
+        (
+            "extended classes".to_owned(),
+            list("LCF, dDRDF, SOF, dIRF<1>").with_solver(SolverChoice::Heuristic),
+        ),
+        ("clamped".to_owned(), clamped),
+        (
+            "custom solver".to_owned(),
+            list("SAF").with_solver(SolverChoice::from_key("my-solver")),
+        ),
+        (
+            "retired alias".to_owned(),
+            GenerateRequest::from_json_str(
+                r#"{"faults": ["SAF", "CFst<1,0>", "SAF"], "solver": "held-karp"}"#,
+            )
+            .unwrap(),
+        ),
+    ]);
+    requests
+}
+
+/// A disk entry is named by its request's key and holds the key text,
+/// so a changed text orphans every stored entry. The keys of these
+/// requests, and the keys they had under the previous schema tag, are
+/// pinned to digests taken before the key text was built in place.
+#[test]
+fn cache_keys_match_their_pinned_digests() {
+    use marchgen::cache::{canonical_key_text, key_for_text, previous_schema_key};
+    let pinned = [
+        (
+            "SAF",
+            "1c0b42d01a66ef3a31b8edc1d60070e7",
+            "266152109a7f430bfc767847e8a249ac",
+        ),
+        (
+            "SAF, TF",
+            "baac5262e8e200e362994e5c297c7dad",
+            "d39ea7f93f633b66d8ab13c5c59166ca",
+        ),
+        (
+            "SAF, TF, ADF",
+            "638708479418c2b0ace226acea1d9b92",
+            "a2ff64fc931edb9cabbb08f80ffb85a9",
+        ),
+        (
+            "SAF, TF, ADF, CFin",
+            "83d1760c4f7225952f80c97b8fccd988",
+            "403dada5cb87fee36c0729f5681cf9b7",
+        ),
+        (
+            "SAF, TF, ADF, CFin, CFid",
+            "3b37c91e20c1b35df67b5c6f1cc62228",
+            "729f74cf9fd763ad31ed76a65ea1962f",
+        ),
+        (
+            "CFid<u,1>, CFid<d,1>",
+            "e751be839c24f5dcafa771ab059a5aa0",
+            "e152413a2cdb8bc47438cb4d789e8487",
+        ),
+        (
+            "ADF, CFin, CFst",
+            "57b881f0b822595bff2d834a5c82656f",
+            "96f06812def254c47b1858e985b0ccbc",
+        ),
+        (
+            "every knob",
+            "419a9fb2fa8b782081e365d3eb5b2f52",
+            "28cb0db5b9ac5df8f611af38316ff1b3",
+        ),
+        (
+            "no verification",
+            "75bbbbcf36a5399944aa7ad97ba9e814",
+            "6544bbc94e5e1b2afe6c4600b899cadb",
+        ),
+        (
+            "extended classes",
+            "21e2645dda6d8360f7d82443adda0fc9",
+            "155b9e8bf8b0614cf8f15f2650b26038",
+        ),
+        (
+            "clamped",
+            "4f21338bc089ccca3cf81646b7f0575d",
+            "0c22bfd83d5e91dc818cd21b27ceaf6e",
+        ),
+        (
+            "custom solver",
+            "d2bbcdbdc2fd272b3d93edfb9a5b9550",
+            "9664f666adcf24457a7f805ea19558e9",
+        ),
+        (
+            "retired alias",
+            "5d6169b02acc1e711c401285cf9b8abc",
+            "9a57340e5bdd3d9b83ff53c26ff24723",
+        ),
+    ];
+    let requests = keyed_requests();
+    assert_eq!(requests.len(), pinned.len());
+    for ((name, request), (label, key, previous)) in requests.iter().zip(pinned) {
+        assert_eq!(name, label);
+        let got = key_for_text(&canonical_key_text(request)).to_string();
+        let got_previous = previous_schema_key(request).to_string();
+        assert_eq!(
+            (got.as_str(), got_previous.as_str()),
+            (key, previous),
+            "{name}"
+        );
+    }
+}

@@ -473,3 +473,93 @@ fn generate_hits_replay_the_computed_outcome() {
     assert_eq!(read("disk_hits"), Some(0));
     assert_eq!(read("misses"), Some(rows));
 }
+
+/// Masks the reading of every span: each `"micros":<digits>` becomes
+/// `"micros":0`. Diagnostics fields (`"expand_micros"` and the like)
+/// do not match, as their key does not start with `micros`.
+fn mask_span_micros(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find("\"micros\":") {
+        let value = at + "\"micros\":".len();
+        out.push_str(&rest[..value]);
+        out.push('0');
+        rest = rest[value..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Appends `trace` to a document's `diagnostics` object and renders
+/// it: what a traced answer used to be built as.
+fn attach_then_render(mut document: Json, trace: Json) -> String {
+    let Json::Object(members) = &mut document else {
+        panic!("an outcome document is an object")
+    };
+    let Some((_, Json::Object(diagnostics))) = members.iter_mut().find(|(k, _)| k == "diagnostics")
+    else {
+        panic!("an outcome document has diagnostics")
+    };
+    diagnostics.push(("trace".to_owned(), trace));
+    document.render()
+}
+
+/// A traced `/v1/generate` answer is the outcome document with the span
+/// tree spliced in as the last member of `diagnostics`. For the Table 3
+/// rows and `ADF, CFin, CFst`, on a miss and on a hit, it is byte for
+/// byte the decoded outcome re-encoded with `trace` appended to its
+/// diagnostics; a traced hit is also the stored document (the untraced
+/// hit's body) with the trace attached, span readings masked. Both
+/// trees time `decode`, `generate` and `render` under `request`.
+#[test]
+fn traced_answers_splice_the_trace_into_the_document() {
+    let app = app();
+    for faults in TABLE3
+        .iter()
+        .map(|row| row.faults)
+        .chain(["ADF, CFin, CFst"])
+    {
+        let names: Vec<Json> = faults.split(", ").map(Json::from).collect();
+        let body = Json::object([("faults", Json::array(names))]).render();
+        let (status, miss) = call(&app, "POST", "/v1/generate?trace=1", &body);
+        assert_eq!(status, 200, "{miss}");
+        let (status, hit) = call(&app, "POST", "/v1/generate?trace=1", &body);
+        assert_eq!(status, 200, "{hit}");
+        let (status, stored) = call(&app, "POST", "/v1/generate", &body);
+        assert_eq!(status, 200, "{stored}");
+        for (traced, cache_hit) in [(&miss, false), (&hit, true)] {
+            let Json::Object(mut members) = Json::parse(traced).expect("traced document") else {
+                panic!("{faults}: not an object")
+            };
+            let Some((key, Json::Object(mut diagnostics))) = members.pop() else {
+                panic!("{faults}: the last member is not an object")
+            };
+            assert_eq!(key, "diagnostics", "{faults}");
+            let (key, trace) = diagnostics.pop().expect("a diagnostics member");
+            assert_eq!(key, "trace", "{faults}: trace is the last member");
+            members.push(("diagnostics".to_owned(), Json::Object(diagnostics)));
+            let outcome = GenerateOutcome::from_json(&Json::Object(members)).unwrap();
+            assert_eq!(outcome.diagnostics.cache_hit, cache_hit, "{faults}");
+            assert!(
+                *traced == attach_then_render(outcome.to_json(), trace.clone()),
+                "{faults}: the traced answer (cache hit {cache_hit}) is not attach-then-render"
+            );
+            assert_eq!(trace.get("name").and_then(Json::as_str), Some("request"));
+            let spans: Vec<&str> = trace
+                .get("children")
+                .and_then(Json::as_array)
+                .expect("request children")
+                .iter()
+                .map(|span| span.get("name").and_then(Json::as_str).expect("span name"))
+                .collect();
+            assert_eq!(spans, ["decode", "generate", "render"], "{faults}");
+            if cache_hit {
+                let expected = attach_then_render(Json::parse(&stored).unwrap(), trace);
+                assert!(
+                    mask_span_micros(traced) == mask_span_micros(&expected),
+                    "{faults}: the traced hit is not the stored document plus its trace"
+                );
+            }
+        }
+    }
+}
