@@ -250,15 +250,11 @@ impl Json {
     /// [`JsonError`] with a byte offset and reason on malformed input,
     /// including trailing garbage after the document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after JSON document"));
         }
         Ok(value)
@@ -368,7 +364,6 @@ impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
 }
 
@@ -381,7 +376,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -400,7 +395,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -480,14 +475,15 @@ impl Parser<'_> {
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
+        let bytes = self.text.as_bytes();
         loop {
-            let run = self.bytes[self.pos..]
+            let run = bytes[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(self.bytes.len() - self.pos);
+                .unwrap_or(bytes.len() - self.pos);
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
-            let Some(&b) = self.bytes.get(self.pos) else {
+            let Some(&b) = bytes.get(self.pos) else {
                 return Err(self.err("unterminated string"));
             };
             match b {
@@ -497,7 +493,7 @@ impl Parser<'_> {
                 }
                 b'\\' => {
                     self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
+                    let Some(&esc) = bytes.get(self.pos) else {
                         return Err(self.err("unterminated escape"));
                     };
                     self.pos += 1;
@@ -514,7 +510,7 @@ impl Parser<'_> {
                             let unit = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&unit) {
                                 // Surrogate pair: require the low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let low = self.hex4()?;
                                     if !(0xDC00..0xE000).contains(&low) {
@@ -543,9 +539,8 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let chunk = self
-            .bytes
+            .text
             .get(self.pos..self.pos + 4)
-            .and_then(|c| std::str::from_utf8(c).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         // from_str_radix alone would accept a leading '+'.
         if !chunk.bytes().all(|b| b.is_ascii_hexdigit()) {
@@ -572,7 +567,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number text");
+        let text = &self.text[start..self.pos];
         if !is_valid_json_number(text) {
             return Err(self.err(format!("invalid number {text:?}")));
         }

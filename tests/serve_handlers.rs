@@ -474,22 +474,6 @@ fn generate_hits_replay_the_computed_outcome() {
     assert_eq!(read("misses"), Some(rows));
 }
 
-/// Masks the reading of every span: each `"micros":<digits>` becomes
-/// `"micros":0`. Diagnostics fields (`"expand_micros"` and the like)
-/// do not match, as their key does not start with `micros`.
-fn mask_span_micros(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(at) = rest.find("\"micros\":") {
-        let value = at + "\"micros\":".len();
-        out.push_str(&rest[..value]);
-        out.push('0');
-        rest = rest[value..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
 /// Appends `trace` to a document's `diagnostics` object and renders
 /// it: what a traced answer used to be built as.
 fn attach_then_render(mut document: Json, trace: Json) -> String {
@@ -509,8 +493,8 @@ fn attach_then_render(mut document: Json, trace: Json) -> String {
 /// rows and `ADF, CFin, CFst`, on a miss and on a hit, it is byte for
 /// byte the decoded outcome re-encoded with `trace` appended to its
 /// diagnostics; a traced hit is also the stored document (the untraced
-/// hit's body) with the trace attached, span readings masked. Both
-/// trees time `decode`, `generate` and `render` under `request`.
+/// hit's body) with its own trace attached. Both trees time `decode`,
+/// `generate` and `render` under `request`.
 #[test]
 fn traced_answers_splice_the_trace_into_the_document() {
     let app = app();
@@ -556,7 +540,7 @@ fn traced_answers_splice_the_trace_into_the_document() {
             if cache_hit {
                 let expected = attach_then_render(Json::parse(&stored).unwrap(), trace);
                 assert!(
-                    mask_span_micros(traced) == mask_span_micros(&expected),
+                    *traced == expected,
                     "{faults}: the traced hit is not the stored document plus its trace"
                 );
             }
